@@ -56,13 +56,8 @@ from .neuron import (
     LIFParams,
     NeuronState,
     SynapseParams,
-    burst_g_update,
-    burst_iow_step,
-    burst_lif_step,
     compile_neuron,
-    iow_lif_step,
-    iw_lif_step,
-    lif_step,
+    integrate_fire,
     new_neuron_state,
     synapse_step,
 )

@@ -106,7 +106,6 @@ class ExperimentConfig:
     excitatory_fraction: float = 0.8
     input_fanout: int = 4
     lif: LIFParams = field(default_factory=LIFParams)
-    readout_lif: LIFParams | None = None
     beta: float = 1.5
     learning: LearningParams = field(default_factory=LearningParams)
     train_fraction: float = 0.8
@@ -144,9 +143,7 @@ class ExperimentConfig:
         )
 
     def make_lsm_config(self, dataset: SpikeDataset, gamma: int, programmable: bool = False) -> LsmConfig:
-        burst = None
-        if self.model in ("burst-lif", "iow-burst-lif"):
-            burst = BurstParams(beta=self.beta, u_th=self.lif.u_th, n_max=self.lif.n_max)
+        burst = BurstParams(beta=self.beta) if MODELS[self.model].bursting else None
         return LsmConfig(
             num_inputs=dataset.num_channels,
             reservoir_size=self.reservoir_size,
@@ -162,7 +159,6 @@ class ExperimentConfig:
             model=self.model,
             seed=self.seed,
             lif=self.lif,
-            readout_lif=self.readout_lif,
             burst=burst,
             compression=CompressionConfig(gamma=gamma, programmable=programmable, max_gamma=self.max_gamma),
             fmt=self.fmt,

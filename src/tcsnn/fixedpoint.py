@@ -14,16 +14,21 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FixedPointFormat:
-    """Bit layout of a fixed-point register."""
+    """Bit layout of a fixed-point register.
+
+    Register values fit in 32 signed bits (31 bits when unsigned), so the
+    product of two of them never wraps int64.
+    """
 
     total_bits: int = 32
     frac_bits: int = 16
     signed: bool = True
 
     def __post_init__(self):
-        if not (0 <= self.frac_bits < self.total_bits <= 64):
+        max_bits = 32 if self.signed else 31
+        if not (0 <= self.frac_bits < self.total_bits <= max_bits):
             raise ValueError(
-                f"need 0 <= frac_bits < total_bits <= 64, got "
+                f"need 0 <= frac_bits < total_bits <= {max_bits}, got "
                 f"{self.frac_bits}/{self.total_bits}"
             )
         object.__setattr__(self, "scale", 1 << self.frac_bits)
@@ -98,16 +103,9 @@ def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = Non
 
 
 def fixed_mul(a, b, fmt: FixedPointFormat = DEFAULT_FORMAT, counter: SaturationCounter | None = None):
-    """Fixed-point product: (a*b) >> frac_bits, floor semantics, then clamp.
-
-    Array operands require total_bits <= 32 so the intermediate product
-    fits in int64 without wrapping; scalar ints are exact at any width.
-    """
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        prod = (int(a) * int(b)) >> fmt.frac_bits
+    """Fixed-point product: (a*b) >> frac_bits, floor semantics, then clamp."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or np.ndim(a) or np.ndim(b):
+        prod = np.multiply(a, b, dtype=np.int64)
+        prod >>= fmt.frac_bits
         return saturate(prod, fmt, counter)
-    if fmt.total_bits > 32:
-        raise ValueError("array fixed_mul supports total_bits <= 32 only")
-    prod = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
-    prod >>= fmt.frac_bits
-    return saturate(prod, fmt, counter)
+    return saturate((int(a) * int(b)) >> fmt.frac_bits, fmt, counter)

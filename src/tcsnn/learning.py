@@ -177,6 +177,8 @@ def train_readout(
         train_idx, test_idx = split
     else:
         train_idx, test_idx = split_dataset(dataset, split, seed)
+    if len(test_idx) == 0:
+        raise ValueError("the test split is empty: lower the train fraction or add examples")
 
     epoch_acc = []
     for _ in range(params.epochs):
@@ -205,7 +207,7 @@ def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int):
     """Accuracy (percent) over the given examples with frozen weights."""
     indices = list(indices)
     if not indices:
-        return 0.0, 0
+        raise ValueError("no examples to evaluate")
     correct = 0
     no_spike = 0
     for i in indices:

@@ -113,8 +113,8 @@ class AtelInputs:
     def __post_init__(self):
         if self.lut_count < 0 or self.ff_count < 0:
             raise ValueError("resource counts must be >= 0")
-        if not 0.0 <= self.accuracy < 100.0:
-            raise ValueError(f"accuracy must be in [0, 100), got {self.accuracy}")
+        if not 0.0 <= self.accuracy <= 100.0:
+            raise ValueError(f"accuracy must be in [0, 100], got {self.accuracy}")
 
     @property
     def area(self) -> float:
@@ -129,10 +129,13 @@ def atel(design: AtelInputs, baseline: AtelInputs) -> float:
     """Normalized Area x Time x Energy x Loss, in percent of the baseline.
 
     Area is FF count + 2x LUT count; Loss is 100% minus accuracy. A design
-    identical to its baseline scores exactly 100%.
+    identical to its baseline scores exactly 100%, and a design with no loss
+    scores 0. A baseline with no loss has no normalized figure.
     """
     if baseline.runtime <= 0.0 or baseline.energy <= 0.0 or baseline.area <= 0.0:
         raise ValueError("baseline runtime, energy and area must be positive")
+    if baseline.loss == 0.0:
+        raise ValueError("normalized ATEL is undefined for a baseline with 100% accuracy (loss 0)")
     return (
         (design.area / baseline.area)
         * (design.runtime / baseline.runtime)

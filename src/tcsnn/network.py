@@ -2,11 +2,20 @@
 
 The network is input channels -> recurrent reservoir -> readout, with fixed
 signed power-of-two synapses everywhere except the plastic reservoir->readout
-layer. One engine runs every neuron model in either mode:
+layer. Reservoir and readout share one compiled neuron (one row of
+:data:`~tcsnn.neuron.MODELS` at one ratio) and one set of shift schedules,
+and one engine runs every model in either mode:
 
 - baseline: raw binary trains, nominal time constants
 - compressed: trains merged by the compression ratio, constants scaled
   exactly and realized through shifter schedules
+
+Every spike is delivered as a fixed-point amplitude: its weight (1 for
+binary-input models) times its source's burst gain (1.0 unless bursting).
+A layer's drive is ``(w @ amplitudes) >> frac_bits``, exact for the fixed
++/- 2**(e + frac_bits) weights. The plastic readout multiplies the integer
+spike weights instead, or, when amplitudes carry fractional bits
+(bursting), floors each product on its own.
 
 Spikes emitted at step t are delivered at step t+1; external input spikes
 are delivered at their own step. All arithmetic is integer fixed point, so
@@ -16,19 +25,20 @@ traces are bit-reproducible across runs and machines.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .compress import CompressionConfig, compress_train
 from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat, SaturationCounter, saturate
 from .neuron import (
+    MODELS,
     STEP_FUNCTIONS,
+    BurstParams,
     CompiledNeuron,
     LIFParams,
+    burst_gain_update,
     compile_neuron,
-    model_is_bursting,
-    model_uses_input_weights,
     new_neuron_state,
     synapse_step,
 )
@@ -68,7 +78,6 @@ class LsmConfig:
     model: str = "iow-lif"
     seed: int = 0
     lif: LIFParams = field(default_factory=LIFParams)
-    readout_lif: LIFParams | None = None
     burst: BurstParams | None = None
     compression: CompressionConfig = field(default_factory=CompressionConfig)
     fmt: FixedPointFormat = DEFAULT_FORMAT
@@ -89,12 +98,10 @@ class LsmConfig:
             raise ValueError("excitatory_fraction must be in (0, 1)")
         if self.input_fanout > self.reservoir_size:
             raise ValueError("input_fanout exceeds reservoir size")
-        if model_is_bursting(self.model) and self.lif.synapse.order != "zeroth":
+        if self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r}")
+        if MODELS[self.model].bursting and self.lif.synapse.order != "zeroth":
             raise ValueError("bursting models require a zeroth-order synapse")
-
-    @property
-    def readout_params(self) -> LIFParams:
-        return self.readout_lif if self.readout_lif is not None else self.lif
 
 
 @dataclass
@@ -103,7 +110,8 @@ class Network:
 
     Fixed synapses hold +/- 2**(exponent + frac_bits) exactly (signed
     power-of-two weights realized by shifts); absent synapses are zero.
-    Readout weights are plastic fixed-point values.
+    Readout weights are plastic fixed-point values. ``comp`` is the neuron
+    compiled at ``gamma``, shared by reservoir and readout.
     """
 
     config: LsmConfig
@@ -112,14 +120,10 @@ class Network:
     w_res: np.ndarray  # (reservoir, reservoir)
     w_out: np.ndarray  # (readout, reservoir), plastic
     excitatory: np.ndarray  # bool per reservoir neuron
-    comp_res: CompiledNeuron = None
-    comp_read: CompiledNeuron = None
+    comp: CompiledNeuron = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.comp_res is None:
-            self.comp_res = _compile_layer(self.config, self.config.lif, self.gamma)
-        if self.comp_read is None:
-            self.comp_read = _compile_layer(self.config, self.config.readout_params, self.gamma)
+        self.comp = _compile(self.config, self.gamma)
 
     @property
     def fan_in(self) -> np.ndarray:
@@ -131,19 +135,11 @@ class Network:
         """Structural fan-out per reservoir neuron (recurrent + full readout)."""
         return np.count_nonzero(self.w_res, axis=0) + self.config.num_readout
 
-    def same_wiring(self, other: "Network") -> bool:
-        return (
-            np.array_equal(self.w_in, other.w_in)
-            and np.array_equal(self.w_res, other.w_res)
-            and np.array_equal(self.w_out, other.w_out)
-            and np.array_equal(self.excitatory, other.excitatory)
-        )
 
-
-def _compile_layer(config: LsmConfig, lif: LIFParams, gamma: int) -> CompiledNeuron:
+def _compile(config: LsmConfig, gamma: int) -> CompiledNeuron:
     return compile_neuron(
         config.model,
-        lif,
+        config.lif,
         gamma,
         fmt=config.fmt,
         burst=config.burst,
@@ -220,16 +216,7 @@ def set_compression_ratio(network: Network, gamma: int) -> Network:
         raise ValueError("network was not built with a programmable compression ratio")
     if not 1 <= gamma <= cfg.compression.max_gamma:
         raise ValueError(f"gamma {gamma} outside [1, {cfg.compression.max_gamma}]")
-    return Network(
-        config=cfg,
-        gamma=gamma,
-        w_in=network.w_in,
-        w_res=network.w_res,
-        w_out=network.w_out.copy(),
-        excitatory=network.excitatory,
-        comp_res=_compile_layer(cfg, cfg.lif, gamma),
-        comp_read=_compile_layer(cfg, cfg.readout_params, gamma),
-    )
+    return replace(network, gamma=gamma, w_out=network.w_out.copy())
 
 
 @dataclass
@@ -244,14 +231,7 @@ class EventCounters:
     saturations: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "synaptic_ops": self.synaptic_ops,
-            "synaptic_ops_input": self.synaptic_ops_input,
-            "synaptic_ops_reservoir": self.synaptic_ops_reservoir,
-            "neuron_updates": self.neuron_updates,
-            "spike_events": self.spike_events,
-            "saturations": self.saturations,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -322,11 +302,48 @@ def _events_array(chunks: list) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def _deliver(w: np.ndarray, cols: np.ndarray, amp_fp: np.ndarray, frac: int) -> np.ndarray:
-    """Accumulate fixed-point current: sum_j fixed_mul(w[:, j], amp[j])."""
-    contrib = w[:, cols] * amp_fp[None, :]
-    contrib >>= frac
-    return contrib.sum(axis=1)
+@functools.lru_cache(maxsize=512)
+def _shifts_cached(plan, steps: int) -> np.ndarray:
+    out = plan.shifts(steps)
+    out.setflags(write=False)
+    return out
+
+
+def _plan_shifts(comp: CompiledNeuron, steps: int):
+    """Per-step membrane and synapse shifts; zeros where the stage is absent."""
+    unused = np.zeros(steps, dtype=np.int64)
+    return tuple(
+        unused if plan is None else _shifts_cached(plan, steps)
+        for plan in (comp.tau_m_plan, comp.tau_s1_plan, comp.tau_s2_plan)
+    )
+
+
+def _input_events(dense_in: np.ndarray) -> np.ndarray:
+    """Input spike records (channel, timestep, weight) ordered by timestep."""
+    ts, chans = np.nonzero(dense_in.T)
+    if ts.size == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    return np.column_stack((chans, ts, dense_in[chans, ts]))
+
+
+def _input_amplitudes(dense_in: np.ndarray, comp: CompiledNeuron, sat: SaturationCounter) -> np.ndarray:
+    """Fixed-point amplitude of every input spike, shaped (channels, steps).
+
+    Each channel's burst gain evolves with the channel's own firing through
+    the same update as a neuron's.
+    """
+    fmt = comp.fmt
+    weights = dense_in if comp.spec.weighted_in else (dense_in > 0).astype(np.int64)
+    if not comp.spec.bursting:
+        return weights << fmt.frac_bits
+    amp = np.empty_like(weights)
+    gain = np.full(weights.shape[0], fmt.scale, dtype=np.int64)
+    prev = np.zeros(weights.shape[0], dtype=np.int64)
+    for t in range(weights.shape[1]):
+        gain = burst_gain_update(gain, prev, comp, sat)
+        prev = weights[:, t]
+        amp[:, t] = gain * prev
+    return amp
 
 
 def simulate(
@@ -353,144 +370,68 @@ def simulate(
 
     if mode == "baseline":
         g = 1
-        comp_res = network.comp_res if network.gamma == 1 else _compile_layer(cfg, cfg.lif, 1)
-        comp_read = network.comp_read if network.gamma == 1 else _compile_layer(cfg, cfg.readout_params, 1)
         dense_in = trains_to_dense(trains, length)
     elif mode == "compressed":
         g = network.gamma if gamma is None else gamma
         if not 1 <= g <= cfg.compression.max_gamma:
             raise ValueError(f"gamma {g} outside [1, {cfg.compression.max_gamma}]")
-        if g == network.gamma:
-            comp_res, comp_read = network.comp_res, network.comp_read
-        else:
-            comp_res = _compile_layer(cfg, cfg.lif, g)
-            comp_read = _compile_layer(cfg, cfg.readout_params, g)
         dense_in = trains_to_dense([compress_train(tr, g) for tr in trains])
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    return _run(network, dense_in, mode, g, length, comp_res, comp_read, record_potentials, record_events, _learner)
+    comp = network.comp if g == network.gamma else _compile(cfg, g)
 
-
-@functools.lru_cache(maxsize=512)
-def _shifts_cached(plan, steps: int) -> np.ndarray:
-    out = plan.shifts(steps)
-    out.setflags(write=False)
-    return out
-
-
-def _plan_shifts(comp: CompiledNeuron, steps: int):
-    k_m = _shifts_cached(comp.tau_m_plan, steps) if comp.tau_m_plan is not None else None
-    k_s1 = _shifts_cached(comp.tau_s1_plan, steps) if comp.tau_s1_plan is not None else None
-    k_s2 = _shifts_cached(comp.tau_s2_plan, steps) if comp.tau_s2_plan is not None else None
-    return k_m, k_s1, k_s2
-
-
-def _input_events(dense_in: np.ndarray) -> np.ndarray:
-    """Input spike records (channel, timestep, weight) ordered by timestep."""
-    ts, chans = np.nonzero(dense_in.T)
-    if ts.size == 0:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.column_stack((chans, ts, dense_in[chans, ts]))
-
-
-def _run(
-    network: Network,
-    dense_in: np.ndarray,
-    mode: str,
-    gamma: int,
-    input_length: int,
-    comp_res: CompiledNeuron,
-    comp_read: CompiledNeuron,
-    record_potentials: bool,
-    record_events: bool,
-    learner,
-) -> SimulationTrace:
-    cfg = network.config
     fmt = cfg.fmt
     frac = fmt.frac_bits
     steps = dense_in.shape[1]
     n_res, n_read = cfg.reservoir_size, cfg.num_readout
-    bursting = model_is_bursting(cfg.model)
-    weighted_in = model_uses_input_weights(cfg.model)
+    bursting = comp.spec.bursting
     step_fn = STEP_FUNCTIONS[cfg.model]
 
     sat = SaturationCounter()
-    counters = EventCounters()
     res_state = new_neuron_state(n_res, fmt, bursting)
     read_state = new_neuron_state(n_read, fmt, bursting)
-
-    km_r, ks1_r, ks2_r = _plan_shifts(comp_res, steps)
-    km_o, ks1_o, ks2_o = _plan_shifts(comp_read, steps)
+    k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
 
     input_events = _input_events(dense_in)
-    fan_in = network.fan_in
+    in_ops = int(network.fan_in[input_events[:, 0]].sum()) if input_events.size else 0
     fan_res = network.fan_res
-    in_ops = int(fan_in[input_events[:, 0]].sum()) if input_events.size else 0
-    counters.synaptic_ops_input = in_ops
-    counters.spike_events += input_events.shape[0]
-    counters.neuron_updates = (n_res + n_read) * steps
-
-    eff_dense = dense_in if weighted_in else (dense_in > 0).astype(np.int64)
-
-    g_in = prev_in = None
-    beta_lut = comp_res.beta_pow_fp
-    if bursting:
-        # per-channel burst values evolve with the input's own firing
-        g_in = np.full(cfg.num_inputs, fmt.scale, dtype=np.int64)
-        prev_in = np.zeros(cfg.num_inputs, dtype=np.int64)
-    else:
-        # exact: every term is a multiple of 2**frac, so one matmul suffices
-        drive_in_all = network.w_in @ eff_dense
+    drive_in_all = (network.w_in @ _input_amplitudes(dense_in, comp, sat)) >> frac
 
     pending_cols = np.empty(0, dtype=np.int64)  # reservoir spikes awaiting delivery
-    pending_amp = np.empty(0, dtype=np.int64)
     pending_w = np.empty(0, dtype=np.int64)
+    pending_amp = np.empty(0, dtype=np.int64)
+    no_drive_read = np.zeros(n_read, dtype=np.int64)
 
     res_chunks, read_chunks = [], []
     totals = np.zeros(n_read, dtype=np.int64)
     res_ops = 0
-    spike_events = 0
+    spike_events = input_events.shape[0]
     pot_res = np.empty((steps, n_res), dtype=np.int64) if record_potentials else None
     pot_read = np.empty((steps, n_read), dtype=np.int64) if record_potentials else None
 
     for t in range(steps):
-        if bursting:
-            w_t = dense_in[:, t]
-            in_cols = np.flatnonzero(w_t)
-            eff_in = w_t[in_cols] if weighted_in else np.ones(in_cols.size, dtype=np.int64)
-            idx = np.clip(prev_in, 0, len(beta_lut) - 1)
-            scaled = (g_in * beta_lut[idx]) >> frac
-            g_in = np.where(prev_in > 0, scaled, np.int64(fmt.scale))
-            prev_in = np.zeros(cfg.num_inputs, dtype=np.int64)
-            prev_in[in_cols] = eff_in
-            drive_res = _deliver(network.w_in, in_cols, g_in[in_cols] * eff_in, frac) if in_cols.size else np.zeros(n_res, dtype=np.int64)
-            if pending_cols.size:
-                drive_res = drive_res + _deliver(network.w_res, pending_cols, pending_amp, frac)
-                drive_read = _deliver(network.w_out, pending_cols, pending_amp, frac)
-            else:
-                drive_read = np.zeros(n_read, dtype=np.int64)
-        else:
-            drive_res = drive_in_all[:, t]
-            if pending_cols.size:
-                drive_res = drive_res + network.w_res[:, pending_cols] @ pending_w
-                drive_read = network.w_out[:, pending_cols] @ pending_w
-            else:
-                drive_read = np.zeros(n_read, dtype=np.int64)
+        drive_res = drive_in_all[:, t]
+        drive_read = no_drive_read
         if pending_cols.size:
+            drive_res = drive_res + ((network.w_res[:, pending_cols] @ pending_amp) >> frac)
+            if bursting:  # fractional amplitudes, arbitrary plastic weights: floor each product
+                drive_read = ((network.w_out[:, pending_cols] * pending_amp) >> frac).sum(axis=1)
+            else:
+                drive_read = network.w_out[:, pending_cols] @ pending_w
             res_ops += int(fan_res[pending_cols].sum())
 
         drive_res = saturate(drive_res, fmt, sat)
         drive_read = saturate(drive_read, fmt, sat)
 
-        i_res = synapse_step(res_state, drive_res, comp_res, 0 if ks1_r is None else ks1_r[t], 0 if ks2_r is None else ks2_r[t], sat)
-        out_res = step_fn(res_state, i_res, comp_res, 0 if km_r is None else km_r[t], sat)
+        i_res = synapse_step(res_state, drive_res, comp, k_s1[t], k_s2[t], sat)
+        out_res = step_fn(res_state, i_res, comp, k_m[t], sat)
 
-        i_read = synapse_step(read_state, drive_read, comp_read, 0 if ks1_o is None else ks1_o[t], 0 if ks2_o is None else ks2_o[t], sat)
-        out_read = step_fn(read_state, i_read, comp_read, 0 if km_o is None else km_o[t], sat)
+        i_read = synapse_step(read_state, drive_read, comp, k_s1[t], k_s2[t], sat)
+        out_read = step_fn(read_state, i_read, comp, k_m[t], sat)
 
-        if learner is not None:
-            learner.on_step(t, pending_cols, pending_w, out_read)
+        if _learner is not None:
+            _learner.on_step(t, pending_cols, pending_w, out_read)
 
         res_cols = np.flatnonzero(out_res)
         pending_w = out_res[res_cols]
@@ -513,16 +454,20 @@ def _run(
             pot_res[t] = res_state.u
             pot_read[t] = read_state.u
 
-    counters.spike_events += spike_events
-    counters.synaptic_ops_reservoir = res_ops
-    counters.synaptic_ops = in_ops + res_ops
-    counters.saturations = sat.count
+    counters = EventCounters(
+        synaptic_ops=in_ops + res_ops,
+        synaptic_ops_input=in_ops,
+        synaptic_ops_reservoir=res_ops,
+        neuron_updates=(n_res + n_read) * steps,
+        spike_events=spike_events,
+        saturations=sat.count,
+    )
     potentials = {"reservoir": pot_res, "readout": pot_read} if record_potentials else None
     return SimulationTrace(
         mode=mode,
-        gamma=gamma,
+        gamma=g,
         timestep_count=steps,
-        input_length=input_length,
+        input_length=length,
         num_inputs=cfg.num_inputs,
         num_reservoir=n_res,
         num_readout=n_read,
@@ -595,6 +540,11 @@ def import_network(path, config: LsmConfig) -> Network:
                     raise ValueError(f"{path}: geometry does not match supplied config")
             elif parts[0] == "excitatory":
                 excitatory = np.array([tok == "1" for tok in parts[1:]], dtype=bool)
+                if excitatory.size != config.reservoir_size:
+                    raise ValueError(
+                        f"{path}: excitatory record has {excitatory.size} entries, "
+                        f"expected {config.reservoir_size}"
+                    )
             elif parts[0] == "synapse":
                 _, kind, pre, post, sign, exp = parts
                 raw = int(sign) * (1 << (int(exp) + frac))
@@ -615,6 +565,4 @@ def import_network(path, config: LsmConfig) -> Network:
         w_res=w_res,
         w_out=w_out,
         excitatory=excitatory,
-        comp_res=_compile_layer(config, config.lif, gamma),
-        comp_read=_compile_layer(config, config.readout_params, gamma),
     )

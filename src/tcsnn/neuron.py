@@ -1,16 +1,19 @@
-"""Fixed-point spiking neuron models.
+"""Fixed-point spiking neuron models: one integrate-fire-reset core.
 
-Five variants share one integrate-fire-reset core:
+Every model is a row of :data:`MODELS`, three switches on one datapath:
 
-- ``lif``            binary in / binary out (ignores input spike weights)
-- ``iw-lif``         weighted in / binary out
-- ``iow-lif``        weighted in / weighted out (multi-threshold firing)
-- ``burst-lif``      binary burst model with per-source burst gain g
-- ``iow-burst-lif``  weighted burst model (g updated by beta**weight)
+- weighted in: the synaptic drive scales with input spike weights
+  (``iw-lif``, ``iow-lif``, ``iow-burst-lif``); otherwise a spike counts 1.
+- weighted out: a unit emits the number of thresholds its potential
+  crossed, capped at ``n_max`` (``iow-lif``, ``iow-burst-lif``). The other
+  models are compiled with a cap of 1, so they fire once.
+- bursting: the threshold is g*u_th, where a unit's burst gain g is scaled
+  by beta**w after it emits a weight-w spike and reset to 1 after a silent
+  step (``burst-lif``, ``iow-burst-lif``).
 
-Step functions operate on whole populations (int64 arrays of raw fixed-point
-values) and are pure transitions: state in, state out, no globals. Membrane
-and synapse decays are realized as shifter steps driven by per-step shift
+:func:`integrate_fire` is that core for a whole population (int64 arrays of
+raw fixed-point values), a pure transition: state in, state out, no globals.
+Membrane and synapse decays are shifter steps driven by per-step shift
 amounts taken from a :class:`~tcsnn.compress.TimeConstantPlan`.
 """
 
@@ -18,19 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .compress import TimeConstantPlan, decay_step, plan_time_constant
 from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat, SaturationCounter, fixed_mul, saturate, to_fixed
 
-
-def _mul(scalar_fp: int, arr: np.ndarray, fmt: FixedPointFormat, sat) -> np.ndarray:
-    # fixed_mul fast path: python-int scalar times int64 array
-    return saturate((scalar_fp * arr) >> fmt.frac_bits, fmt, sat)
-
 __all__ = [
     "MODELS",
+    "ModelSpec",
     "SynapseParams",
     "LIFParams",
     "BurstParams",
@@ -39,31 +39,24 @@ __all__ = [
     "new_neuron_state",
     "compile_neuron",
     "synapse_step",
-    "lif_step",
-    "iw_lif_step",
-    "iow_lif_step",
-    "burst_lif_step",
-    "burst_iow_step",
-    "burst_g_update",
-    "model_uses_input_weights",
-    "model_emits_weights",
-    "model_is_bursting",
+    "burst_gain_update",
+    "integrate_fire",
 ]
 
-MODELS = ("lif", "iw-lif", "iow-lif", "burst-lif", "iow-burst-lif")
+
+class ModelSpec(NamedTuple):
+    weighted_in: bool
+    weighted_out: bool
+    bursting: bool
 
 
-def model_uses_input_weights(model: str) -> bool:
-    """Whether the model's synaptic current scales with input spike weights."""
-    return model in ("iw-lif", "iow-lif", "iow-burst-lif")
-
-
-def model_emits_weights(model: str) -> bool:
-    return model in ("iow-lif", "iow-burst-lif")
-
-
-def model_is_bursting(model: str) -> bool:
-    return model in ("burst-lif", "iow-burst-lif")
+MODELS = {
+    "lif": ModelSpec(weighted_in=False, weighted_out=False, bursting=False),
+    "iw-lif": ModelSpec(weighted_in=True, weighted_out=False, bursting=False),
+    "iow-lif": ModelSpec(weighted_in=True, weighted_out=True, bursting=False),
+    "burst-lif": ModelSpec(weighted_in=False, weighted_out=False, bursting=True),
+    "iow-burst-lif": ModelSpec(weighted_in=True, weighted_out=True, bursting=True),
+}
 
 
 @dataclass(frozen=True)
@@ -113,11 +106,10 @@ class LIFParams:
 
 @dataclass(frozen=True)
 class BurstParams:
-    """Burst function constant and the threshold set it scales."""
+    """Burst function constant; the threshold set it scales is the
+    membrane's own (``LIFParams.u_th`` and ``n_max``)."""
 
     beta: float
-    u_th: float = 1.0
-    n_max: int = 7
 
     def __post_init__(self):
         if self.beta <= 0.0:
@@ -140,15 +132,6 @@ class NeuronState:
     s2: np.ndarray
     g: np.ndarray | None = None
     prev_out: np.ndarray | None = None
-
-    def copy(self) -> "NeuronState":
-        return NeuronState(
-            u=self.u.copy(),
-            s1=self.s1.copy(),
-            s2=self.s2.copy(),
-            g=None if self.g is None else self.g.copy(),
-            prev_out=None if self.prev_out is None else self.prev_out.copy(),
-        )
 
 
 def new_neuron_state(n: int, fmt: FixedPointFormat = DEFAULT_FORMAT, bursting: bool = False) -> NeuronState:
@@ -174,11 +157,11 @@ class CompiledNeuron:
     gain_fp: int  # membrane drive gain: R/tau_m_c, or R when leakless
     q_fp: int
     syn_gain_fp: int  # second-order output normalization (unit impulse peak ~ q)
-    n_max: int
+    n_max: int  # output cap: lif.n_max for weighted-output models, else 1
+    spec: ModelSpec
     tau_m_plan: TimeConstantPlan | None
     tau_s1_plan: TimeConstantPlan | None
     tau_s2_plan: TimeConstantPlan | None
-    burst: BurstParams | None = None
     beta_pow_fp: np.ndarray | None = None  # LUT: fp(beta**k)
 
 
@@ -212,8 +195,8 @@ def compile_neuron(
     """Precompute fixed-point gains and decay schedules for one ratio."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    bursting = model_is_bursting(model)
-    if bursting:
+    spec = MODELS[model]
+    if spec.bursting:
         if burst is None:
             raise ValueError(f"{model} requires BurstParams")
         if lif.synapse.order != "zeroth":
@@ -236,12 +219,9 @@ def compile_neuron(
         peak = _second_order_peak(tau_s1_plan.tau_nom_c_exact, tau_s2_plan.tau_nom_c_exact)
         syn_gain_fp = to_fixed(syn.q / peak, fmt)
 
-    u_th = burst.u_th if bursting else lif.u_th
-    n_max = burst.n_max if bursting else lif.n_max
-
     beta_pow_fp = None
-    if bursting:
-        ks = np.arange(max(n_max, beta_pow_max) + 1)
+    if spec.bursting:
+        ks = np.arange(max(lif.n_max, beta_pow_max) + 1)
         beta_pow_fp = np.array([to_fixed(burst.beta**int(k), fmt) for k in ks], dtype=np.int64)
 
     return CompiledNeuron(
@@ -249,15 +229,15 @@ def compile_neuron(
         lif=lif,
         gamma=gamma,
         fmt=fmt,
-        u_th_fp=to_fixed(u_th, fmt),
+        u_th_fp=to_fixed(lif.u_th, fmt),
         gain_fp=to_fixed(gain, fmt),
         q_fp=to_fixed(syn.q, fmt),
         syn_gain_fp=syn_gain_fp,
-        n_max=n_max,
+        n_max=lif.n_max if spec.weighted_out else 1,
+        spec=spec,
         tau_m_plan=tau_m_plan,
         tau_s1_plan=tau_s1_plan,
         tau_s2_plan=tau_s2_plan,
-        burst=burst,
         beta_pow_fp=beta_pow_fp,
     )
 
@@ -282,129 +262,56 @@ def synapse_step(
     if order == "zeroth":
         return drive_fp
     if order == "first":
-        state.s1 = saturate(decay_step(state.s1, k_s1) + _mul(comp.q_fp, drive_fp, fmt, sat), fmt, sat)
+        state.s1 = saturate(decay_step(state.s1, k_s1) + fixed_mul(comp.q_fp, drive_fp, fmt, sat), fmt, sat)
         return state.s1
     state.s1 = saturate(decay_step(state.s1, k_s1) + drive_fp, fmt, sat)
     state.s2 = saturate(decay_step(state.s2, k_s2) + drive_fp, fmt, sat)
-    return _mul(comp.syn_gain_fp, state.s2 - state.s1, fmt, sat)
+    return fixed_mul(comp.syn_gain_fp, state.s2 - state.s1, fmt, sat)
 
 
-def _integrate(state: NeuronState, i_fp: np.ndarray, comp: CompiledNeuron, k_m: int, sat):
-    decayed = state.u if comp.lif.leakless else decay_step(state.u, k_m)
-    state.u = saturate(decayed + _mul(comp.gain_fp, i_fp, comp.fmt, sat), comp.fmt, sat)
-
-
-def lif_step(
-    state: NeuronState,
-    i_fp: np.ndarray,
-    comp: CompiledNeuron,
-    k_m: int = 0,
-    sat: SaturationCounter | None = None,
+def burst_gain_update(
+    g: np.ndarray, prev_out: np.ndarray, comp: CompiledNeuron, sat: SaturationCounter | None = None
 ) -> np.ndarray:
-    """Binary-output step: decay, integrate, fire once on u >= u_th,
-    soft reset by subtracting u_th."""
-    _integrate(state, i_fp, comp, k_m, sat)
-    out = (state.u >= comp.u_th_fp).astype(np.int64)
-    state.u -= out * comp.u_th_fp
-    return out
+    """One burst-gain step for a population of spike sources.
 
-
-def iw_lif_step(
-    state: NeuronState,
-    i_fp: np.ndarray,
-    comp: CompiledNeuron,
-    k_m: int = 0,
-    sat: SaturationCounter | None = None,
-) -> np.ndarray:
-    """Input-weighted ablation: consumes weighted current but the output is
-    clamped to {0,1} and reset subtracts exactly one u_th."""
-    return lif_step(state, i_fp, comp, k_m, sat)
-
-
-def iow_lif_step(
-    state: NeuronState,
-    i_fp: np.ndarray,
-    comp: CompiledNeuron,
-    k_m: int = 0,
-    sat: SaturationCounter | None = None,
-) -> np.ndarray:
-    """Multi-threshold step: with k*u_th <= u < (k+1)*u_th the output weight
-    is k (capped at n_max) and the reset subtracts k*u_th. Above
-    n_max*u_th the residual may exceed u_th and fires again next step."""
-    _integrate(state, i_fp, comp, k_m, sat)
-    out = np.minimum(np.maximum(state.u // comp.u_th_fp, 0), comp.n_max)
-    state.u -= out * comp.u_th_fp
-    return out
-
-
-def burst_g_update(g_prev, fired_prev, spike_weight, beta: float):
-    """Burst function update (real-valued reference semantics).
-
-    Sources that fired last step scale their g by beta**spike_weight (the
-    weight of that spike; binary mode passes 1); all others reset to 1.
+    A source that emitted a weight-w spike last step scales its gain by
+    beta**w; a silent one resets to 1. The product is a fixed-point
+    multiply, so a gain past the register range is clamped and counted.
     """
-    g_prev = np.asarray(g_prev, dtype=np.float64)
-    fired = np.asarray(fired_prev, dtype=bool)
-    w = np.asarray(spike_weight, dtype=np.float64)
-    out = np.where(fired, beta**w * g_prev, 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _burst_g_step_fp(state: NeuronState, comp: CompiledNeuron, sat) -> None:
-    """Fixed-point burst update from the previous step's own output."""
     lut = comp.beta_pow_fp
-    idx = np.minimum(state.prev_out, len(lut) - 1)
-    scaled = saturate((state.g * lut[idx]) >> comp.fmt.frac_bits, comp.fmt, sat)
-    state.g = np.where(state.prev_out > 0, scaled, np.int64(comp.fmt.scale))
+    scaled = fixed_mul(g, lut[np.minimum(prev_out, len(lut) - 1)], comp.fmt, sat)
+    return np.where(prev_out > 0, scaled, np.int64(comp.fmt.scale))
 
 
-def _burst_thresholds(state: NeuronState, comp: CompiledNeuron, sat) -> np.ndarray:
-    thr = _mul(comp.u_th_fp, state.g, comp.fmt, sat)
-    return np.maximum(thr, 1)  # threshold floor: one LSB
-
-
-def burst_lif_step(
+def integrate_fire(
     state: NeuronState,
     i_fp: np.ndarray,
     comp: CompiledNeuron,
     k_m: int = 0,
     sat: SaturationCounter | None = None,
 ) -> np.ndarray:
-    """Binary bursting step: threshold g*u_th, reset subtracts g*u_th,
-    g multiplied by beta after each consecutive firing, else reset to 1."""
-    _burst_g_step_fp(state, comp, sat)
-    thr = _burst_thresholds(state, comp, sat)
-    _integrate(state, i_fp, comp, k_m, sat)
-    out = (state.u >= thr).astype(np.int64)
-    state.u -= out * thr
-    state.prev_out = out
-    return out
+    """One step of the shared core: decay, integrate, fire, soft reset.
 
-
-def burst_iow_step(
-    state: NeuronState,
-    i_fp: np.ndarray,
-    comp: CompiledNeuron,
-    k_m: int = 0,
-    sat: SaturationCounter | None = None,
-) -> np.ndarray:
-    """Weighted bursting step: threshold set {k*g*u_th}, output weight k,
-    reset subtracts k*g*u_th, g scaled by beta**k after firing."""
-    _burst_g_step_fp(state, comp, sat)
-    thr = _burst_thresholds(state, comp, sat)
-    _integrate(state, i_fp, comp, k_m, sat)
+    With k*thr <= u < (k+1)*thr the output weight is k, capped at n_max, and
+    the reset subtracts k*thr; above n_max*thr the residual may exceed thr
+    and fires again next step. The threshold thr is u_th or, for bursting
+    models, g*u_th (at least one LSB) after g is updated from the unit's
+    previous output.
+    """
+    fmt = comp.fmt
+    thr = comp.u_th_fp
+    bursting = comp.spec.bursting
+    if bursting:
+        state.g = burst_gain_update(state.g, state.prev_out, comp, sat)
+        thr = np.maximum(fixed_mul(comp.u_th_fp, state.g, fmt, sat), 1)
+    decayed = state.u if comp.lif.leakless else decay_step(state.u, k_m)
+    state.u = saturate(decayed + fixed_mul(comp.gain_fp, i_fp, fmt, sat), fmt, sat)
     out = np.minimum(np.maximum(state.u // thr, 0), comp.n_max)
     state.u -= out * thr
-    state.prev_out = out
+    if bursting:
+        state.prev_out = out
     return out
 
 
-STEP_FUNCTIONS = {
-    "lif": lif_step,
-    "iw-lif": iw_lif_step,
-    "iow-lif": iow_lif_step,
-    "burst-lif": burst_lif_step,
-    "iow-burst-lif": burst_iow_step,
-}
+# one entry per model, all the same core; the engine looks its model up per run
+STEP_FUNCTIONS = {model: integrate_fire for model in MODELS}

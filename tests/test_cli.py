@@ -1,0 +1,48 @@
+import pytest
+
+from tcsnn.cli import main
+
+CONFIG = """\
+schema_version = 1
+seed = 3
+model = iow-lif
+gammas = 1 4
+epochs = 1
+dataset.classes = 3
+dataset.channels = 20
+dataset.steps = 40
+dataset.jitter = 2
+dataset.examples_per_class = 5
+lsm.reservoir_size = 27
+lsm.grid = 3 3 3
+"""
+OUTPUTS = ("run_g1.json", "run_g4.json", "summary.csv")
+
+
+def run(tmp_path, text, out):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    return main(["run", "--config", str(cfg), "--out", str(tmp_path / out)])
+
+
+def test_run_succeeds_and_rerun_is_byte_identical(tmp_path):
+    assert run(tmp_path, CONFIG, "a") == 0
+    assert run(tmp_path, CONFIG, "b") == 0
+    for name in OUTPUTS:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_unknown_key_exits_1(tmp_path, capsys):
+    assert run(tmp_path, CONFIG + "lsm.reservoir = 27\n", "out") == 1
+    assert "unknown key 'lsm.reservoir'" in capsys.readouterr().err
+
+
+def test_missing_event_file_exits_2(tmp_path, capsys):
+    text = CONFIG + f"dataset.kind = event_file\ndataset.path = {tmp_path / 'absent.events'}\n"
+    assert run(tmp_path, text, "out") == 2
+    assert "event file not found" in capsys.readouterr().err
+
+
+def test_empty_test_split_exits_2(tmp_path, capsys):
+    assert run(tmp_path, CONFIG + "learning.train_fraction = 1.0\n", "out") == 2
+    assert "test split is empty" in capsys.readouterr().err

@@ -75,3 +75,13 @@ def test_scalar_saturation():
     assert saturate(1000, fmt, ctr) == 127
     assert saturate(-1000, fmt, ctr) == -128
     assert ctr.count == 2
+
+
+def test_formats_wider_than_32_bits_rejected():
+    with pytest.raises(ValueError):
+        FixedPointFormat(total_bits=33, frac_bits=16)
+    with pytest.raises(ValueError):
+        FixedPointFormat(total_bits=64, frac_bits=16)
+    with pytest.raises(ValueError):
+        FixedPointFormat(total_bits=32, frac_bits=16, signed=False)
+    assert FixedPointFormat(total_bits=31, frac_bits=16, signed=False).raw_max == (1 << 31) - 1

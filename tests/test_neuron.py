@@ -8,16 +8,27 @@ from tcsnn.neuron import (
     BurstParams,
     LIFParams,
     SynapseParams,
-    burst_g_update,
-    burst_iow_step,
-    burst_lif_step,
     compile_neuron,
-    iow_lif_step,
-    iw_lif_step,
-    lif_step,
+    integrate_fire,
     new_neuron_state,
     synapse_step,
 )
+
+
+def burst_g_update(g_prev, fired_prev, spike_weight, beta: float):
+    """Burst function update (real-valued reference semantics).
+
+    Sources that fired last step scale their g by beta**spike_weight (the
+    weight of that spike; binary mode passes 1); all others reset to 1.
+    """
+    g_prev = np.asarray(g_prev, dtype=np.float64)
+    fired = np.asarray(fired_prev, dtype=bool)
+    w = np.asarray(spike_weight, dtype=np.float64)
+    out = np.where(fired, beta**w * g_prev, 1.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
 
 ZEROTH = SynapseParams(order="zeroth")
 
@@ -87,7 +98,7 @@ class TestLifStep:
         comp = compile_neuron("lif", LIFParams(tau_m_nom=8.0, synapse=ZEROTH), 1)
         state = new_neuron_state(1)
         for _ in range(10):
-            out = lif_step(state, fp_vec(0.0), comp, k_m=3)
+            out = integrate_fire(state, fp_vec(0.0), comp, k_m=3)
         assert state.u[0] == 0 and out[0] == 0
 
     def test_subthreshold_equilibrium_never_fires(self):
@@ -95,7 +106,7 @@ class TestLifStep:
         comp = compile_neuron("lif", LIFParams(tau_m_nom=8.0, u_th=1.0, R=1.0, synapse=ZEROTH), 1)
         state = new_neuron_state(1)
         for _ in range(500):
-            out = lif_step(state, fp_vec(0.8), comp, k_m=3)
+            out = integrate_fire(state, fp_vec(0.8), comp, k_m=3)
             assert out[0] == 0
         assert from_fixed(state.u[0]) == pytest.approx(0.8, abs=0.01)
 
@@ -103,7 +114,7 @@ class TestLifStep:
         comp = compile_neuron("lif", leakless_params(), 1)
         state = new_neuron_state(1)
         state.u[0] = to_fixed(1.3)
-        out = lif_step(state, fp_vec(0.0), comp)
+        out = integrate_fire(state, fp_vec(0.0), comp)
         assert out[0] == 1
         assert state.u[0] == to_fixed(1.3) - to_fixed(1.0)
 
@@ -113,7 +124,7 @@ class TestIowStep:
         comp = compile_neuron("iow-lif", leakless_params(), 1)
         state = new_neuron_state(1)
         state.u[0] = to_fixed(2.5)
-        out = iow_lif_step(state, fp_vec(0.0), comp)
+        out = integrate_fire(state, fp_vec(0.0), comp)
         assert out[0] == 2
         assert state.u[0] == to_fixed(0.5)
 
@@ -121,7 +132,7 @@ class TestIowStep:
         comp = compile_neuron("iow-lif", leakless_params(), 1)
         state = new_neuron_state(1)
         state.u[0] = to_fixed(0.9)
-        out = iow_lif_step(state, fp_vec(0.0), comp)
+        out = integrate_fire(state, fp_vec(0.0), comp)
         assert out[0] == 0
         assert state.u[0] == to_fixed(0.9)
 
@@ -129,10 +140,10 @@ class TestIowStep:
         comp = compile_neuron("iow-lif", leakless_params(n_max=7), 1)
         state = new_neuron_state(1)
         state.u[0] = to_fixed(9.0)
-        out = iow_lif_step(state, fp_vec(0.0), comp)
+        out = integrate_fire(state, fp_vec(0.0), comp)
         assert out[0] == 7
         assert state.u[0] == to_fixed(2.0)  # above u_th: fires again next step
-        out = iow_lif_step(state, fp_vec(0.0), comp)
+        out = integrate_fire(state, fp_vec(0.0), comp)
         assert out[0] == 2
 
     def test_residual_bounded_below_saturation(self):
@@ -141,7 +152,7 @@ class TestIowStep:
         state = new_neuron_state(1)
         for _ in range(300):
             w = int(rng.integers(0, 8))
-            out = iow_lif_step(state, np.array([w << 16]), comp)
+            out = integrate_fire(state, np.array([w << 16]), comp)
             if out[0] < comp.n_max:
                 assert 0 <= state.u[0] < comp.u_th_fp
             else:
@@ -151,7 +162,7 @@ class TestIowStep:
         comp = compile_neuron("iw-lif", leakless_params(), 1)
         state = new_neuron_state(1)
         state.u[0] = to_fixed(2.5)
-        out = iw_lif_step(state, fp_vec(0.0), comp)
+        out = integrate_fire(state, fp_vec(0.0), comp)
         assert out[0] == 1
         assert state.u[0] == to_fixed(1.5)
 
@@ -159,7 +170,7 @@ class TestIowStep:
         comp = compile_neuron("iw-lif", leakless_params(), 1)
         state = new_neuron_state(1)
         state.u[0] = to_fixed(0.5)
-        assert iw_lif_step(state, fp_vec(0.0), comp)[0] == 0
+        assert integrate_fire(state, fp_vec(0.0), comp)[0] == 0
 
 
 def baseline_count_oracle(binary_steps, r_fp, u_th_fp, n_max):
@@ -193,7 +204,7 @@ class TestLeaklessConservation:
                 weights = padded.reshape(out_len, gamma).sum(axis=1)
                 total = 0
                 for w in weights:
-                    total += int(iow_lif_step(state, np.array([int(w) << 16]), comp)[0])
+                    total += int(integrate_fire(state, np.array([int(w) << 16]), comp)[0])
                 assert abs(total - expected) <= 1
 
 
@@ -217,7 +228,7 @@ class TestBurst:
 
     def test_beta_one_burst_equals_plain_iow(self):
         params = LIFParams(tau_m_nom=8.0, u_th=1.0, R=0.5, n_max=7, synapse=ZEROTH)
-        burst = BurstParams(beta=1.0, u_th=1.0, n_max=7)
+        burst = BurstParams(beta=1.0)
         comp_b = compile_neuron("iow-burst-lif", params, 1, burst=burst)
         comp_p = compile_neuron("iow-lif", params, 1)
         st_b = new_neuron_state(1, bursting=True)
@@ -225,34 +236,34 @@ class TestBurst:
         rng = np.random.default_rng(8)
         for _ in range(500):
             drive = np.array([int(rng.integers(0, 5)) << 16])
-            out_b = burst_iow_step(st_b, drive, comp_b, k_m=3)
-            out_p = iow_lif_step(st_p, drive, comp_p, k_m=3)
+            out_b = integrate_fire(st_b, drive, comp_b, k_m=3)
+            out_p = integrate_fire(st_p, drive, comp_p, k_m=3)
             assert out_b[0] == out_p[0]
             assert st_b.u[0] == st_p.u[0]
 
     def test_threshold_set_scales_with_g(self):
         params = leakless_params()
-        burst = BurstParams(beta=0.8, u_th=1.0, n_max=7)
+        burst = BurstParams(beta=0.8)
         comp = compile_neuron("iow-burst-lif", params, 1, burst=burst)
         state = new_neuron_state(1, bursting=True)
         state.prev_out[0] = 1  # fired last step: g becomes beta * 1 = 0.8
         thr = (to_fixed(0.8) * comp.u_th_fp) >> 16
         state.u[0] = to_fixed(1.2)  # 1.5 * g * u_th
-        out = burst_iow_step(state, np.zeros(1, dtype=np.int64), comp)
+        out = integrate_fire(state, np.zeros(1, dtype=np.int64), comp)
         assert out[0] == 1
         assert state.u[0] == to_fixed(1.2) - thr
 
     def test_binary_burst_step_resets_by_g_uth(self):
         params = leakless_params()
-        burst = BurstParams(beta=2.0, u_th=1.0, n_max=7)
+        burst = BurstParams(beta=2.0)
         comp = compile_neuron("burst-lif", params, 1, burst=burst)
         state = new_neuron_state(1, bursting=True)
         state.u[0] = to_fixed(1.5)
-        out = burst_lif_step(state, np.zeros(1, dtype=np.int64), comp)
+        out = integrate_fire(state, np.zeros(1, dtype=np.int64), comp)
         assert out[0] == 1 and state.u[0] == to_fixed(0.5)
         # fired last step: threshold now 2*u_th
         state.u[0] = to_fixed(1.5)
-        out = burst_lif_step(state, np.zeros(1, dtype=np.int64), comp)
+        out = integrate_fire(state, np.zeros(1, dtype=np.int64), comp)
         assert out[0] == 0
 
     def test_burst_requires_zeroth_order(self):
@@ -285,7 +296,7 @@ class TestFixedVsRealReference:
         for t in range(1000):
             drive = np.array([int(inputs[t]) << 16])
             i_fp = synapse_step(state, drive, comp, k_s1=int(k_s[t]))
-            out = iow_lif_step(state, i_fp, comp, k_m=int(k_m[t]))
+            out = integrate_fire(state, i_fp, comp, k_m=int(k_m[t]))
             count_fp += int(out[0])
 
             s_ref = s_ref * (1.0 - 2.0 ** (-float(k_s[t]))) + 1.0 * inputs[t]
@@ -307,7 +318,7 @@ def test_saturation_is_counted_not_silent():
     state = new_neuron_state(1, fmt=fmt)
     sat = SaturationCounter()
     for _ in range(10):
-        iow_lif_step(state, np.array([fmt.raw_max]), comp, sat=sat)
+        integrate_fire(state, np.array([fmt.raw_max]), comp, sat=sat)
     assert sat.count > 0
     assert state.u[0] <= fmt.raw_max
 
