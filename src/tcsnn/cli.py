@@ -44,9 +44,8 @@ def _run_single(config: ExperimentConfig, gamma: int) -> RunReport:
     """Train and evaluate one fixed-ratio build. Pure in (config, gamma)."""
     dataset = config.make_dataset()
     net = build_lsm(config.make_lsm_config(dataset, gamma))
-    params = replace(config.learning, epochs=config.epochs)
     train_idx, test_idx = split_dataset(dataset, config.train_fraction, config.seed)
-    report = train_readout(net, dataset, (train_idx, test_idx), params, gamma, seed=config.seed)
+    report = train_readout(net, dataset, (train_idx, test_idx), config.learning, gamma, seed=config.seed)
 
     energy = 0.0
     counters: dict = {}
@@ -60,7 +59,7 @@ def _run_single(config: ExperimentConfig, gamma: int) -> RunReport:
 
     return RunReport(
         gamma=gamma,
-        model=config.model,
+        model=config.lsm.model,
         seed=config.seed,
         accuracy=report.test_accuracy,
         timestep_count=timesteps,
@@ -68,7 +67,7 @@ def _run_single(config: ExperimentConfig, gamma: int) -> RunReport:
         speedup=dataset.length_steps / timesteps,
         counters=counters,
         energy=energy,
-        epochs=config.epochs,
+        epochs=config.learning.epochs,
         no_spike_examples=report.no_spike_examples,
     )
 

@@ -125,26 +125,6 @@ class TimeConstantPlan:
                 out[i] = self.k_low
         return out
 
-    def constants(self, n_steps: int) -> np.ndarray:
-        """Realized constant 2**k per step."""
-        return np.int64(1) << self.shifts(n_steps)
-
-    def period(self, cap: int = 4096) -> int | None:
-        """Schedule period (accumulator returns exactly to zero), or None
-        if none is found within ``cap`` steps (irrational/float-inexact targets)."""
-        if self.is_constant:
-            return 1
-        lo = float(1 << self.k_low)
-        hi = float(1 << self.k_high)
-        acc = 0.0
-        for i in range(1, cap + 1):
-            acc += self.tau_nom_c_exact - lo
-            if acc >= hi - lo:
-                acc -= hi - lo
-            if acc == 0.0:
-                return i
-        return None
-
 
 def make_schedule(tau_target: float, tau_nom: float | None = None, gamma: int = 1) -> TimeConstantPlan:
     """Build the toggling schedule realizing ``tau_target`` as a time average.

@@ -4,18 +4,15 @@ Flat ``key = value`` text with dotted keys, ``#`` comments and blank lines
 ignored. Files must carry ``schema_version = 1``. Unknown keys are errors so
 typos cannot silently change an experiment.
 
-Example::
+Each key in :data:`KEYS` sets one dataclass field, whose annotation gives
+the value's type and whose default holds when the key is left out. Besides
+the table, ``resources.<baseline|g<N>>.<lut|ff>`` give the FPGA resource
+counts at gamma 1 or N. Every dataclass is built, and so validated, at load,
+so a bad value fails with its ``path:line``. Example::
 
     schema_version = 1
-    seed = 7
     model = iow-lif
     gammas = 1 2 4 8 16
-    epochs = 30
-    dataset.kind = synthetic
-    dataset.classes = 5
-    dataset.channels = 78
-    dataset.steps = 500
-    lsm.reservoir_size = 135
     lsm.grid = 3 3 15
     resources.baseline.lut = 57326
     resources.baseline.ff = 18200
@@ -23,22 +20,25 @@ Example::
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import asdict, dataclass, field, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .compress import CompressionConfig
-from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 from .learning import LearningParams
 from .metrics import EnergyModel
 from .network import LsmConfig
-from .neuron import MODELS, BurstParams, LIFParams, SynapseParams
+from .neuron import MODELS, BurstParams
 from .spike import SpikeDataset, load_event_file, synthetic_task
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_experiment_config", "parse_kv_text"]
+__all__ = ["ConfigError", "ExperimentConfig", "KEYS", "load_experiment_config", "parse_kv_text"]
 
 SCHEMA_VERSION = 1
 DEFAULT_OUT_ENV = "TCSNN_OUT"
+_type_hints = functools.cache(get_type_hints)  # evaluating annotations is slow
 
 
 class ConfigError(ValueError):
@@ -46,7 +46,7 @@ class ConfigError(ValueError):
 
 
 def parse_kv_text(path) -> dict:
-    """Read a key = value file into an ordered string dict."""
+    """Read a key = value file into an ordered dict of key -> (value, line)."""
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -59,22 +59,21 @@ def parse_kv_text(path) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if not key:
-            raise ConfigError(f"{path}:{lineno}: empty key")
+        key, value = (part.strip() for part in line.split("=", 1))
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = value
+        out[key] = (value, lineno)
     return out
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    classes: int = 5
-    channels: int = 78
-    steps: int = 500
-    jitter: int = 4
+    """Arguments of :func:`~tcsnn.spike.synthetic_task` but the seed."""
+
+    num_classes: int = 5
+    num_channels: int = 78
+    length_steps: int = 500
+    jitter_steps: int = 4
     examples_per_class: int = 24
     template_rate: float = 0.05
     deletion_prob: float = 0.05
@@ -83,236 +82,177 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully-resolved batch experiment description."""
+    """Fully-resolved batch experiment description. ``lsm`` is the network
+    of every run, before :meth:`make_lsm_config` fills in its per-run fields;
+    ``num_readout`` None means one readout neuron per class."""
 
     seed: int = 0
     out_dir: str = ""
-    model: str = "iow-lif"
-    gammas: tuple = (1, 2, 4, 8, 16)
-    epochs: int = 30
+    gammas: tuple[int, ...] = (1, 2, 4, 8, 16)
     workers: int = 1
     max_gamma: int = 16
     dataset_kind: str = "synthetic"
     dataset_path: str = ""
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
-    reservoir_size: int = 135
-    grid: tuple = (3, 3, 15)
-    num_readout: int | None = None  # default: number of classes
-    c_ee: float = 0.3
-    c_ei: float = 0.2
-    c_ie: float = 0.4
-    c_ii: float = 0.1
-    lambda_dist: float = 2.0
-    excitatory_fraction: float = 0.8
-    input_fanout: int = 4
-    lif: LIFParams = field(default_factory=LIFParams)
-    beta: float = 1.5
-    learning: LearningParams = field(default_factory=LearningParams)
+    num_readout: int | None = None
     train_fraction: float = 0.8
+    lsm: LsmConfig = field(default_factory=lambda: LsmConfig(burst=BurstParams()))
+    learning: LearningParams = field(default_factory=LearningParams)
     energy: EnergyModel = field(default_factory=EnergyModel)
     resources: dict = field(default_factory=dict)  # gamma -> (lut, ff)
-    fmt: FixedPointFormat = DEFAULT_FORMAT
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r} (choose from {', '.join(MODELS)})")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.gammas or len(set(self.gammas)) != len(self.gammas):
+            raise ConfigError(f"gammas must list one or more distinct ratios, got {self.gammas}")
         for g in self.gammas:
             if not 1 <= g <= self.max_gamma:
                 raise ConfigError(f"gamma {g} outside [1, {self.max_gamma}]")
-        if len(set(self.gammas)) != len(self.gammas):
-            raise ConfigError("gammas must be distinct")
+        if not 0.0 < self.train_fraction <= 1.0:
+            raise ConfigError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
         if self.dataset_kind not in ("synthetic", "event_file"):
             raise ConfigError(f"dataset.kind must be synthetic or event_file, got {self.dataset_kind!r}")
         if self.dataset_kind == "event_file" and not self.dataset_path:
             raise ConfigError("dataset.kind = event_file requires dataset.path")
+        if any(count < 0 for pair in self.resources.values() for count in pair):
+            raise ConfigError("resource counts must be >= 0")
 
     def make_dataset(self) -> SpikeDataset:
         if self.dataset_kind == "event_file":
             return load_event_file(self.dataset_path)
-        s = self.synthetic
-        return synthetic_task(
-            num_classes=s.classes,
-            num_channels=s.channels,
-            length_steps=s.steps,
-            jitter_steps=s.jitter,
-            examples_per_class=s.examples_per_class,
-            seed=self.seed,
-            template_rate=s.template_rate,
-            deletion_prob=s.deletion_prob,
-            insertion_prob=s.insertion_prob,
-        )
+        return synthetic_task(seed=self.seed, **asdict(self.synthetic))
 
-    def make_lsm_config(self, dataset: SpikeDataset, gamma: int, programmable: bool = False) -> LsmConfig:
-        burst = BurstParams(beta=self.beta) if MODELS[self.model].bursting else None
-        return LsmConfig(
+    def make_lsm_config(self, dataset: SpikeDataset, gamma: int) -> LsmConfig:
+        return replace(
+            self.lsm,
             num_inputs=dataset.num_channels,
-            reservoir_size=self.reservoir_size,
-            num_readout=self.num_readout if self.num_readout is not None else dataset.num_classes,
-            reservoir_grid=self.grid,
-            c_ee=self.c_ee,
-            c_ei=self.c_ei,
-            c_ie=self.c_ie,
-            c_ii=self.c_ii,
-            lambda_dist=self.lambda_dist,
-            excitatory_fraction=self.excitatory_fraction,
-            input_fanout=self.input_fanout,
-            model=self.model,
+            num_readout=dataset.num_classes if self.num_readout is None else self.num_readout,
             seed=self.seed,
-            lif=self.lif,
-            burst=burst,
-            compression=CompressionConfig(gamma=gamma, programmable=programmable, max_gamma=self.max_gamma),
-            fmt=self.fmt,
+            burst=self.lsm.burst if MODELS[self.lsm.model].bursting else None,
+            compression=CompressionConfig(gamma=gamma, max_gamma=self.max_gamma),
         )
 
 
-def _to_int(key, value):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected integer, got {value!r}") from None
+def _same(prefix: str, target: str, names: str) -> dict:
+    return {prefix + name: target + name for name in names.split()}
 
 
-def _to_float(key, value):
+# config key -> dotted path of the ExperimentConfig field it sets
+KEYS = {
+    **_same("", "", "seed out_dir gammas workers max_gamma"),
+    "model": "lsm.model",
+    "epochs": "learning.epochs",
+    "dataset.kind": "dataset_kind",
+    "dataset.path": "dataset_path",
+    "dataset.classes": "synthetic.num_classes",
+    "dataset.channels": "synthetic.num_channels",
+    "dataset.steps": "synthetic.length_steps",
+    "dataset.jitter": "synthetic.jitter_steps",
+    **_same("dataset.", "synthetic.", "examples_per_class template_rate deletion_prob insertion_prob"),
+    **_same("lsm.", "lsm.", "reservoir_size c_ee c_ei c_ie c_ii excitatory_fraction input_fanout"),
+    "lsm.grid": "lsm.reservoir_grid",
+    "lsm.readout": "num_readout",
+    "lsm.lambda": "lsm.lambda_dist",
+    "neuron.tau_m": "lsm.lif.tau_m_nom",
+    "neuron.r": "lsm.lif.R",
+    **_same("neuron.", "lsm.lif.", "u_th n_max"),
+    "neuron.synapse_order": "lsm.lif.synapse.order",
+    "neuron.tau_s1": "lsm.lif.synapse.tau_s1_nom",
+    "neuron.tau_s2": "lsm.lif.synapse.tau_s2_nom",
+    "neuron.q": "lsm.lif.synapse.q",
+    "neuron.beta": "lsm.burst.beta",
+    **_same("learning.", "learning.", "eta w_min w_max"),
+    "learning.tau_trace": "learning.tau_trace_nom",
+    "learning.margin": "learning.teacher_margin",
+    "learning.train_fraction": "train_fraction",
+    **_same("energy.", "energy.", "e_synaptic_op e_neuron_update e_spike p_static"),
+}
+
+
+def field_type(field_path: str):
+    """The annotated type of the ExperimentConfig field at ``field_path``."""
+    *parents, name = field_path.split(".")
+    owner = functools.reduce(getattr, parents, ExperimentConfig())
+    return _type_hints(type(owner))[name]
+
+
+def _parse(text: str, kind, where: str):
+    """``text`` read as a value of the annotated type ``kind``."""
+    if type(None) in get_args(kind):
+        if text == "auto":
+            return None
+        kind = next(arg for arg in get_args(kind) if arg is not type(None))
+    if kind is str:
+        return text
     try:
-        if value == "inf":
-            return math.inf
-        return float(value)
+        value = tuple(int(tok) for tok in text.split()) if get_origin(kind) is tuple else kind(text)
+        if kind is float and math.isnan(value):
+            raise ValueError(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected number, got {value!r}") from None
+        expected = {int: "an integer", float: "a number"}.get(kind, "integers")
+        raise ConfigError(f"{where}: expected {expected}, got {text!r}") from None
+    return value
+
+
+def _build(base, fields: dict):
+    """``base`` with dotted-path fields replaced, each dataclass rebuilt (so validated) once."""
+    groups = {}
+    for path, value in fields.items():
+        head, _, rest = path.partition(".")
+        groups.setdefault(head, {})[rest] = value
+    return replace(base, **{
+        head: sub[""] if "" in sub else _build(getattr(base, head), sub) for head, sub in groups.items()
+    })
+
+
+def _locate(error: ValueError, found: dict, path) -> str:
+    """``error`` led by the line of the first key whose removal changes it."""
+    for key, (lineno, field_path, _) in found.items():
+        try:
+            _build(ExperimentConfig(), {p: v for _, p, v in found.values() if p != field_path})
+        except ValueError as exc:
+            if str(exc) == str(error):
+                continue
+        return f"{path}:{lineno}: {key}: {error}"
+    return f"{path}: {error}"
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse, validate and resolve an experiment config file."""
     kv = parse_kv_text(path)
-    version = kv.pop("schema_version", None)
+    version, version_line = kv.pop("schema_version", (None, 0))
     if version is None:
         raise ConfigError(f"{path}: missing schema_version")
-    if _to_int("schema_version", version) != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unsupported schema_version {version}")
+    if _parse(version, int, f"{path}:{version_line}: schema_version") != SCHEMA_VERSION:
+        raise ConfigError(f"{path}:{version_line}: unsupported schema_version {version}")
 
-    top: dict = {}
-    syn: dict = {}
-    neuron: dict = {}
-    learn: dict = {}
-    energy: dict = {}
-    resources: dict = {}
-
-    for key, value in kv.items():
-        if key == "gammas":
-            top["gammas"] = tuple(_to_int(key, tok) for tok in value.split())
-        elif key in ("seed", "epochs", "workers", "max_gamma"):
-            top[key] = _to_int(key, value)
-        elif key in ("out_dir", "model"):
-            top[key] = value
-        elif key == "dataset.kind":
-            top["dataset_kind"] = value
-        elif key == "dataset.path":
-            top["dataset_path"] = value
-        elif key in ("dataset.classes", "dataset.channels", "dataset.steps", "dataset.jitter", "dataset.examples_per_class"):
-            syn[key.split(".", 1)[1]] = _to_int(key, value)
-        elif key in ("dataset.template_rate", "dataset.deletion_prob", "dataset.insertion_prob"):
-            syn[key.split(".", 1)[1]] = _to_float(key, value)
-        elif key == "lsm.reservoir_size":
-            top["reservoir_size"] = _to_int(key, value)
-        elif key == "lsm.grid":
-            top["grid"] = tuple(_to_int(key, tok) for tok in value.split())
-        elif key == "lsm.readout":
-            top["num_readout"] = _to_int(key, value)
-        elif key in ("lsm.c_ee", "lsm.c_ei", "lsm.c_ie", "lsm.c_ii"):
-            top[key.split(".", 1)[1]] = _to_float(key, value)
-        elif key == "lsm.lambda":
-            top["lambda_dist"] = _to_float(key, value)
-        elif key == "lsm.excitatory_fraction":
-            top["excitatory_fraction"] = _to_float(key, value)
-        elif key == "lsm.input_fanout":
-            top["input_fanout"] = _to_int(key, value)
-        elif key.startswith("neuron."):
-            neuron[key.split(".", 1)[1]] = value
-        elif key.startswith("learning."):
-            learn[key.split(".", 1)[1]] = value
-        elif key.startswith("energy."):
-            energy[key.split(".", 1)[1]] = value
-        elif key.startswith("resources."):
-            parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in ("lut", "ff"):
-                raise ConfigError(f"unknown resources key {key!r}")
-            tag = parts[1]
-            if tag == "baseline":
-                g = 1
-            elif tag.startswith("g"):
-                g = _to_int(key, tag[1:])
-            else:
-                raise ConfigError(f"resources tag must be 'baseline' or 'g<N>', got {tag!r}")
-            resources.setdefault(g, {})[parts[2]] = _to_int(key, value)
+    found = {}  # key -> (line, field path, value)
+    resources = {}  # gamma -> {"tag", "line", "lut", "ff"}
+    for key, (text, lineno) in kv.items():
+        where = f"{path}:{lineno}: {key}"
+        match = re.fullmatch(r"resources\.(baseline|g(\d+))\.(lut|ff)", key)
+        if match:
+            tag, number, count = match.groups()
+            entry = resources.setdefault(int(number or 1), {"tag": tag, "line": lineno})
+            if entry["tag"] != tag:
+                raise ConfigError(f"{where}: resources.{entry['tag']} (line {entry['line']}) already gives these counts")
+            entry[count] = _parse(text, int, where)
+        elif key in KEYS:
+            found[key] = (lineno, KEYS[key], _parse(text, field_type(KEYS[key]), where))
         else:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-
-    if syn:
-        top["synthetic"] = SyntheticSpec(**syn)
-
-    if neuron:
-        allowed = {"tau_m", "u_th", "r", "n_max", "synapse_order", "tau_s1", "tau_s2", "q", "beta"}
-        unknown = set(neuron) - allowed
-        if unknown:
-            raise ConfigError(f"unknown neuron keys: {sorted(unknown)}")
-        synapse = SynapseParams(
-            order=neuron.get("synapse_order", "second"),
-            tau_s1_nom=_to_float("neuron.tau_s1", neuron.get("tau_s1", "4")),
-            tau_s2_nom=_to_float("neuron.tau_s2", neuron.get("tau_s2", "8")),
-            q=_to_float("neuron.q", neuron.get("q", "1.0")),
-        )
-        top["lif"] = LIFParams(
-            tau_m_nom=_to_float("neuron.tau_m", neuron.get("tau_m", "32")),
-            u_th=_to_float("neuron.u_th", neuron.get("u_th", "1.0")),
-            R=_to_float("neuron.r", neuron.get("r", "1.0")),
-            n_max=_to_int("neuron.n_max", neuron.get("n_max", "7")),
-            synapse=synapse,
-        )
-        if "beta" in neuron:
-            top["beta"] = _to_float("neuron.beta", neuron["beta"])
-
-    if learn:
-        allowed = {"eta", "tau_trace", "margin", "w_min", "w_max", "train_fraction"}
-        unknown = set(learn) - allowed
-        if unknown:
-            raise ConfigError(f"unknown learning keys: {sorted(unknown)}")
-        if "train_fraction" in learn:
-            top["train_fraction"] = _to_float("learning.train_fraction", learn.pop("train_fraction"))
-        defaults = LearningParams()
-        top["learning"] = LearningParams(
-            eta=_to_float("learning.eta", learn.get("eta", str(defaults.eta))),
-            tau_trace_nom=_to_float("learning.tau_trace", learn.get("tau_trace", str(defaults.tau_trace_nom))),
-            teacher_margin=_to_int("learning.margin", learn.get("margin", str(defaults.teacher_margin))),
-            epochs=top.get("epochs", 30),
-            w_min=_to_float("learning.w_min", learn.get("w_min", str(defaults.w_min))),
-            w_max=_to_float("learning.w_max", learn.get("w_max", str(defaults.w_max))),
-        )
-
-    if energy:
-        allowed = {"e_synaptic_op", "e_neuron_update", "e_spike", "p_static"}
-        unknown = set(energy) - allowed
-        if unknown:
-            raise ConfigError(f"unknown energy keys: {sorted(unknown)}")
-        p_static = energy.get("p_static", "auto")
-        top["energy"] = EnergyModel(
-            e_synaptic_op=_to_float("energy.e_synaptic_op", energy.get("e_synaptic_op", "1.0")),
-            e_neuron_update=_to_float("energy.e_neuron_update", energy.get("e_neuron_update", "1.0")),
-            e_spike=_to_float("energy.e_spike", energy.get("e_spike", "0.5")),
-            p_static=None if p_static == "auto" else _to_float("energy.p_static", p_static),
-        )
-
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+    for gamma, entry in resources.items():
+        if not {"lut", "ff"} <= entry.keys():
+            raise ConfigError(f"{path}:{entry['line']}: resources for gamma {gamma} need both lut and ff")
     if resources:
-        for g, entry in resources.items():
-            if set(entry) != {"lut", "ff"}:
-                raise ConfigError(f"resources for gamma {g} need both lut and ff")
-        top["resources"] = {g: (entry["lut"], entry["ff"]) for g, entry in resources.items()}
-
-    if not top.get("out_dir"):
-        top["out_dir"] = os.environ.get(DEFAULT_OUT_ENV, "runs")
+        counts = {gamma: (entry["lut"], entry["ff"]) for gamma, entry in resources.items()}
+        found["resources"] = (min(entry["line"] for entry in resources.values()), "resources", counts)
 
     try:
-        return ExperimentConfig(**top)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+        config = _build(ExperimentConfig(), {field_path: value for _, field_path, value in found.values()})
+    except ValueError as exc:
+        raise ConfigError(_locate(exc, found, path)) from None
+    if not config.out_dir:
+        config = replace(config, out_dir=os.environ.get(DEFAULT_OUT_ENV, "runs"))
+    return config

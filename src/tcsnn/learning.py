@@ -11,6 +11,7 @@ same activity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,9 +30,6 @@ __all__ = [
     "classify",
     "evaluate",
     "split_dataset",
-    "quantize_weights_pow2",
-    "export_weights",
-    "import_weights",
 ]
 
 
@@ -47,14 +45,14 @@ class LearningParams:
     w_max: float = 4.0
 
     def __post_init__(self):
-        if self.eta < 0.0:
-            raise ValueError("eta must be >= 0")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError("eta must be >= 0 and finite")
         if self.tau_trace_nom <= 1.0:
             raise ValueError("tau_trace_nom must exceed 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.w_min > self.w_max:
-            raise ValueError("w_min must not exceed w_max")
+        if not -math.inf < self.w_min <= self.w_max < math.inf:
+            raise ValueError("w_min must not exceed w_max, and both must be finite")
 
 
 @dataclass
@@ -84,16 +82,12 @@ class Classification(NamedTuple):
     no_spike: bool
 
 
-def classify(trace: SimulationTrace, readout_ids=None) -> Classification:
+def classify(trace: SimulationTrace) -> Classification:
     """Argmax of total readout spike weight; ties break to the lowest index.
 
     An all-zero readout yields label 0 with the no_spike flag set.
     """
     totals = trace.readout_totals()
-    if readout_ids is not None:
-        mask = np.zeros_like(totals, dtype=bool)
-        mask[list(readout_ids)] = True
-        totals = np.where(mask, totals, -1)
     label = int(np.argmax(totals))
     return Classification(label=label, no_spike=bool(totals.max() <= 0))
 
@@ -217,35 +211,3 @@ def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int):
         no_spike += int(result.no_spike)
     return 100.0 * correct / len(indices), no_spike
 
-
-def quantize_weights_pow2(network: Network) -> None:
-    """Optionally snap trained readout weights to signed powers of two
-    (hardware-faithful inference); zero weights stay zero."""
-    w = network.w_out
-    out = np.zeros_like(w)
-    nz = w != 0
-    mag = np.abs(w[nz]).astype(np.float64)
-    exps = np.rint(np.log2(mag)).astype(np.int64)
-    out[nz] = np.sign(w[nz]) * (np.int64(1) << exps)
-    network.w_out[:] = out
-
-
-def export_weights(network: Network, path):
-    """Readout weight snapshot as structured text (raw fixed-point ints)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"tcsnn-weights schema_version=1 rows={network.w_out.shape[0]} cols={network.w_out.shape[1]}\n")
-        for row in network.w_out:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-
-def import_weights(network: Network, path) -> None:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if not header or header[0] != "tcsnn-weights":
-            raise ValueError(f"{path}: not a weight snapshot")
-        fields = dict(tok.split("=", 1) for tok in header[1:] if "=" in tok)
-        rows, cols = int(fields["rows"]), int(fields["cols"])
-        if (rows, cols) != network.w_out.shape:
-            raise ValueError(f"{path}: snapshot shape {(rows, cols)} != readout shape {network.w_out.shape}")
-        for r in range(rows):
-            network.w_out[r] = np.array([int(v) for v in fh.readline().split()], dtype=np.int64)

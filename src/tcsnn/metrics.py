@@ -9,6 +9,7 @@ estimated here.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,11 +43,10 @@ class EnergyModel:
     p_static: float | None = None
 
     def __post_init__(self):
-        for name in ("e_synaptic_op", "e_neuron_update", "e_spike"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.p_static is not None and self.p_static < 0.0:
-            raise ValueError("p_static must be >= 0")
+        for name in ("e_synaptic_op", "e_neuron_update", "e_spike", "p_static"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
 
 
 def energy_estimate(trace: SimulationTrace, model: EnergyModel = EnergyModel()) -> float:

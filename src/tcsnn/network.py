@@ -61,10 +61,10 @@ __all__ = [
 class LsmConfig:
     """Construction parameters for one liquid-state machine."""
 
-    num_inputs: int
+    num_inputs: int = 78
     reservoir_size: int = 135
     num_readout: int = 5
-    reservoir_grid: tuple = (3, 3, 15)
+    reservoir_grid: tuple[int, int, int] = (3, 3, 15)
     c_ee: float = 0.3
     c_ei: float = 0.2
     c_ie: float = 0.4
@@ -83,6 +83,8 @@ class LsmConfig:
     fmt: FixedPointFormat = DEFAULT_FORMAT
 
     def __post_init__(self):
+        if len(self.reservoir_grid) != 3 or min(self.reservoir_grid) < 1:
+            raise ValueError(f"grid {self.reservoir_grid} needs three positive sizes")
         gx, gy, gz = self.reservoir_grid
         if gx * gy * gz != self.reservoir_size:
             raise ValueError(
@@ -99,7 +101,7 @@ class LsmConfig:
         if self.input_fanout > self.reservoir_size:
             raise ValueError("input_fanout exceeds reservoir size")
         if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
+            raise ValueError(f"unknown model {self.model!r} (choose from {', '.join(MODELS)})")
         if MODELS[self.model].bursting and self.lif.synapse.order != "zeroth":
             raise ValueError("bursting models require a zeroth-order synapse")
 

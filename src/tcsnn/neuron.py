@@ -71,6 +71,8 @@ class SynapseParams:
     def __post_init__(self):
         if self.order not in ("zeroth", "first", "second"):
             raise ValueError(f"unknown synapse order {self.order!r}")
+        if not math.isfinite(self.q):
+            raise ValueError("q must be finite")
         if self.order == "first" and self.tau_s1_nom <= 1.0:
             raise ValueError("first order needs tau_s1_nom > 1")
         if self.order == "second":
@@ -94,8 +96,10 @@ class LIFParams:
     def __post_init__(self):
         if not self.tau_m_nom > 1.0:
             raise ValueError("tau_m_nom must exceed 1")
-        if self.u_th <= 0.0:
-            raise ValueError("u_th must be positive")
+        if not 0.0 < self.u_th < math.inf:
+            raise ValueError("u_th must be positive and finite")
+        if not math.isfinite(self.R):
+            raise ValueError("R must be finite")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
 
@@ -109,11 +113,11 @@ class BurstParams:
     """Burst function constant; the threshold set it scales is the
     membrane's own (``LIFParams.u_th`` and ``n_max``)."""
 
-    beta: float
+    beta: float = 1.5
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
 
 
 @dataclass

@@ -63,7 +63,8 @@ def test_documented_input_gain_saturation():
     # The default task's example 99 drives one input channel's burst gain to
     # about 37,877, past the 32-bit register's 32,768. Clamping it changes no
     # spike and no potential, and adds one to the saturation count (49 -> 50).
-    cfg = ExperimentConfig(model="iow-burst-lif", lif=LIFParams(synapse=SynapseParams(order="zeroth")))
+    lsm = LsmConfig(model="iow-burst-lif", lif=LIFParams(synapse=SynapseParams(order="zeroth")), burst=BurstParams())
+    cfg = ExperimentConfig(lsm=lsm)
     dataset = cfg.make_dataset()
     net = build_lsm(cfg.make_lsm_config(dataset, 16))
     trace = simulate(net, dataset.examples[99][0], mode="compressed", record_potentials=True)
