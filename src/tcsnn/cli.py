@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, ExperimentConfig, load_experiment_config
-from .learning import split_dataset, train_readout
+from .learning import reservoir_passes, split_dataset, train_readout
 from .metrics import AtelInputs, RunReport, atel, energy_estimate, write_raster_csv, write_report_json
 from .network import build_lsm, simulate
 from .spike import save_event_file, synthetic_task
@@ -45,14 +45,17 @@ def _run_single(config: ExperimentConfig, gamma: int) -> RunReport:
     dataset = config.make_dataset()
     net = build_lsm(config.make_lsm_config(dataset, gamma))
     train_idx, test_idx = split_dataset(dataset, config.train_fraction, config.seed)
-    report = train_readout(net, dataset, (train_idx, test_idx), config.learning, gamma, seed=config.seed)
+    # each test example's reservoir runs once and serves the evaluation and
+    # the energy count below; training runs its own examples' once per ratio
+    passes = reservoir_passes(net, dataset, test_idx, gamma)
+    report = train_readout(net, dataset, (train_idx, test_idx), config.learning, gamma, seed=config.seed, passes=passes)
 
     energy = 0.0
     counters: dict = {}
     timesteps = -(-dataset.length_steps // gamma)
     for i in test_idx:
         trains, _ = dataset.examples[i]
-        trace = simulate(net, trains, mode="compressed", gamma=gamma)
+        trace = simulate(net, trains, mode="compressed", gamma=gamma, reservoir=passes[int(i)])
         energy += energy_estimate(trace, config.energy)
         for key, value in trace.counters.as_dict().items():
             counters[key] = counters.get(key, 0) + value

@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import get_args, get_origin, get_type_hints
 
 from .compress import CompressionConfig
+from .fixedpoint import SaturationCounter, to_fixed
 from .learning import LearningParams
 from .metrics import EnergyModel
 from .network import LsmConfig
@@ -79,6 +80,22 @@ class SyntheticSpec:
     deletion_prob: float = 0.05
     insertion_prob: float = 0.005
 
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.num_channels < 1:
+            raise ValueError(f"num_channels must be >= 1, got {self.num_channels}")
+        if not 0 <= self.jitter_steps < self.length_steps:
+            raise ValueError(
+                f"jitter_steps must be in [0, length_steps = {self.length_steps}), got {self.jitter_steps}"
+            )
+        if self.examples_per_class < 1:
+            raise ValueError(f"examples_per_class must be >= 1, got {self.examples_per_class}")
+        for name in ("template_rate", "deletion_prob", "insertion_prob"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be a probability, got {p}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -117,6 +134,13 @@ class ExperimentConfig:
             raise ConfigError("dataset.kind = event_file requires dataset.path")
         if any(count < 0 for pair in self.resources.values() for count in pair):
             raise ConfigError("resource counts must be >= 0")
+        fmt = self.lsm.fmt
+        for name in ("eta", "w_min", "w_max"):
+            value = getattr(self.learning, name)
+            clamped = SaturationCounter()
+            to_fixed(value, fmt, clamped)
+            if clamped.count:
+                raise ConfigError(f"{name} {value:g} does not fit the {fmt.total_bits}-bit fixed-point format")
 
     def make_dataset(self) -> SpikeDataset:
         if self.dataset_kind == "event_file":

@@ -48,24 +48,46 @@ DEFAULT_FORMAT = FixedPointFormat(total_bits=32, frac_bits=16, signed=True)
 
 
 class SaturationCounter:
-    """Mutable tally of clamp events; queryable, never silent."""
+    """Mutable tally of clamp events; queryable, never silent.
+
+    With ``rows`` it keeps one tally per row of a batched run instead: the
+    arrays it is shown carry the row on their first axis, and ``count`` is
+    an int64 array with one entry per row.
+    """
 
     __slots__ = ("count",)
 
-    def __init__(self):
-        self.count = 0
+    def __init__(self, rows: int | None = None):
+        self.count = 0 if rows is None else np.zeros(rows, dtype=np.int64)
 
     def add(self, n: int):
+        if np.ndim(self.count):
+            raise TypeError("a per-row counter counts masks, not totals")
         self.count += int(n)
+
+    def add_mask(self, clamped: np.ndarray):
+        """Count the True entries of ``clamped``, per row when keeping rows."""
+        if np.ndim(self.count):
+            self.count += clamped.reshape(len(self.count), -1).sum(axis=1)
+        else:
+            self.count += int(np.count_nonzero(clamped))
 
     def __repr__(self):
         return f"SaturationCounter(count={self.count})"
 
 
 def to_fixed(value, fmt: FixedPointFormat = DEFAULT_FORMAT, counter: SaturationCounter | None = None):
-    """Round a real value (or array) to raw fixed-point representation."""
-    raw = np.rint(np.asarray(value, dtype=np.float64) * fmt.scale).astype(np.int64)
-    raw = saturate(raw, fmt, counter)
+    """Round a real value (or array) to raw fixed-point representation.
+
+    Out-of-range values are clamped, and counted, before the integer cast,
+    so no value reaches numpy's undefined float-to-int conversion.
+    """
+    with np.errstate(over="ignore"):  # a product past float range is inf, clamped below
+        scaled = np.rint(np.asarray(value, dtype=np.float64) * fmt.scale)
+    clamped = (scaled > fmt.raw_max) | (scaled < fmt.raw_min)
+    if counter is not None and clamped.any():
+        counter.add_mask(clamped)
+    raw = np.clip(scaled, fmt.raw_min, fmt.raw_max).astype(np.int64)
     if np.ndim(value) == 0:
         return int(raw)
     return raw
@@ -98,7 +120,7 @@ def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = Non
     if hi <= fmt.raw_max and lo >= fmt.raw_min:
         return raw
     if counter is not None:
-        counter.add(int(((raw > fmt.raw_max) | (raw < fmt.raw_min)).sum()))
+        counter.add_mask((raw > fmt.raw_max) | (raw < fmt.raw_min))
     return np.clip(raw, fmt.raw_min, fmt.raw_max)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .compress import decay_step, plan_time_constant
 from .fixedpoint import to_fixed
-from .network import Network, SimulationTrace, simulate
+from .network import Network, SimulationTrace, run_reservoir, simulate
 from .spike import SpikeDataset
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "train_readout",
     "classify",
     "evaluate",
+    "reservoir_passes",
     "split_dataset",
 ]
 
@@ -149,6 +150,19 @@ def split_dataset(dataset: SpikeDataset, train_fraction: float, seed: int):
     return order[:n_train], order[n_train:]
 
 
+def reservoir_passes(network: Network, dataset: SpikeDataset, indices, gamma: int, passes: dict | None = None) -> dict:
+    """Dataset index -> compressed reservoir pass at ``gamma`` for every index.
+
+    Passes already in ``passes`` are kept; the rest run in one batch.
+    """
+    passes = dict(passes or {})
+    todo = [i for i in dict.fromkeys(int(i) for i in indices) if i not in passes]
+    if todo:
+        runs = run_reservoir(network, [dataset.examples[i][0] for i in todo], "compressed", gamma)
+        passes.update(zip(todo, runs))
+    return passes
+
+
 def train_readout(
     network: Network,
     dataset: SpikeDataset,
@@ -156,12 +170,15 @@ def train_readout(
     params: LearningParams,
     gamma: int,
     seed: int = 0,
+    passes: dict | None = None,
 ) -> TrainingReport:
     """Train the plastic readout at compression ratio ``gamma``.
 
     ``split`` is either a train fraction or an explicit (train_idx, test_idx)
     pair. Training mutates network.w_out in place and is fully deterministic
-    under (network, dataset, params, gamma, seed).
+    under (network, dataset, params, gamma, seed). Each example's reservoir
+    runs once, or not at all when ``passes`` (see :func:`reservoir_passes`)
+    holds it, and serves every epoch and the evaluation.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -174,6 +191,8 @@ def train_readout(
     if len(test_idx) == 0:
         raise ValueError("the test split is empty: lower the train fraction or add examples")
 
+    if params.epochs:
+        passes = reservoir_passes(network, dataset, train_idx, gamma, passes)
     epoch_acc = []
     for _ in range(params.epochs):
         correct = 0
@@ -182,12 +201,13 @@ def train_readout(
             learner = _ReadoutLearner(network, params, gamma, label)
             steps = -(-dataset.length_steps // gamma)
             learner.prepare(steps)
-            trace = simulate(network, trains, mode="compressed", gamma=gamma, record_events=False, _learner=learner)
+            trace = simulate(network, trains, mode="compressed", gamma=gamma, record_events=False,
+                             reservoir=passes[int(i)], _learner=learner)
             if classify(trace).label == label:
                 correct += 1
         epoch_acc.append(100.0 * correct / len(train_idx) if len(train_idx) else 0.0)
 
-    test_acc, no_spike = evaluate(network, dataset, test_idx, gamma)
+    test_acc, no_spike = evaluate(network, dataset, test_idx, gamma, passes)
     return TrainingReport(
         epoch_train_accuracy=epoch_acc,
         test_accuracy=test_acc,
@@ -197,16 +217,18 @@ def train_readout(
     )
 
 
-def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int):
+def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int, passes: dict | None = None):
     """Accuracy (percent) over the given examples with frozen weights."""
     indices = list(indices)
     if not indices:
         raise ValueError("no examples to evaluate")
+    passes = reservoir_passes(network, dataset, indices, gamma, passes)
     correct = 0
     no_spike = 0
     for i in indices:
         trains, label = dataset.examples[i]
-        result = classify(simulate(network, trains, mode="compressed", gamma=gamma, record_events=False))
+        trace = simulate(network, trains, mode="compressed", gamma=gamma, record_events=False, reservoir=passes[int(i)])
+        result = classify(trace)
         correct += int(result.label == label)
         no_spike += int(result.no_spike)
     return 100.0 * correct / len(indices), no_spike

@@ -10,12 +10,24 @@ and one engine runs every model in either mode:
 - compressed: trains merged by the compression ratio, constants scaled
   exactly and realized through shifter schedules
 
+The reservoir is fixed and the readout sends nothing back to it, so the
+engine runs in two passes:
+
+- :func:`run_reservoir` simulates input and reservoir for a batch of
+  examples side by side, on ``(batch, neuron)`` state arrays, and returns
+  one :class:`ReservoirPass` per example: its input events, the reservoir's
+  output weight per step and the pass's own event and saturation counts.
+- :func:`simulate` runs the readout on one pass, after running the pass as
+  a batch of one when it is given none. Training replays a pass in every
+  epoch; evaluation and the energy count replay it again.
+
 Every spike is delivered as a fixed-point amplitude: its weight (1 for
 binary-input models) times its source's burst gain (1.0 unless bursting).
-A layer's drive is ``(w @ amplitudes) >> frac_bits``, exact for the fixed
-+/- 2**(e + frac_bits) weights. The plastic readout multiplies the integer
-spike weights instead, or, when amplitudes carry fractional bits
-(bursting), floors each product on its own.
+A fixed layer's drive is ``(amplitudes @ w.T) >> frac_bits``, exact for the
+fixed +/- 2**(e + frac_bits) weights: a float64 matmul while every partial
+sum provably stays below 2**53, an integer one otherwise (bursting). The
+plastic readout multiplies the integer spike weights instead, or, when
+amplitudes carry fractional bits (bursting), floors each product on its own.
 
 Spikes emitted at step t are delivered at step t+1; external input spikes
 are delivered at their own step. All arithmetic is integer fixed point, so
@@ -50,6 +62,8 @@ __all__ = [
     "SimulationTrace",
     "EventCounters",
     "build_lsm",
+    "ReservoirPass",
+    "run_reservoir",
     "simulate",
     "set_compression_ratio",
     "export_network",
@@ -298,12 +312,6 @@ class SimulationTrace:
         return True
 
 
-def _events_array(chunks: list) -> np.ndarray:
-    if not chunks:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.concatenate(chunks, axis=0)
-
-
 @functools.lru_cache(maxsize=512)
 def _shifts_cached(plan, steps: int) -> np.ndarray:
     out = plan.shifts(steps)
@@ -320,6 +328,70 @@ def _plan_shifts(comp: CompiledNeuron, steps: int):
     )
 
 
+def _ratio(network: Network, mode: str, gamma: int | None) -> int:
+    """The compression ratio a run in ``mode`` uses: 1 for baseline."""
+    if mode == "baseline":
+        return 1
+    if mode != "compressed":
+        raise ValueError(f"unknown mode {mode!r}")
+    g = network.gamma if gamma is None else gamma
+    max_gamma = network.config.compression.max_gamma
+    if not 1 <= g <= max_gamma:
+        raise ValueError(f"gamma {g} outside [1, {max_gamma}]")
+    return g
+
+
+@dataclass(frozen=True)
+class ReservoirPass:
+    """One example's reservoir activity in one mode at one ratio.
+
+    The reservoir is fixed and the readout feeds nothing back to it, so one
+    pass serves every readout run of the example: each training epoch, the
+    evaluation and the energy count. ``spikes`` holds each neuron's output
+    weight per step, which also fixes its burst gain at every step. The
+    counters are the pass's own share of the run's :class:`EventCounters`.
+    """
+
+    mode: str
+    gamma: int
+    input_length: int
+    input_events: np.ndarray  # rows (channel, timestep, weight) ordered by timestep
+    spikes: np.ndarray  # (steps, neurons), small unsigned ints
+    input_ops: int
+    reservoir_ops: int
+    spike_events: int  # input and reservoir spikes
+    saturations: int
+    potentials: np.ndarray | None = None  # (steps, neurons) raw membrane potentials
+
+
+class _Projection:
+    """Fixed weights ``w`` (post, pre) delivering a batch of presynaptic
+    amplitudes: ``(amp @ w.T) >> frac_bits``, exact in integers."""
+
+    def __init__(self, w: np.ndarray, amp_max: int, frac: int):
+        self.w_t = np.ascontiguousarray(w.T)
+        self.frac = frac
+        # A float64 matmul is exact while every partial sum of integer
+        # products stays below 2**53, and each is at most (largest row sum
+        # of |w|) * amp_max; 2**52 leaves a bit for rounding the bound.
+        # Non-bursting amplitudes are at most n_max * 2**frac, far inside;
+        # burst gains reach raw_max (2**31), so bursting sums stay int64.
+        bound = float(np.abs(w).sum(axis=1, dtype=np.float64).max(initial=0.0)) * amp_max
+        self.w_float = self.w_t.astype(np.float64) if bound < 2.0**52 else None
+
+    def __call__(self, amp: np.ndarray) -> np.ndarray:
+        if self.w_float is not None:
+            total = (amp @ self.w_float).astype(np.int64)
+        else:  # gather the active sources only: bursting activity is sparse
+            rows, cols = np.nonzero(amp)
+            total = np.zeros((amp.shape[0], self.w_t.shape[1]), dtype=np.int64)
+            if rows.size:
+                terms = self.w_t[cols] * amp[rows, cols][:, None]
+                starts = np.flatnonzero(np.diff(rows, prepend=-1))
+                total[rows[starts]] = np.add.reduceat(terms, starts, axis=0)
+        return total >> self.frac
+
+
 def _input_events(dense_in: np.ndarray) -> np.ndarray:
     """Input spike records (channel, timestep, weight) ordered by timestep."""
     ts, chans = np.nonzero(dense_in.T)
@@ -328,24 +400,102 @@ def _input_events(dense_in: np.ndarray) -> np.ndarray:
     return np.column_stack((chans, ts, dense_in[chans, ts]))
 
 
-def _input_amplitudes(dense_in: np.ndarray, comp: CompiledNeuron, sat: SaturationCounter) -> np.ndarray:
-    """Fixed-point amplitude of every input spike, shaped (channels, steps).
+def run_reservoir(
+    network: Network,
+    examples,
+    mode: str = "compressed",
+    gamma: int | None = None,
+    record_potentials: bool = False,
+) -> list[ReservoirPass]:
+    """Run the reservoir once over a batch of examples, one pass each.
 
-    Each channel's burst gain evolves with the channel's own firing through
-    the same update as a neuron's.
+    The examples advance side by side on ``(batch, neuron)`` state arrays, so
+    they must run for the same number of steps. Every pass, its saturation
+    count included, equals the pass of a batch of one.
     """
-    fmt = comp.fmt
-    weights = dense_in if comp.spec.weighted_in else (dense_in > 0).astype(np.int64)
-    if not comp.spec.bursting:
-        return weights << fmt.frac_bits
-    amp = np.empty_like(weights)
-    gain = np.full(weights.shape[0], fmt.scale, dtype=np.int64)
-    prev = np.zeros(weights.shape[0], dtype=np.int64)
-    for t in range(weights.shape[1]):
-        gain = burst_gain_update(gain, prev, comp, sat)
-        prev = weights[:, t]
-        amp[:, t] = gain * prev
-    return amp
+    cfg = network.config
+    g = _ratio(network, mode, gamma)
+    comp = network.comp if g == network.gamma else _compile(cfg, g)
+    inputs = []  # (input events, input length) per example
+    steps = None
+    for example in examples:
+        trains = list(example)
+        if len(trains) != cfg.num_inputs:
+            raise ValueError(f"expected {cfg.num_inputs} channels, got {len(trains)}")
+        length = trains[0].length_steps
+        if mode == "baseline":
+            dense = trains_to_dense(trains, length)
+        else:
+            dense = trains_to_dense([compress_train(tr, g) for tr in trains])
+        if steps not in (None, dense.shape[1]):
+            raise ValueError(f"examples of one batch must run equally long: {steps} and {dense.shape[1]} steps")
+        steps = dense.shape[1]
+        inputs.append((_input_events(dense), length))
+    if not inputs:
+        return []
+
+    fmt = cfg.fmt
+    frac = fmt.frac_bits
+    bursting = comp.spec.bursting
+    step_fn = STEP_FUNCTIONS[cfg.model]
+    batch, n_res = len(inputs), cfg.reservoir_size
+
+    # input spike weights per (example, step, channel), 1 unless weighted in
+    weighted_in = comp.spec.weighted_in
+    w_max = max(int(events[:, 2].max(initial=1)) for events, _ in inputs) if weighted_in else 1
+    in_weights = np.zeros((batch, steps, cfg.num_inputs), dtype=np.min_scalar_type(w_max))
+    for b, (events, _) in enumerate(inputs):
+        in_weights[b, events[:, 1], events[:, 0]] = events[:, 2] if weighted_in else 1
+
+    amp_unit = fmt.raw_max if bursting else fmt.scale  # largest amplitude of a weight-1 spike
+    deliver_in = _Projection(network.w_in, w_max * amp_unit, frac)
+    deliver_res = _Projection(network.w_res, comp.n_max * amp_unit, frac)
+
+    sat = SaturationCounter(rows=batch)
+    state = new_neuron_state((batch, n_res), fmt, bursting)
+    k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
+    spikes = np.zeros((batch, steps, n_res), dtype=np.min_scalar_type(comp.n_max))
+    potentials = np.empty((batch, steps, n_res), dtype=np.int64) if record_potentials else None
+    if bursting:  # input channels carry a burst gain of their own
+        in_gain = np.full((batch, cfg.num_inputs), fmt.scale, dtype=np.int64)
+        in_prev = np.zeros_like(in_gain)
+    amp_res = None  # reservoir spikes of the previous step, delivered at this one
+
+    for t in range(steps):
+        w = in_weights[:, t].astype(np.int64)
+        if bursting:
+            in_gain = burst_gain_update(in_gain, in_prev, comp, sat)
+            in_prev = w
+            drive = deliver_in(in_gain * w)
+        else:
+            drive = deliver_in(w << frac)
+        if amp_res is not None:
+            drive += deliver_res(amp_res)
+        drive = saturate(drive, fmt, sat)
+        i_res = synapse_step(state, drive, comp, k_s1[t], k_s2[t], sat)
+        out = step_fn(state, i_res, comp, k_m[t], sat)
+        spikes[:, t] = out
+        amp_res = state.g * out if bursting else out << frac
+        if record_potentials:
+            potentials[:, t] = state.u
+
+    fan_in, fan_res = network.fan_in, network.fan_res
+    # the last step's spikes are never delivered, so they cost no reservoir op
+    return [
+        ReservoirPass(
+            mode=mode,
+            gamma=comp.gamma,
+            input_length=length,
+            input_events=events,
+            spikes=spikes[b],
+            input_ops=int(fan_in[events[:, 0]].sum()),
+            reservoir_ops=int(np.count_nonzero(spikes[b, :-1], axis=0) @ fan_res),
+            spike_events=events.shape[0] + int(np.count_nonzero(spikes[b])),
+            saturations=int(sat.count[b]),
+            potentials=None if potentials is None else potentials[b],
+        )
+        for b, (events, length) in enumerate(inputs)
+    ]
 
 
 def simulate(
@@ -355,6 +505,7 @@ def simulate(
     gamma: int | None = None,
     record_potentials: bool = False,
     record_events: bool = True,
+    reservoir: ReservoirPass | None = None,
     _learner=None,
 ) -> SimulationTrace:
     """Run one example through the network and record a full trace.
@@ -362,123 +513,94 @@ def simulate(
     ``example`` is a sequence of per-channel BinarySpikeTrains. Baseline
     mode feeds them raw with nominal time constants; compressed mode merges
     them at the network's ratio (or an explicit ``gamma``) with all
-    constants rescaled.
+    constants rescaled. ``reservoir`` is the example's pass from
+    :func:`run_reservoir` in the same mode and ratio; without it the
+    reservoir runs here first. Only the readout runs on the pass.
     """
     cfg = network.config
-    trains = list(example)
-    if len(trains) != cfg.num_inputs:
-        raise ValueError(f"expected {cfg.num_inputs} channels, got {len(trains)}")
-    length = trains[0].length_steps
-
-    if mode == "baseline":
-        g = 1
-        dense_in = trains_to_dense(trains, length)
-    elif mode == "compressed":
-        g = network.gamma if gamma is None else gamma
-        if not 1 <= g <= cfg.compression.max_gamma:
-            raise ValueError(f"gamma {g} outside [1, {cfg.compression.max_gamma}]")
-        dense_in = trains_to_dense([compress_train(tr, g) for tr in trains])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    g = _ratio(network, mode, gamma)
+    if reservoir is None:
+        reservoir = run_reservoir(network, [example], mode, g, record_potentials)[0]
+    elif (reservoir.mode, reservoir.gamma) != (mode, g):
+        raise ValueError(
+            f"reservoir pass ran in {reservoir.mode} mode at gamma {reservoir.gamma}, not {mode} at {g}"
+        )
+    if record_potentials and reservoir.potentials is None:
+        raise ValueError("the reservoir pass has no potentials: run it with record_potentials=True")
     comp = network.comp if g == network.gamma else _compile(cfg, g)
 
     fmt = cfg.fmt
     frac = fmt.frac_bits
-    steps = dense_in.shape[1]
-    n_res, n_read = cfg.reservoir_size, cfg.num_readout
+    spikes = reservoir.spikes
+    steps, n_res = spikes.shape
+    n_read = cfg.num_readout
     bursting = comp.spec.bursting
     step_fn = STEP_FUNCTIONS[cfg.model]
+    w_out = network.w_out  # plastic: a learner updates it in place between steps
 
     sat = SaturationCounter()
-    res_state = new_neuron_state(n_res, fmt, bursting)
-    read_state = new_neuron_state(n_read, fmt, bursting)
+    state = new_neuron_state(n_read, fmt, bursting)
     k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
-
-    input_events = _input_events(dense_in)
-    in_ops = int(network.fan_in[input_events[:, 0]].sum()) if input_events.size else 0
-    fan_res = network.fan_res
-    drive_in_all = (network.w_in @ _input_amplitudes(dense_in, comp, sat)) >> frac
-
-    pending_cols = np.empty(0, dtype=np.int64)  # reservoir spikes awaiting delivery
-    pending_w = np.empty(0, dtype=np.int64)
-    pending_amp = np.empty(0, dtype=np.int64)
-    no_drive_read = np.zeros(n_read, dtype=np.int64)
-
-    res_chunks, read_chunks = [], []
-    totals = np.zeros(n_read, dtype=np.int64)
-    res_ops = 0
-    spike_events = input_events.shape[0]
-    pot_res = np.empty((steps, n_res), dtype=np.int64) if record_potentials else None
+    no_spikes = np.empty(0, dtype=np.int64)
+    no_drive = np.zeros(n_read, dtype=np.int64)
+    outs = np.empty((steps, n_read), dtype=np.int64)
     pot_read = np.empty((steps, n_read), dtype=np.int64) if record_potentials else None
+    cols = weights = no_spikes  # reservoir spikes of the previous step
+    if bursting:  # the reservoir's burst gains, replayed from its spikes; the pass counted their clamps
+        gain = np.full(n_res, fmt.scale, dtype=np.int64)
+        fired = np.zeros(n_res, dtype=np.int64)
 
     for t in range(steps):
-        drive_res = drive_in_all[:, t]
-        drive_read = no_drive_read
-        if pending_cols.size:
-            drive_res = drive_res + ((network.w_res[:, pending_cols] @ pending_amp) >> frac)
+        drive = no_drive
+        if cols.size:
             if bursting:  # fractional amplitudes, arbitrary plastic weights: floor each product
-                drive_read = ((network.w_out[:, pending_cols] * pending_amp) >> frac).sum(axis=1)
+                drive = ((w_out[:, cols] * (gain[cols] * weights)) >> frac).sum(axis=1)
             else:
-                drive_read = network.w_out[:, pending_cols] @ pending_w
-            res_ops += int(fan_res[pending_cols].sum())
-
-        drive_res = saturate(drive_res, fmt, sat)
-        drive_read = saturate(drive_read, fmt, sat)
-
-        i_res = synapse_step(res_state, drive_res, comp, k_s1[t], k_s2[t], sat)
-        out_res = step_fn(res_state, i_res, comp, k_m[t], sat)
-
-        i_read = synapse_step(read_state, drive_read, comp, k_s1[t], k_s2[t], sat)
-        out_read = step_fn(read_state, i_read, comp, k_m[t], sat)
-
+                drive = w_out[:, cols] @ weights
+        drive = saturate(drive, fmt, sat)
+        i_read = synapse_step(state, drive, comp, k_s1[t], k_s2[t], sat)
+        out = step_fn(state, i_read, comp, k_m[t], sat)
         if _learner is not None:
-            _learner.on_step(t, pending_cols, pending_w, out_read)
-
-        res_cols = np.flatnonzero(out_res)
-        pending_w = out_res[res_cols]
-        spike_events += res_cols.size
-        totals += out_read
-        if record_events:
-            if res_cols.size:
-                res_chunks.append(np.column_stack((res_cols, np.full(res_cols.size, t), pending_w)))
-            read_cols = np.flatnonzero(out_read)
-            if read_cols.size:
-                read_chunks.append(np.column_stack((read_cols, np.full(read_cols.size, t), out_read[read_cols])))
-                spike_events += read_cols.size
-        else:
-            spike_events += int((out_read > 0).sum())
-
-        pending_cols = res_cols
-        pending_amp = (res_state.g[res_cols] * pending_w) if bursting else (pending_w << frac)
-
+            _learner.on_step(t, cols, weights, out)
+        outs[t] = out
         if record_potentials:
-            pot_res[t] = res_state.u
-            pot_read[t] = read_state.u
+            pot_read[t] = state.u
+        if bursting:
+            gain = burst_gain_update(gain, fired, comp)
+            fired = spikes[t].astype(np.int64)
+        cols = spikes[t].nonzero()[0]
+        weights = spikes[t, cols].astype(np.int64)
 
+    empty = np.empty((0, 3), dtype=np.int64)
+    res_events = read_events = empty
+    read_ts, read_cols = np.nonzero(outs)
+    if record_events:
+        ts, cols = np.nonzero(spikes)
+        res_events = np.column_stack((cols, ts, spikes[ts, cols]))
+        read_events = np.column_stack((read_cols, read_ts, outs[read_ts, read_cols]))
     counters = EventCounters(
-        synaptic_ops=in_ops + res_ops,
-        synaptic_ops_input=in_ops,
-        synaptic_ops_reservoir=res_ops,
+        synaptic_ops=reservoir.input_ops + reservoir.reservoir_ops,
+        synaptic_ops_input=reservoir.input_ops,
+        synaptic_ops_reservoir=reservoir.reservoir_ops,
         neuron_updates=(n_res + n_read) * steps,
-        spike_events=spike_events,
-        saturations=sat.count,
+        spike_events=reservoir.spike_events + read_ts.size,
+        saturations=reservoir.saturations + sat.count,
     )
-    potentials = {"reservoir": pot_res, "readout": pot_read} if record_potentials else None
+    potentials = {"reservoir": reservoir.potentials, "readout": pot_read} if record_potentials else None
     return SimulationTrace(
         mode=mode,
         gamma=g,
         timestep_count=steps,
-        input_length=length,
+        input_length=reservoir.input_length,
         num_inputs=cfg.num_inputs,
         num_reservoir=n_res,
         num_readout=n_read,
-        input_events=input_events,
-        reservoir_events=_events_array(res_chunks),
-        readout_events=_events_array(read_chunks),
+        input_events=reservoir.input_events,
+        reservoir_events=res_events,
+        readout_events=read_events,
         counters=counters,
         potentials=potentials,
-        _totals=totals,
+        _totals=outs.sum(axis=0),
     )
 
 

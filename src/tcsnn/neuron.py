@@ -138,7 +138,7 @@ class NeuronState:
     prev_out: np.ndarray | None = None
 
 
-def new_neuron_state(n: int, fmt: FixedPointFormat = DEFAULT_FORMAT, bursting: bool = False) -> NeuronState:
+def new_neuron_state(n: int | tuple, fmt: FixedPointFormat = DEFAULT_FORMAT, bursting: bool = False) -> NeuronState:
     zeros = lambda: np.zeros(n, dtype=np.int64)  # noqa: E731
     return NeuronState(
         u=zeros(),

@@ -1,5 +1,7 @@
 import pytest
 
+import tcsnn.learning
+import tcsnn.network
 from tcsnn.cli import main
 
 CONFIG = """\
@@ -46,3 +48,20 @@ def test_missing_event_file_exits_2(tmp_path, capsys):
 def test_empty_test_split_exits_2(tmp_path, capsys):
     assert run(tmp_path, CONFIG + "learning.train_fraction = 1.0\n", "out") == 2
     assert "test split is empty" in capsys.readouterr().err
+
+
+# CONFIG has 3 classes x 5 examples, split 12 train / 3 test, and two ratios
+@pytest.mark.parametrize("epochs, examples_per_ratio", [(3, 12 + 3), (0, 3)])
+def test_reservoir_runs_once_per_example_and_ratio(tmp_path, monkeypatch, epochs, examples_per_ratio):
+    real = tcsnn.network.run_reservoir
+    runs = []
+
+    def counting(network, examples, *args, **kwargs):
+        examples = list(examples)
+        runs.append(len(examples))
+        return real(network, examples, *args, **kwargs)
+
+    for module in (tcsnn.network, tcsnn.learning):  # every module that binds it
+        monkeypatch.setattr(module, "run_reservoir", counting)
+    assert run(tmp_path, CONFIG.replace("epochs = 1", f"epochs = {epochs}"), "out") == 0
+    assert sum(runs) == examples_per_ratio * 2

@@ -123,6 +123,17 @@ INVALID = {
     "bad resources tag": ("resources.gx.lut = 1\n", 2, "unknown key 'resources.gx.lut'"),
     "not an integer": ("workers = 1.5\n", 2, "expected an integer"),
     "train fraction": ("learning.train_fraction = 0\n", 2, "train_fraction must be in (0, 1]"),
+    "rate past the format": ("learning.eta = 1e300\n", 2, "eta 1e+300 does not fit the 32-bit fixed-point format"),
+    "w_min past the format": ("learning.w_min = -1e300\n", 2, "w_min -1e+300 does not fit"),
+    "w_max past the format": ("learning.w_max = 1e300\n", 2, "w_max 1e+300 does not fit"),
+    "one class": ("dataset.classes = 1\n", 2, "num_classes must be >= 2"),
+    "no channels": ("dataset.channels = 0\n", 2, "num_channels must be >= 1"),
+    "negative jitter": ("dataset.jitter = -1\n", 2, "jitter_steps must be in [0, length_steps = 500)"),
+    "jitter past the length": ("seed = 3\ndataset.steps = 4\n", 3, "jitter_steps must be in [0, length_steps = 4)"),
+    "no examples": ("dataset.examples_per_class = 0\n", 2, "examples_per_class must be >= 1"),
+    "template rate": ("dataset.template_rate = 2\n", 2, "template_rate must be a probability"),
+    "deletion probability": ("dataset.deletion_prob = -0.5\n", 2, "deletion_prob must be a probability"),
+    "insertion probability": ("dataset.insertion_prob = 1.5\n", 2, "insertion_prob must be a probability"),
 }
 
 

@@ -1,0 +1,115 @@
+"""The engine's two passes: reservoir, then readout.
+
+A batched reservoir pass must equal one pass per example, and a readout run
+on a given pass must equal a run that simulates its own reservoir, in
+events, potentials and every counter. Every model runs with every synapse
+order it allows at every ratio; hypothesis draws the batches (sizes, rates
+and lengths) and the mode.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_golden import CHANNELS, GOLDEN, ORDERS, STEPS, _example, _network
+
+from tcsnn.network import _Projection, run_reservoir, simulate
+from tcsnn.spike import poisson_encode
+
+GAMMAS = (1, 2, 4, 8, 16)
+CASES = [(model, order, gamma) for model, orders in ORDERS.items() for order in orders for gamma in GAMMAS]
+
+# one example: (peak channel rate, seed)
+EXAMPLE = st.tuples(st.sampled_from((0.0, 0.1, 0.4)), st.integers(0, 2**16))
+
+
+def encode(peak, seed, length):
+    rates = np.random.default_rng(seed).uniform(0.0, peak, CHANNELS)
+    return poisson_encode(rates, length, seed=seed)
+
+
+def assert_same_pass(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert x is not None and y is not None, f.name
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+def assert_same_trace(a, b):
+    assert a.counters == b.counters
+    assert a.potentials.keys() == b.potentials.keys()
+    assert a.same_as(b)  # events, and potentials when both recorded them
+    assert np.array_equal(a.readout_totals(), b.readout_totals())
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c)))
+@given(
+    specs=st.lists(EXAMPLE, min_size=1, max_size=3),
+    length=st.sampled_from((24, 37)),
+    mode=st.sampled_from(("compressed", "baseline")),
+)
+def test_batched_reservoir_equals_serial_and_readout_equals_full_run(case, specs, length, mode):
+    net = _network(*case)
+    examples = [encode(peak, seed, length) for peak, seed in specs]
+    batch = run_reservoir(net, examples, mode, record_potentials=True)
+    assert len(batch) == len(examples)
+    for example, together in zip(examples, batch):
+        (alone,) = run_reservoir(net, [example], mode, record_potentials=True)
+        assert_same_pass(together, alone)
+    example, first = examples[0], batch[0]
+    replayed = simulate(net, example, mode, record_potentials=True, reservoir=first)
+    assert_same_trace(replayed, simulate(net, example, mode, record_potentials=True))
+
+
+def test_saturation_counts_stay_with_their_example():
+    # the golden case whose input burst gains clamp: 98 saturations alone
+    case = ("iow-burst-lif", "zeroth", 16)
+    net = _network(*case)
+    loud, quiet = _example(), encode(0.0, 0, STEPS)
+    batch = run_reservoir(net, [loud, quiet, loud], "compressed")
+    assert batch[1].saturations == 0
+    assert batch[0].saturations == batch[2].saturations > 0
+    for example, together in zip((loud, quiet), batch):
+        (alone,) = run_reservoir(net, [example], "compressed")
+        assert_same_pass(together, alone)
+    trace = simulate(net, loud, "compressed", reservoir=batch[2])
+    assert trace.counters.saturations == GOLDEN[case + ("compressed",)][1] == 98
+
+
+def test_batch_of_unequal_lengths_is_rejected():
+    net = _network("iow-lif", "second", 4)
+    assert run_reservoir(net, [], "compressed") == []
+    with pytest.raises(ValueError, match="equally long: 10 and 9 steps"):
+        run_reservoir(net, [encode(0.1, 1, 40), encode(0.1, 2, 36)], "compressed")
+    assert len(run_reservoir(net, [encode(0.1, 1, 40), encode(0.1, 2, 37)], "compressed")) == 2
+
+
+def test_pass_from_another_ratio_or_mode_is_rejected():
+    net = _network("iow-lif", "second", 4)
+    example = _example()
+    (at_4,) = run_reservoir(net, [example], "compressed", 4)
+    with pytest.raises(ValueError, match="at gamma 4, not compressed at 8"):
+        simulate(net, example, "compressed", gamma=8, reservoir=at_4)
+    with pytest.raises(ValueError, match="not baseline at 1"):
+        simulate(net, example, "baseline", reservoir=at_4)
+    (base,) = run_reservoir(net, [example], "baseline")
+    with pytest.raises(ValueError, match="baseline mode at gamma 1, not compressed at 4"):
+        simulate(net, example, "compressed", reservoir=base)
+    with pytest.raises(ValueError, match="no potentials"):
+        simulate(net, example, "compressed", record_potentials=True, reservoir=at_4)
+
+
+def test_delivery_stays_exact_past_float_precision():
+    # float64 rounds 2**53 + 1 to 2**53: sums that can grow this large (burst
+    # gains near the register limit) must take the integer product
+    w = np.array([[1, 1], [1, 0]])  # (post, pre)
+    amp = np.array([[1 << 53, 1], [3, 0]])  # (batch, pre)
+    exact = [[(1 << 53) + 1, 1 << 53], [3, 3]]
+    assert _Projection(w, amp_max=1 << 54, frac=0)(amp).tolist() == exact
+    assert _Projection(w << 4, amp_max=1 << 54, frac=4)(amp).tolist() == exact
+    assert _Projection(w, amp_max=7, frac=0)(np.array([[7, 1], [0, 0]])).tolist() == [[8, 7], [0, 0]]

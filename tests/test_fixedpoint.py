@@ -85,3 +85,26 @@ def test_formats_wider_than_32_bits_rejected():
     with pytest.raises(ValueError):
         FixedPointFormat(total_bits=32, frac_bits=16, signed=False)
     assert FixedPointFormat(total_bits=31, frac_bits=16, signed=False).raw_max == (1 << 31) - 1
+
+
+def test_to_fixed_clamps_before_the_integer_cast():
+    fmt = DEFAULT_FORMAT
+    ctr = SaturationCounter()
+    assert to_fixed(1e300, fmt, ctr) == fmt.raw_max
+    assert ctr.count == 1
+    assert to_fixed(-1e308, fmt, ctr) == fmt.raw_min  # past float range once scaled
+    assert ctr.count == 2
+    raw = to_fixed(np.array([np.inf, 0.5, -1e300]), fmt, ctr)
+    assert raw.tolist() == [fmt.raw_max, fmt.scale // 2, fmt.raw_min]
+    assert ctr.count == 4
+
+
+def test_per_row_counter_keeps_one_tally_per_row():
+    fmt = FixedPointFormat(total_bits=16, frac_bits=8)
+    ctr = SaturationCounter(rows=3)
+    raw = np.array([[fmt.raw_max + 1, 0], [0, 0], [fmt.raw_min - 1, fmt.raw_max + 5]])
+    out = saturate(raw, fmt, ctr)
+    assert ctr.count.tolist() == [1, 0, 2]
+    assert out.tolist() == [[fmt.raw_max, 0], [0, 0], [fmt.raw_min, fmt.raw_max]]
+    with pytest.raises(TypeError):
+        saturate(fmt.raw_max + 1, fmt, ctr)  # a scalar has no row
