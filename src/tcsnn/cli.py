@@ -24,7 +24,7 @@ from .config import ConfigError, ExperimentConfig, load_experiment_config
 from .learning import reservoir_passes, split_dataset, train_readout
 from .metrics import AtelInputs, RunReport, atel, energy_estimate, write_raster_csv, write_report_json
 from .network import build_lsm, simulate
-from .spike import save_event_file, synthetic_task
+from .spike import SpikeDataset, save_event_file, synthetic_task
 
 __all__ = ["run_experiment", "emit_raster", "main"]
 
@@ -40,9 +40,11 @@ SUMMARY_COLUMNS = (
 )
 
 
-def _run_single(config: ExperimentConfig, gamma: int) -> RunReport:
-    """Train and evaluate one fixed-ratio build. Pure in (config, gamma)."""
-    dataset = config.make_dataset()
+def _run_single(config: ExperimentConfig, gamma: int, dataset: SpikeDataset) -> RunReport:
+    """Train and evaluate one fixed-ratio build on the experiment's dataset.
+
+    Pure in (config, gamma, dataset); ``dataset`` is ``config.make_dataset()``.
+    """
     net = build_lsm(config.make_lsm_config(dataset, gamma))
     train_idx, test_idx = split_dataset(dataset, config.train_fraction, config.seed)
     # each test example's reservoir runs once and serves the evaluation and
@@ -83,12 +85,13 @@ def run_experiment(config: ExperimentConfig):
     ATEL column is filled from this experiment's accuracy/runtime/energy.
     """
     gammas = list(config.gammas)
+    dataset = config.make_dataset()  # the same for every ratio; a pool task carries its own copy
     if config.workers > 1 and len(gammas) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {pool.submit(_run_single, config, g): g for g in gammas}
+            futures = [pool.submit(_run_single, config, g, dataset) for g in gammas]
             reports = [f.result() for f in futures]
     else:
-        reports = [_run_single(config, g) for g in gammas]
+        reports = [_run_single(config, g, dataset) for g in gammas]
     reports.sort(key=lambda r: r.gamma)
 
     baseline = next((r for r in reports if r.gamma == 1), None)

@@ -115,10 +115,9 @@ class _ReadoutLearner:
     def prepare(self, steps: int):
         self.k_seq = self.plan.shifts(steps)
 
-    def on_step(self, t: int, delivered_cols: np.ndarray, delivered_w: np.ndarray, readout_out: np.ndarray):
-        self.trace = decay_step(self.trace, int(self.k_seq[t]))
-        if delivered_cols.size:
-            self.trace[delivered_cols] += delivered_w << self.fmt.frac_bits
+    def on_step(self, t: int, delivered: np.ndarray, readout_out: np.ndarray):
+        """``delivered`` holds each reservoir neuron's spike weight reaching the readout at step t."""
+        self.trace = decay_step(self.trace, int(self.k_seq[t])) + (delivered << self.fmt.frac_bits)
 
         self.cum += readout_out
         teacher_cum = self.cum[self.label]

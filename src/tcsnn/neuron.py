@@ -225,8 +225,12 @@ def compile_neuron(
 
     beta_pow_fp = None
     if spec.bursting:
-        ks = np.arange(max(lif.n_max, beta_pow_max) + 1)
-        beta_pow_fp = np.array([to_fixed(burst.beta**int(k), fmt) for k in ks], dtype=np.int64)
+        # numpy scalar powers overflow to inf where Python floats raise. An entry
+        # past the register is held one LSB above it: the gain it scales is at
+        # least 1.0 (beta > 1), so burst_gain_update's product clamps and counts.
+        with np.errstate(over="ignore"):
+            powers = np.array([np.float64(burst.beta) ** k for k in range(max(lif.n_max, beta_pow_max) + 1)])
+            beta_pow_fp = np.minimum(np.rint(powers * fmt.scale), fmt.raw_max + 1).astype(np.int64)
 
     return CompiledNeuron(
         model=model,

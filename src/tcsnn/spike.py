@@ -8,6 +8,7 @@ read-only) and generation is pure given a seed.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +32,16 @@ def _frozen_int_array(values) -> np.ndarray:
     return arr
 
 
+class _ReadOnlyEvents:
+    """Keeps a train's events read-only through pickling, which numpy does not."""
+
+    def __setstate__(self, state):
+        state["events"].setflags(write=False)
+        self.__dict__.update(state)
+
+
 @dataclass(frozen=True, eq=False)
-class BinarySpikeTrain:
+class BinarySpikeTrain(_ReadOnlyEvents):
     """Per-channel binary spike sequence: at most one spike per timestep."""
 
     channel_id: int
@@ -65,7 +74,7 @@ class BinarySpikeTrain:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedSpikeTrain:
+class WeightedSpikeTrain(_ReadOnlyEvents):
     """Spike sequence where each event carries a positive integer weight."""
 
     channel_id: int
@@ -261,57 +270,109 @@ def load_event_file(path) -> SpikeDataset:
 
     Format: header ``channels=<n> classes=<k> steps=<T>``, then blocks
     opened by ``example label=<c>`` containing ``<channel> <timestep>``
-    lines. ``#`` starts a comment; blank lines are ignored.
+    lines. ``#`` starts a comment; blank lines are ignored. The file is read
+    line by line and each example's events are parsed in bulk; a malformed
+    file reports its first offending line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        fh = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
         raise FileNotFoundError(f"event file not found: {path}") from None
 
     header = None
     examples = []
-    current: np.ndarray | None = None  # dense (channels, steps) for the open example
-    current_label = 0
-    last_time: np.ndarray | None = None  # per-channel last timestep seen
-
-    def close_example():
-        nonlocal current
-        if current is not None:
-            examples.append((tuple(dense_to_trains(current)), current_label))
-            current = None
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
-            if set(fields) != {"channels", "classes", "steps"}:
-                _fail(path, lineno, "header must be 'channels=<n> classes=<k> steps=<T>'")
-            try:
-                header = {k: int(v) for k, v in fields.items()}
-            except ValueError:
-                _fail(path, lineno, "header values must be integers")
-            if min(header.values()) < 1:
-                _fail(path, lineno, "header values must be positive")
-            continue
-        if line.startswith("example"):
-            close_example()
+    block = None  # raw lines of the open example, which opened at line ``first - 1``
+    first = label = 0
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if block is not None and not raw.lstrip().startswith("example"):
+                block.append(raw)
+                continue
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if header is None:
+                header = _parse_header(path, lineno, line)
+                continue
+            if not line.startswith("example"):
+                _fail(path, lineno, "event line before any 'example' block")
+            if block is not None:
+                examples.append((_parse_example(path, first, block, header), label))
             parts = line.split()
             if len(parts) != 2 or not parts[1].startswith("label="):
                 _fail(path, lineno, "expected 'example label=<c>'")
             try:
-                current_label = int(parts[1][len("label="):])
+                label = int(parts[1][len("label="):])
             except ValueError:
                 _fail(path, lineno, "label must be an integer")
-            if not 0 <= current_label < header["classes"]:
-                _fail(path, lineno, f"label {current_label} out of range [0, {header['classes']})")
-            current = np.zeros((header["channels"], header["steps"]), dtype=np.int64)
-            last_time = np.full(header["channels"], -1, dtype=np.int64)
+            if not 0 <= label < header["classes"]:
+                _fail(path, lineno, f"label {label} out of range [0, {header['classes']})")
+            block, first = [], lineno + 1
+
+    if header is None:
+        raise EventFileError(f"{path}: missing header line")
+    if block is not None:
+        examples.append((_parse_example(path, first, block, header), label))
+    return SpikeDataset(
+        examples=tuple(examples),
+        num_channels=header["channels"],
+        num_classes=header["classes"],
+        length_steps=header["steps"],
+    )
+
+
+def _parse_header(path, lineno: int, line: str) -> dict:
+    fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
+    if set(fields) != {"channels", "classes", "steps"}:
+        _fail(path, lineno, "header must be 'channels=<n> classes=<k> steps=<T>'")
+    try:
+        header = {k: int(v) for k, v in fields.items()}
+    except ValueError:
+        _fail(path, lineno, "header values must be integers")
+    if min(header.values()) < 1:
+        _fail(path, lineno, "header values must be positive")
+    return header
+
+
+def _parse_example(path, first: int, lines: list, header: dict) -> tuple:
+    """One example's trains from its raw event lines, the first at line ``first``.
+
+    The lines are parsed and checked in bulk; when that fails, they are read
+    again one by one, which finds the first offending line.
+    """
+    channels, steps = header["channels"], header["steps"]
+    events = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a block without events
+        try:
+            events = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
+        except ValueError:
+            pass
+    if events is None or events.shape[1] != 2:  # malformed, or no events at all
+        events = _events_line_by_line(path, first, lines, header)
+    ch, t = events[:, 0], events[:, 1]
+    order = np.argsort(ch, kind="stable")  # each channel's events, in file order
+    ch, t = ch[order], t[order]
+    if ch.size and (
+        ch[0] < 0 or ch[-1] >= channels or t.min() < 0 or t.max() >= steps
+        or ((ch[1:] == ch[:-1]) & (t[1:] <= t[:-1])).any()
+    ):
+        _events_line_by_line(path, first, lines, header)  # raises at the first bad line
+    bounds = np.cumsum(np.bincount(ch, minlength=channels))[:-1]
+    return tuple(
+        BinarySpikeTrain(channel_id=c, events=times, length_steps=steps)
+        for c, times in enumerate(np.split(t, bounds))
+    )
+
+
+def _events_line_by_line(path, first: int, lines: list, header: dict) -> np.ndarray:
+    """Check event lines one by one and return their (channel, timestep) rows."""
+    last_time = {}  # channel -> last timestep seen
+    rows = []
+    for lineno, raw in enumerate(lines, start=first):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        if current is None:
-            _fail(path, lineno, "event line before any 'example' block")
         parts = line.split()
         if len(parts) != 2:
             _fail(path, lineno, "expected '<channel> <timestep>'")
@@ -323,20 +384,11 @@ def load_event_file(path) -> SpikeDataset:
             _fail(path, lineno, f"channel {ch} out of range [0, {header['channels']})")
         if not 0 <= t < header["steps"]:
             _fail(path, lineno, f"timestep {t} out of range [0, {header['steps']})")
-        if t <= last_time[ch]:
+        if t <= last_time.get(ch, -1):
             _fail(path, lineno, f"non-monotonic timestamp {t} on channel {ch}")
         last_time[ch] = t
-        current[ch, t] = 1
-
-    if header is None:
-        raise EventFileError(f"{path}: missing header line")
-    close_example()
-    return SpikeDataset(
-        examples=tuple(examples),
-        num_channels=header["channels"],
-        num_classes=header["classes"],
-        length_steps=header["steps"],
-    )
+        rows.append((ch, t))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def save_event_file(dataset: SpikeDataset, path):

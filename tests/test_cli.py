@@ -1,8 +1,12 @@
+import json
+import os
+
 import pytest
 
 import tcsnn.learning
 import tcsnn.network
 from tcsnn.cli import main
+from tcsnn.config import ExperimentConfig
 
 CONFIG = """\
 schema_version = 1
@@ -65,3 +69,34 @@ def test_reservoir_runs_once_per_example_and_ratio(tmp_path, monkeypatch, epochs
         monkeypatch.setattr(module, "run_reservoir", counting)
     assert run(tmp_path, CONFIG.replace("epochs = 1", f"epochs = {epochs}"), "out") == 0
     assert sum(runs) == examples_per_ratio * 2
+
+
+def test_dataset_is_made_once_per_experiment(tmp_path, monkeypatch):
+    real = ExperimentConfig.make_dataset
+    calls = tmp_path / "calls"  # a file, so that calls in pool workers count too
+
+    def counting(self):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(self)
+
+    monkeypatch.setattr(ExperimentConfig, "make_dataset", counting)
+    for workers in (1, 2):
+        calls.write_text("")
+        assert run(tmp_path, CONFIG + f"workers = {workers}\n", f"w{workers}") == 0
+        assert len(calls.read_text().split()) == 1, workers
+    for name in OUTPUTS:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+
+
+def test_huge_burst_constant_clamps_and_counts(tmp_path):
+    # beta**k passes float range at beta = 1e30 (this exited 2 mid-run); from
+    # k = 1 on, every power is past the register at 1e10 already, so both
+    # runs clamp the same gains and count the same clamps
+    burst = CONFIG.replace("model = iow-lif", "model = iow-burst-lif") + "neuron.synapse_order = zeroth\n"
+    assert run(tmp_path, burst + "neuron.beta = 1e30\n", "huge") == 0
+    assert run(tmp_path, burst + "neuron.beta = 1e10\n", "large") == 0
+    for name in OUTPUTS:
+        assert (tmp_path / "huge" / name).read_bytes() == (tmp_path / "large" / name).read_bytes(), name
+    report = json.loads((tmp_path / "huge" / "run_g1.json").read_text())
+    assert report["counters"]["saturations"] > 0

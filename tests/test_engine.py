@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_golden import CHANNELS, GOLDEN, ORDERS, STEPS, _example, _network
+from traces import same_trace
 
+from tcsnn.learning import LearningParams, _ReadoutLearner
 from tcsnn.network import _Projection, run_reservoir, simulate
 from tcsnn.spike import poisson_encode
 
@@ -43,7 +45,7 @@ def assert_same_pass(a, b):
 def assert_same_trace(a, b):
     assert a.counters == b.counters
     assert a.potentials.keys() == b.potentials.keys()
-    assert a.same_as(b)  # events, and potentials when both recorded them
+    assert same_trace(a, b)  # events, and potentials when both recorded them
     assert np.array_equal(a.readout_totals(), b.readout_totals())
 
 
@@ -64,6 +66,35 @@ def test_batched_reservoir_equals_serial_and_readout_equals_full_run(case, specs
     example, first = examples[0], batch[0]
     replayed = simulate(net, example, mode, record_potentials=True, reservoir=first)
     assert_same_trace(replayed, simulate(net, example, mode, record_potentials=True))
+
+
+# every case, and every non-bursting case again with readout drives far past
+# the register (a bursting product would pass int64 first)
+RATE_ZERO_CASES = [pytest.param(c, False, id="-".join(map(str, c))) for c in CASES] + [
+    pytest.param(c, True, id="-".join(map(str, c)) + "-clamping") for c in CASES if "burst" not in c[0]
+]
+
+
+@pytest.mark.parametrize("case, loud", RATE_ZERO_CASES)
+def test_learn_mode_at_rate_zero_equals_frozen_run(case, loud):
+    # a learner's readout takes its drive one step at a time, a frozen one
+    # all at once; at eta = 0 the weights never move, so both must agree
+    net = _network(*case)
+    bound = 4.0
+    if loud:  # every weight at +/- 2**14, the bound
+        net.w_out[:] = np.sign(net.w_out) << 30
+        bound = 2.0**14
+    example = _example()
+    (res,) = run_reservoir(net, [example], "compressed", record_potentials=True)
+    frozen = simulate(net, example, record_potentials=True, reservoir=res)
+    weights = net.w_out.copy()
+    learner = _ReadoutLearner(net, LearningParams(eta=0.0, w_min=-bound, w_max=bound), net.gamma, label=0)
+    learner.prepare(frozen.timestep_count)
+    learned = simulate(net, example, record_potentials=True, reservoir=res, _learner=learner)
+    assert np.array_equal(net.w_out, weights)
+    assert_same_trace(learned, frozen)
+    if loud and res.spikes[:-1].any():  # both forms clamped, and counted the same clamps
+        assert frozen.counters.saturations > res.saturations
 
 
 def test_saturation_counts_stay_with_their_example():

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from tcsnn.compress import CompressionConfig
-from tcsnn.learning import LearningParams, evaluate, train_readout
+from tcsnn.fixedpoint import to_fixed
+from tcsnn.learning import LearningParams, _ReadoutLearner, evaluate, train_readout
 from tcsnn.network import LsmConfig, build_lsm
 from tcsnn.spike import synthetic_task
 
@@ -24,3 +26,18 @@ def test_evaluate_without_examples_is_an_error():
     net, dataset = small_task()
     with pytest.raises(ValueError):
         evaluate(net, dataset, [], gamma=2)
+
+
+def test_silent_teacher_is_potentiated_through_the_delivered_spikes():
+    # one step: the trace holds each delivered spike weight, and a silent
+    # teacher row grows by eta times it; the rival row is left alone
+    net, _ = small_task()
+    params = LearningParams(eta=0.25)
+    learner = _ReadoutLearner(net, params, gamma=2, label=1)
+    learner.prepare(1)
+    delivered = np.zeros(27, dtype=np.int64)
+    delivered[[3, 20]] = [2, 5]
+    learner.on_step(0, delivered, np.zeros(2, dtype=np.int64))
+    assert np.array_equal(learner.trace, delivered << 16)
+    assert np.array_equal(net.w_out[1], (to_fixed(params.eta) * (delivered << 16)) >> 16)
+    assert not net.w_out[0].any()

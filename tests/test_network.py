@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from traces import same_trace
 
 from tcsnn.compress import CompressionConfig
 from tcsnn.config import ExperimentConfig
@@ -83,4 +84,4 @@ def test_reprogrammed_ratio_matches_fixed_build():
     assert moved.comp.gamma == 4
     a = simulate(moved, example, record_potentials=True)
     b = simulate(ftc, example, record_potentials=True)
-    assert a.same_as(b) and a.counters == b.counters
+    assert same_trace(a, b) and a.counters == b.counters

@@ -8,6 +8,7 @@ from tcsnn.neuron import (
     BurstParams,
     LIFParams,
     SynapseParams,
+    burst_gain_update,
     compile_neuron,
     integrate_fire,
     new_neuron_state,
@@ -265,6 +266,17 @@ class TestBurst:
         state.u[0] = to_fixed(1.5)
         out = integrate_fire(state, np.zeros(1, dtype=np.int64), comp)
         assert out[0] == 0
+
+    def test_power_past_float_range_clamps_and_counts(self):
+        # 1e30**2 passes float range; every power past the register makes the
+        # gain it scales saturate, counted
+        comp = compile_neuron("iow-burst-lif", leakless_params(), 1, burst=BurstParams(beta=1e30))
+        fmt = comp.fmt
+        assert comp.beta_pow_fp[0] == fmt.scale
+        sat = SaturationCounter()
+        g = burst_gain_update(np.full(3, fmt.scale), np.array([1, 7, 0]), comp, sat)
+        assert g.tolist() == [fmt.raw_max, fmt.raw_max, fmt.scale]
+        assert sat.count == 2
 
     def test_burst_requires_zeroth_order(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,15 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tcsnn.spike import (
     BinarySpikeTrain,
     EventFileError,
     SpikeDataset,
+    WeightedSpikeTrain,
     dense_to_trains,
     load_event_file,
     poisson_encode,
@@ -27,6 +32,14 @@ class TestTrainTypes:
         tr = BinarySpikeTrain(0, [1, 5], 10)
         with pytest.raises(ValueError):
             tr.events[0] = 2
+
+    def test_events_stay_read_only_through_pickling(self):
+        # a process pool pickles each task's dataset
+        trains = (BinarySpikeTrain(0, [1, 5], 10), WeightedSpikeTrain(1, [[2, 3]], 10, gamma=4))
+        for tr in pickle.loads(pickle.dumps(trains)):
+            with pytest.raises(ValueError):
+                tr.events[0] = 2
+        assert pickle.loads(pickle.dumps(trains)) == trains
 
     def test_dense_round_trip(self):
         dense = np.zeros((3, 8), dtype=np.int64)
@@ -104,6 +117,18 @@ class TestEventFile:
         save_event_file(ds, path)
         assert load_event_file(path) == ds
 
+    def test_time_ordered_file_at_paper_scale(self, tmp_path):
+        # 78 channels x 500 steps, each example's events in time order with
+        # the channels interleaved, as a sensor emits them
+        ds = synthetic_task(2, 78, 500, 4, 2, seed=3)
+        lines = ["channels=78 classes=2 steps=500"]
+        for trains, label in ds.examples:
+            lines.append(f"example label={label}")
+            lines += [f"{ch} {t}" for t, ch in sorted((int(t), tr.channel_id) for tr in trains for t in tr.events)]
+        path = tmp_path / "task.events"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_event_file(path) == ds
+
     def test_single_event(self, tmp_path):
         path = tmp_path / "one.events"
         path.write_text("channels=5 classes=2 steps=10\nexample label=1\n3 7\n")
@@ -130,25 +155,90 @@ class TestEventFile:
         with pytest.raises(FileNotFoundError):
             load_event_file("/nonexistent/file.events")
 
-    def test_non_monotonic_reports_line(self, tmp_path):
-        path = tmp_path / "bad.events"
-        path.write_text("channels=2 classes=2 steps=10\nexample label=0\n0 5\n0 3\n")
-        with pytest.raises(EventFileError, match=":4:"):
-            load_event_file(path)
-
-    def test_label_out_of_range(self, tmp_path):
-        path = tmp_path / "bad.events"
-        path.write_text("channels=2 classes=2 steps=10\nexample label=2\n")
-        with pytest.raises(EventFileError, match="label 2"):
-            load_event_file(path)
-
-    def test_malformed_event_line(self, tmp_path):
-        path = tmp_path / "bad.events"
-        path.write_text("channels=2 classes=2 steps=10\nexample label=0\n0 1 2\n")
-        with pytest.raises(EventFileError, match=":3:"):
-            load_event_file(path)
-
     def test_dataset_invariants(self):
         tr = BinarySpikeTrain(0, [1], 10)
         with pytest.raises(ValueError):
             SpikeDataset(examples=(((tr,), 5),), num_channels=1, num_classes=2, length_steps=10)
+
+
+@st.composite
+def datasets(draw):
+    channels, classes, steps = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    train = st.lists(st.integers(0, steps - 1), unique=True, max_size=steps).map(sorted)
+    example = st.tuples(st.lists(train, min_size=channels, max_size=channels), st.integers(0, classes - 1))
+    return SpikeDataset(
+        examples=tuple(
+            (tuple(BinarySpikeTrain(ch, events, steps) for ch, events in enumerate(trains)), label)
+            for trains, label in draw(st.lists(example, max_size=4))
+        ),
+        num_channels=channels,
+        num_classes=classes,
+        length_steps=steps,
+    )
+
+
+# how one written line is dressed: (lines before it, indent, token separator, tail)
+DRESS = st.tuples(
+    st.sampled_from(("", "\n", "  \t\n", "# comment\n")),
+    st.sampled_from(("", " ", "\t")),
+    st.sampled_from((" ", "\t", " \t ")),
+    st.sampled_from(("", "  ", "\t", " # note")),
+)
+# an empty example and an empty channel, each line dressed with comments, blank lines and tabs
+EMPTY_PARTS = SpikeDataset(
+    examples=(
+        ((BinarySpikeTrain(0, [], 4), BinarySpikeTrain(1, [0, 3], 4)), 1),
+        ((BinarySpikeTrain(0, [], 4), BinarySpikeTrain(1, [], 4)), 0),
+    ),
+    num_channels=2,
+    num_classes=2,
+    length_steps=4,
+)
+
+
+@given(ds=datasets(), dress=st.lists(DRESS, min_size=1, max_size=6))
+@example(ds=EMPTY_PARTS, dress=[("# c\n\n", "\t", "\t", " # tail"), ("\t\n", "", " ", "\t")])
+def test_save_then_load_round_trips(tmp_path_factory, ds, dress):
+    path = tmp_path_factory.mktemp("events") / "task.events"
+    save_event_file(ds, path)
+    assert load_event_file(path) == ds
+    lines = path.read_text().splitlines()
+    dressed = []
+    for i, line in enumerate(lines):
+        before, indent, sep, tail = dress[i % len(dress)]
+        dressed.append(before + indent + sep.join(line.split(" ")) + tail + "\n")
+    path.write_text("".join(dressed))
+    assert load_event_file(path) == ds
+
+
+HEADER = "channels=3 classes=2 steps=10\n"
+# two examples with a blank line, a comment and a tab-only line: the next line is line 9
+BODY = HEADER + "example label=0\n0 1\n\n# note\nexample label=1\n1 2\n\t\n"
+# one case per kind of malformed line; each message is the one the line-by-line reader gave
+MALFORMED = {
+    "header keys": ("channels=3 classes=2\n", ":1: header must be 'channels=<n> classes=<k> steps=<T>'"),
+    "header integers": ("channels=3 classes=two steps=10\n", ":1: header values must be integers"),
+    "header positive": ("channels=0 classes=2 steps=10\n", ":1: header values must be positive"),
+    "event before example": (HEADER + "# no example yet\n0 1\n", ":3: event line before any 'example' block"),
+    "example line": (BODY + "example 1\n", ":9: expected 'example label=<c>'"),
+    "label integer": (BODY + "example label=x\n", ":9: label must be an integer"),
+    "label range": (BODY + "example label=2\n", ":9: label 2 out of range [0, 2)"),
+    "token count": (BODY + "0 1 2\n", ":9: expected '<channel> <timestep>'"),
+    "integer parsing": (BODY + "0 x\n", ":9: channel and timestep must be integers"),
+    "channel range": (BODY + "3 1\n", ":9: channel 3 out of range [0, 3)"),
+    "timestep range": (BODY + "0 10\n", ":9: timestep 10 out of range [0, 10)"),
+    "monotonic order": (BODY + "1 2\n", ":9: non-monotonic timestamp 2 on channel 1"),
+    "in the first example": (HEADER + "example label=0\n0 5\n0 3\n", ":4: non-monotonic timestamp 3 on channel 0"),
+    "first of several": (BODY + "0 5\n5 5\n0 1\n", ":10: channel 5 out of range [0, 3)"),
+    "missing header": ("# only a comment\n\n", ": missing header line"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_line_reports_path_line_and_message(tmp_path, name):
+    text, where_what = MALFORMED[name]
+    path = tmp_path / "bad.events"
+    path.write_text(text)
+    with pytest.raises(EventFileError) as err:
+        load_event_file(path)
+    assert str(err.value) == f"{path}{where_what}"
