@@ -6,7 +6,8 @@ Subcommands::
     tcsnn raster --config exp.cfg --example K --gamma G [--out DIR]
     tcsnn gen-dataset --classes K --channels N --steps T --seed S --out FILE
 
-``run`` builds, trains and evaluates one network per compression ratio and
+``run`` trains and evaluates the configured network at each compression
+ratio (a fresh build per ratio, so every ratio trains its own readout) and
 writes a JSON report per run plus a combined CSV summary. All outputs are a
 pure function of the config file, so reruns are byte-identical. Exit codes:
 0 success, 1 config error, 2 runtime error.
@@ -18,9 +19,9 @@ import argparse
 import concurrent.futures
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
-from .config import ConfigError, ExperimentConfig, load_experiment_config
+from .config import ConfigError, ExperimentConfig, SyntheticSpec, load_experiment_config
 from .learning import reservoir_passes, split_dataset, train_readout
 from .metrics import AtelInputs, RunReport, atel, energy_estimate, write_raster_csv, write_report_json
 from .network import build_lsm, simulate
@@ -41,11 +42,11 @@ SUMMARY_COLUMNS = (
 
 
 def _run_single(config: ExperimentConfig, gamma: int, dataset: SpikeDataset) -> RunReport:
-    """Train and evaluate one fixed-ratio build on the experiment's dataset.
+    """Train and evaluate the experiment's network at one ratio.
 
     Pure in (config, gamma, dataset); ``dataset`` is ``config.make_dataset()``.
     """
-    net = build_lsm(config.make_lsm_config(dataset, gamma))
+    net = build_lsm(config.make_lsm_config(dataset))
     train_idx, test_idx = split_dataset(dataset, config.train_fraction, config.seed)
     # each test example's reservoir runs once and serves the evaluation and
     # the energy count below; training runs its own examples' once per ratio
@@ -57,7 +58,7 @@ def _run_single(config: ExperimentConfig, gamma: int, dataset: SpikeDataset) -> 
     timesteps = -(-dataset.length_steps // gamma)
     for i in test_idx:
         trains, _ = dataset.examples[i]
-        trace = simulate(net, trains, mode="compressed", gamma=gamma, reservoir=passes[int(i)])
+        trace = simulate(net, trains, gamma=gamma, reservoir=passes[int(i)])
         energy += energy_estimate(trace, config.energy)
         for key, value in trace.counters.as_dict().items():
             counters[key] = counters.get(key, 0) + value
@@ -86,8 +87,9 @@ def run_experiment(config: ExperimentConfig):
     """
     gammas = list(config.gammas)
     dataset = config.make_dataset()  # the same for every ratio; a pool task carries its own copy
-    if config.workers > 1 and len(gammas) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(gammas))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_single, config, g, dataset) for g in gammas]
             reports = [f.result() for f in futures]
     else:
@@ -140,16 +142,16 @@ def _write_summary(reports, path):
 
 
 def emit_raster(config: ExperimentConfig, example_index: int, gamma: int):
-    """Write baseline and compressed reservoir raster CSVs for one example."""
+    """Write reservoir raster CSVs for one example at gamma 1 (the baseline) and ``gamma``."""
     dataset = config.make_dataset()
     if not 0 <= example_index < len(dataset):
         raise ConfigError(f"example index {example_index} out of range [0, {len(dataset)})")
     if not 1 <= gamma <= config.max_gamma:
         raise ConfigError(f"gamma {gamma} outside [1, {config.max_gamma}]")
-    net = build_lsm(config.make_lsm_config(dataset, gamma))
+    net = build_lsm(config.make_lsm_config(dataset))
     trains, _ = dataset.examples[example_index]
-    base = simulate(net, trains, mode="baseline")
-    comp = simulate(net, trains, mode="compressed", gamma=gamma)
+    base = simulate(net, trains, gamma=1)
+    comp = simulate(net, trains, gamma=gamma)
     os.makedirs(config.out_dir, exist_ok=True)
     base_path = os.path.join(config.out_dir, f"raster_ex{example_index}_baseline.csv")
     comp_path = os.path.join(config.out_dir, f"raster_ex{example_index}_g{gamma}.csv")
@@ -206,14 +208,17 @@ def main(argv=None) -> int:
             base_path, comp_path = emit_raster(config, args.example, args.gamma)
             print(f"wrote {base_path} and {comp_path}")
         elif args.command == "gen-dataset":
-            dataset = synthetic_task(
-                num_classes=args.classes,
-                num_channels=args.channels,
-                length_steps=args.steps,
-                jitter_steps=args.jitter,
-                examples_per_class=args.examples_per_class,
-                seed=args.seed,
-            )
+            try:
+                spec = SyntheticSpec(
+                    num_classes=args.classes,
+                    num_channels=args.channels,
+                    length_steps=args.steps,
+                    jitter_steps=args.jitter,
+                    examples_per_class=args.examples_per_class,
+                )
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+            dataset = synthetic_task(seed=args.seed, **asdict(spec))
             save_event_file(dataset, args.out)
             print(f"wrote {len(dataset)} examples to {args.out}")
     except ConfigError as exc:

@@ -17,7 +17,6 @@ import numpy as np
 from .spike import BinarySpikeTrain, WeightedSpikeTrain
 
 __all__ = [
-    "CompressionConfig",
     "TimeConstantPlan",
     "compress_train",
     "scale_time_constant",
@@ -25,19 +24,6 @@ __all__ = [
     "plan_time_constant",
     "decay_step",
 ]
-
-
-@dataclass(frozen=True)
-class CompressionConfig:
-    """Target ratio plus whether it may be reprogrammed between examples."""
-
-    gamma: int = 1
-    programmable: bool = False
-    max_gamma: int = 16
-
-    def __post_init__(self):
-        if not 1 <= self.gamma <= self.max_gamma:
-            raise ValueError(f"gamma must be in [1, {self.max_gamma}], got {self.gamma}")
 
 
 def compress_train(train: BinarySpikeTrain, gamma: int) -> WeightedSpikeTrain:

@@ -27,7 +27,6 @@ import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import get_args, get_origin, get_type_hints
 
-from .compress import CompressionConfig
 from .fixedpoint import SaturationCounter, to_fixed
 from .learning import LearningParams
 from .metrics import EnergyModel
@@ -100,8 +99,9 @@ class SyntheticSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully-resolved batch experiment description. ``lsm`` is the network
-    of every run, before :meth:`make_lsm_config` fills in its per-run fields;
-    ``num_readout`` None means one readout neuron per class."""
+    of every run, before :meth:`make_lsm_config` fills in the fields the
+    dataset decides; ``num_readout`` None means one readout neuron per class.
+    ``max_gamma`` bounds the ratios a run may use."""
 
     seed: int = 0
     out_dir: str = ""
@@ -126,6 +126,8 @@ class ExperimentConfig:
         for g in self.gammas:
             if not 1 <= g <= self.max_gamma:
                 raise ConfigError(f"gamma {g} outside [1, {self.max_gamma}]")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
         if self.dataset_kind not in ("synthetic", "event_file"):
@@ -147,14 +149,13 @@ class ExperimentConfig:
             return load_event_file(self.dataset_path)
         return synthetic_task(seed=self.seed, **asdict(self.synthetic))
 
-    def make_lsm_config(self, dataset: SpikeDataset, gamma: int) -> LsmConfig:
+    def make_lsm_config(self, dataset: SpikeDataset) -> LsmConfig:
         return replace(
             self.lsm,
             num_inputs=dataset.num_channels,
             num_readout=dataset.num_classes if self.num_readout is None else self.num_readout,
             seed=self.seed,
             burst=self.lsm.burst if MODELS[self.lsm.model].bursting else None,
-            compression=CompressionConfig(gamma=gamma, max_gamma=self.max_gamma),
         )
 
 

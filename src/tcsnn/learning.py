@@ -150,14 +150,14 @@ def split_dataset(dataset: SpikeDataset, train_fraction: float, seed: int):
 
 
 def reservoir_passes(network: Network, dataset: SpikeDataset, indices, gamma: int, passes: dict | None = None) -> dict:
-    """Dataset index -> compressed reservoir pass at ``gamma`` for every index.
+    """Dataset index -> reservoir pass at ``gamma`` for every index.
 
     Passes already in ``passes`` are kept; the rest run in one batch.
     """
     passes = dict(passes or {})
     todo = [i for i in dict.fromkeys(int(i) for i in indices) if i not in passes]
     if todo:
-        runs = run_reservoir(network, [dataset.examples[i][0] for i in todo], "compressed", gamma)
+        runs = run_reservoir(network, [dataset.examples[i][0] for i in todo], gamma)
         passes.update(zip(todo, runs))
     return passes
 
@@ -200,7 +200,7 @@ def train_readout(
             learner = _ReadoutLearner(network, params, gamma, label)
             steps = -(-dataset.length_steps // gamma)
             learner.prepare(steps)
-            trace = simulate(network, trains, mode="compressed", gamma=gamma, record_events=False,
+            trace = simulate(network, trains, gamma=gamma, record_events=False,
                              reservoir=passes[int(i)], _learner=learner)
             if classify(trace).label == label:
                 correct += 1
@@ -226,7 +226,7 @@ def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int, passe
     no_spike = 0
     for i in indices:
         trains, label = dataset.examples[i]
-        trace = simulate(network, trains, mode="compressed", gamma=gamma, record_events=False, reservoir=passes[int(i)])
+        trace = simulate(network, trains, gamma=gamma, record_events=False, reservoir=passes[int(i)])
         result = classify(trace)
         correct += int(result.label == label)
         no_spike += int(result.no_spike)

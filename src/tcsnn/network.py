@@ -2,13 +2,13 @@
 
 The network is input channels -> recurrent reservoir -> readout, with fixed
 signed power-of-two synapses everywhere except the plastic reservoir->readout
-layer. Reservoir and readout share one compiled neuron (one row of
-:data:`~tcsnn.neuron.MODELS` at one ratio) and one set of shift schedules,
-and one engine runs every model in either mode:
-
-- baseline: raw binary trains, nominal time constants
-- compressed: trains merged by the compression ratio, constants scaled
-  exactly and realized through shifter schedules
+layer. A built network is the pre-designed SNN and holds no ratio: every
+run takes its own compression ratio gamma. The run merges each input
+train's windows of gamma steps into weighted spikes and compiles the neuron
+(one row of :data:`~tcsnn.neuron.MODELS`) at gamma, with every time
+constant scaled exactly and realized through shifter schedules; reservoir
+and readout share that compiled neuron. gamma = 1 is the baseline: the raw
+binary trains and the nominal time constants.
 
 The reservoir is fixed and the readout sends nothing back to it, so the
 engine runs in two passes:
@@ -39,11 +39,11 @@ traces are bit-reproducible across runs and machines.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .compress import CompressionConfig, compress_train
+from .compress import compress_train
 from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat, SaturationCounter, saturate
 from .neuron import (
     MODELS,
@@ -67,9 +67,6 @@ __all__ = [
     "ReservoirPass",
     "run_reservoir",
     "simulate",
-    "set_compression_ratio",
-    "export_network",
-    "import_network",
 ]
 
 
@@ -95,7 +92,6 @@ class LsmConfig:
     seed: int = 0
     lif: LIFParams = field(default_factory=LIFParams)
     burst: BurstParams | None = None
-    compression: CompressionConfig = field(default_factory=CompressionConfig)
     fmt: FixedPointFormat = DEFAULT_FORMAT
 
     def __post_init__(self):
@@ -114,8 +110,8 @@ class LsmConfig:
             raise ValueError("lambda_dist must be positive")
         if not 0.0 < self.excitatory_fraction < 1.0:
             raise ValueError("excitatory_fraction must be in (0, 1)")
-        if self.input_fanout > self.reservoir_size:
-            raise ValueError("input_fanout exceeds reservoir size")
+        if not 0 <= self.input_fanout <= self.reservoir_size:
+            raise ValueError(f"input_fanout must be in [0, {self.reservoir_size}], got {self.input_fanout}")
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r} (choose from {', '.join(MODELS)})")
         if MODELS[self.model].bursting and self.lif.synapse.order != "zeroth":
@@ -128,20 +124,14 @@ class Network:
 
     Fixed synapses hold +/- 2**(exponent + frac_bits) exactly (signed
     power-of-two weights realized by shifts); absent synapses are zero.
-    Readout weights are plastic fixed-point values. ``comp`` is the neuron
-    compiled at ``gamma``, shared by reservoir and readout.
+    Readout weights are plastic fixed-point values.
     """
 
     config: LsmConfig
-    gamma: int
     w_in: np.ndarray  # (reservoir, inputs)
     w_res: np.ndarray  # (reservoir, reservoir)
     w_out: np.ndarray  # (readout, reservoir), plastic
     excitatory: np.ndarray  # bool per reservoir neuron
-    comp: CompiledNeuron = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.comp = _compile(self.config, self.gamma)
 
     @property
     def fan_in(self) -> np.ndarray:
@@ -154,15 +144,10 @@ class Network:
         return np.count_nonzero(self.w_res, axis=0) + self.config.num_readout
 
 
+@functools.lru_cache(maxsize=64)
 def _compile(config: LsmConfig, gamma: int) -> CompiledNeuron:
-    return compile_neuron(
-        config.model,
-        config.lif,
-        gamma,
-        fmt=config.fmt,
-        burst=config.burst,
-        beta_pow_max=config.compression.max_gamma,
-    )
+    """The neuron of a run at ``gamma``, shared by reservoir and readout."""
+    return compile_neuron(config.model, config.lif, gamma, fmt=config.fmt, burst=config.burst)
 
 
 def build_lsm(config: LsmConfig) -> Network:
@@ -212,29 +197,7 @@ def build_lsm(config: LsmConfig) -> Network:
 
     w_out = np.zeros((config.num_readout, n), dtype=np.int64)
 
-    return Network(
-        config=config,
-        gamma=config.compression.gamma,
-        w_in=w_in,
-        w_res=w_res,
-        w_out=w_out,
-        excitatory=excitatory,
-    )
-
-
-def set_compression_ratio(network: Network, gamma: int) -> Network:
-    """Reprogram a PTC build to a new ratio.
-
-    All time-constant plans are recompiled for ``gamma``; wiring is kept and
-    plastic weights are copied. The result is trace-identical to a fixed
-    build constructed at the same ratio.
-    """
-    cfg = network.config
-    if not cfg.compression.programmable:
-        raise ValueError("network was not built with a programmable compression ratio")
-    if not 1 <= gamma <= cfg.compression.max_gamma:
-        raise ValueError(f"gamma {gamma} outside [1, {cfg.compression.max_gamma}]")
-    return replace(network, gamma=gamma, w_out=network.w_out.copy())
+    return Network(config=config, w_in=w_in, w_res=w_res, w_out=w_out, excitatory=excitatory)
 
 
 @dataclass
@@ -258,7 +221,6 @@ class SimulationTrace:
     membrane trajectories. Event arrays have rows (unit_id, timestep, weight)
     ordered by timestep."""
 
-    mode: str
     gamma: int
     timestep_count: int
     input_length: int
@@ -317,22 +279,9 @@ def _plan_shifts(comp: CompiledNeuron, steps: int):
     )
 
 
-def _ratio(network: Network, mode: str, gamma: int | None) -> int:
-    """The compression ratio a run in ``mode`` uses: 1 for baseline."""
-    if mode == "baseline":
-        return 1
-    if mode != "compressed":
-        raise ValueError(f"unknown mode {mode!r}")
-    g = network.gamma if gamma is None else gamma
-    max_gamma = network.config.compression.max_gamma
-    if not 1 <= g <= max_gamma:
-        raise ValueError(f"gamma {g} outside [1, {max_gamma}]")
-    return g
-
-
 @dataclass(frozen=True)
 class ReservoirPass:
-    """One example's reservoir activity in one mode at one ratio.
+    """One example's reservoir activity at one ratio.
 
     The reservoir is fixed and the readout feeds nothing back to it, so one
     pass serves every readout run of the example: each training epoch, the
@@ -341,7 +290,6 @@ class ReservoirPass:
     counters are the pass's own share of the run's :class:`EventCounters`.
     """
 
-    mode: str
     gamma: int
     input_length: int
     input_events: np.ndarray  # rows (channel, timestep, weight) ordered by timestep
@@ -392,34 +340,28 @@ def _input_events(dense_in: np.ndarray) -> np.ndarray:
 def run_reservoir(
     network: Network,
     examples,
-    mode: str = "compressed",
-    gamma: int | None = None,
+    gamma: int,
     record_potentials: bool = False,
 ) -> list[ReservoirPass]:
-    """Run the reservoir once over a batch of examples, one pass each.
+    """Run the reservoir once over a batch of examples at ``gamma``, one pass each.
 
     The examples advance side by side on ``(batch, neuron)`` state arrays, so
     they must run for the same number of steps. Every pass, its saturation
     count included, equals the pass of a batch of one.
     """
     cfg = network.config
-    g = _ratio(network, mode, gamma)
-    comp = network.comp if g == network.gamma else _compile(cfg, g)
+    comp = _compile(cfg, gamma)
     inputs = []  # (input events, input length) per example
     steps = None
     for example in examples:
         trains = list(example)
         if len(trains) != cfg.num_inputs:
             raise ValueError(f"expected {cfg.num_inputs} channels, got {len(trains)}")
-        length = trains[0].length_steps
-        if mode == "baseline":
-            dense = trains_to_dense(trains, length)
-        else:
-            dense = trains_to_dense([compress_train(tr, g) for tr in trains])
+        dense = trains_to_dense([compress_train(tr, gamma) for tr in trains])
         if steps not in (None, dense.shape[1]):
             raise ValueError(f"examples of one batch must run equally long: {steps} and {dense.shape[1]} steps")
         steps = dense.shape[1]
-        inputs.append((_input_events(dense), length))
+        inputs.append((_input_events(dense), trains[0].length_steps))
     if not inputs:
         return []
 
@@ -472,8 +414,7 @@ def run_reservoir(
     # the last step's spikes are never delivered, so they cost no reservoir op
     return [
         ReservoirPass(
-            mode=mode,
-            gamma=comp.gamma,
+            gamma=gamma,
             input_length=length,
             input_events=events,
             spikes=spikes[b],
@@ -490,8 +431,7 @@ def run_reservoir(
 def simulate(
     network: Network,
     example,
-    mode: str = "compressed",
-    gamma: int | None = None,
+    gamma: int,
     record_potentials: bool = False,
     record_events: bool = True,
     reservoir: ReservoirPass | None = None,
@@ -499,24 +439,20 @@ def simulate(
 ) -> SimulationTrace:
     """Run one example through the network and record a full trace.
 
-    ``example`` is a sequence of per-channel BinarySpikeTrains. Baseline
-    mode feeds them raw with nominal time constants; compressed mode merges
-    them at the network's ratio (or an explicit ``gamma``) with all
-    constants rescaled. ``reservoir`` is the example's pass from
-    :func:`run_reservoir` in the same mode and ratio; without it the
-    reservoir runs here first. Only the readout runs on the pass.
+    ``example`` is a sequence of per-channel BinarySpikeTrains, merged at
+    ratio ``gamma`` with all constants rescaled; gamma = 1 feeds them raw
+    with the nominal constants. ``reservoir`` is the example's pass from
+    :func:`run_reservoir` at the same ratio; without it the reservoir runs
+    here first. Only the readout runs on the pass.
     """
     cfg = network.config
-    g = _ratio(network, mode, gamma)
     if reservoir is None:
-        reservoir = run_reservoir(network, [example], mode, g, record_potentials)[0]
-    elif (reservoir.mode, reservoir.gamma) != (mode, g):
-        raise ValueError(
-            f"reservoir pass ran in {reservoir.mode} mode at gamma {reservoir.gamma}, not {mode} at {g}"
-        )
+        reservoir = run_reservoir(network, [example], gamma, record_potentials)[0]
+    elif reservoir.gamma != gamma:
+        raise ValueError(f"reservoir pass ran at gamma {reservoir.gamma}, not {gamma}")
     if record_potentials and reservoir.potentials is None:
         raise ValueError("the reservoir pass has no potentials: run it with record_potentials=True")
-    comp = network.comp if g == network.gamma else _compile(cfg, g)
+    comp = _compile(cfg, gamma)
 
     fmt = cfg.fmt
     frac = fmt.frac_bits
@@ -574,8 +510,7 @@ def simulate(
     )
     potentials = {"reservoir": reservoir.potentials, "readout": pot_read} if record_potentials else None
     return SimulationTrace(
-        mode=mode,
-        gamma=g,
+        gamma=gamma,
         timestep_count=steps,
         input_length=reservoir.input_length,
         num_inputs=cfg.num_inputs,
@@ -587,92 +522,4 @@ def simulate(
         counters=counters,
         potentials=potentials,
         _totals=outs.sum(axis=0),
-    )
-
-
-# --- network description export / import -------------------------------------
-
-def _decompose_pow2(raw: int, frac: int) -> tuple[int, int]:
-    mag = abs(raw) >> frac
-    exp = int(mag).bit_length() - 1
-    return (1 if raw > 0 else -1), exp
-
-
-def export_network(network: Network, path):
-    """Write a round-trippable structured-text description of the network."""
-    cfg = network.config
-    frac = cfg.fmt.frac_bits
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tcsnn-network schema_version=1\n")
-        fh.write(
-            f"config seed={cfg.seed} model={cfg.model} inputs={cfg.num_inputs} "
-            f"reservoir={cfg.reservoir_size} readout={cfg.num_readout} "
-            f"grid={cfg.reservoir_grid[0]}x{cfg.reservoir_grid[1]}x{cfg.reservoir_grid[2]} "
-            f"gamma={network.gamma}\n"
-        )
-        fh.write("excitatory " + " ".join("1" if e else "0" for e in network.excitatory) + "\n")
-        for post, pre in zip(*np.nonzero(network.w_in)):
-            sign, exp = _decompose_pow2(int(network.w_in[post, pre]), frac)
-            fh.write(f"synapse in {pre} {post} {sign} {exp}\n")
-        for post, pre in zip(*np.nonzero(network.w_res)):
-            sign, exp = _decompose_pow2(int(network.w_res[post, pre]), frac)
-            fh.write(f"synapse res {pre} {post} {sign} {exp}\n")
-        for post in range(cfg.num_readout):
-            row = " ".join(str(int(v)) for v in network.w_out[post])
-            fh.write(f"readout {post} {row}\n")
-
-
-def import_network(path, config: LsmConfig) -> Network:
-    """Rebuild a network from an exported description plus its config.
-
-    The config must describe the same geometry (it carries the neuron and
-    compression parameters that the text format does not duplicate).
-    """
-    frac = config.fmt.frac_bits
-    w_in = np.zeros((config.reservoir_size, config.num_inputs), dtype=np.int64)
-    w_res = np.zeros((config.reservoir_size, config.reservoir_size), dtype=np.int64)
-    w_out = np.zeros((config.num_readout, config.reservoir_size), dtype=np.int64)
-    excitatory = np.zeros(config.reservoir_size, dtype=bool)
-    gamma = config.compression.gamma
-
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("tcsnn-network"):
-            raise ValueError(f"{path}: not a network description file")
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "config":
-                fields = dict(p.split("=", 1) for p in parts[1:])
-                gamma = int(fields.get("gamma", gamma))
-                if int(fields["inputs"]) != config.num_inputs or int(fields["reservoir"]) != config.reservoir_size:
-                    raise ValueError(f"{path}: geometry does not match supplied config")
-            elif parts[0] == "excitatory":
-                excitatory = np.array([tok == "1" for tok in parts[1:]], dtype=bool)
-                if excitatory.size != config.reservoir_size:
-                    raise ValueError(
-                        f"{path}: excitatory record has {excitatory.size} entries, "
-                        f"expected {config.reservoir_size}"
-                    )
-            elif parts[0] == "synapse":
-                _, kind, pre, post, sign, exp = parts
-                raw = int(sign) * (1 << (int(exp) + frac))
-                if kind == "in":
-                    w_in[int(post), int(pre)] = raw
-                else:
-                    w_res[int(post), int(pre)] = raw
-            elif parts[0] == "readout":
-                post = int(parts[1])
-                w_out[post] = np.array([int(v) for v in parts[2:]], dtype=np.int64)
-            else:
-                raise ValueError(f"{path}: unknown record {parts[0]!r}")
-
-    return Network(
-        config=config,
-        gamma=gamma,
-        w_in=w_in,
-        w_res=w_res,
-        w_out=w_out,
-        excitatory=excitatory,
     )

@@ -194,9 +194,12 @@ def compile_neuron(
     gamma: int,
     fmt: FixedPointFormat = DEFAULT_FORMAT,
     burst: BurstParams | None = None,
-    beta_pow_max: int = 16,
 ) -> CompiledNeuron:
-    """Precompute fixed-point gains and decay schedules for one ratio."""
+    """Precompute fixed-point gains and decay schedules for one ratio.
+
+    The beta**k table covers every spike weight a bursting source can emit
+    at ``gamma``: up to n_max from a neuron, up to gamma from an input channel.
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     spec = MODELS[model]
@@ -229,8 +232,9 @@ def compile_neuron(
         # past the register is held one LSB above it: the gain it scales is at
         # least 1.0 (beta > 1), so burst_gain_update's product clamps and counts.
         with np.errstate(over="ignore"):
-            powers = np.array([np.float64(burst.beta) ** k for k in range(max(lif.n_max, beta_pow_max) + 1)])
+            powers = np.array([np.float64(burst.beta) ** k for k in range(max(lif.n_max, gamma) + 1)])
             beta_pow_fp = np.minimum(np.rint(powers * fmt.scale), fmt.raw_max + 1).astype(np.int64)
+        beta_pow_fp.setflags(write=False)  # a compiled neuron is shared by every run at its ratio
 
     return CompiledNeuron(
         model=model,

@@ -1,5 +1,5 @@
-"""Spike-train data types, synthetic task generation, Poisson encoding and
-line-oriented event-file I/O.
+"""Spike-train data types, synthetic task generation and line-oriented
+event-file I/O.
 
 All timing is in dimensionless timesteps; rates are expected spikes per
 timestep. Types are immutable after construction (event arrays are marked
@@ -17,7 +17,6 @@ __all__ = [
     "BinarySpikeTrain",
     "WeightedSpikeTrain",
     "SpikeDataset",
-    "poisson_encode",
     "synthetic_task",
     "load_event_file",
     "save_event_file",
@@ -176,28 +175,6 @@ def dense_to_trains(dense: np.ndarray) -> list[BinarySpikeTrain]:
     ]
 
 
-def poisson_encode(rates, length_steps: int, seed: int) -> list[BinarySpikeTrain]:
-    """Encode per-channel rates as independent Bernoulli(rate) processes.
-
-    Rates are expected spikes per timestep, each in [0, 1]. The same
-    (rates, length_steps, seed) triple always produces identical trains.
-    """
-    rates = np.asarray(rates, dtype=np.float64)
-    if rates.ndim != 1:
-        raise ValueError("rates must be a 1-d per-channel sequence")
-    if (rates < 0.0).any() or (rates > 1.0).any():
-        raise ValueError("rates must lie in [0, 1]")
-    if length_steps < 1:
-        raise ValueError("length_steps must be >= 1")
-    rng = np.random.default_rng(seed)
-    draws = rng.random((rates.size, length_steps))
-    fired = draws < rates[:, None]
-    return [
-        BinarySpikeTrain(channel_id=ch, events=np.flatnonzero(fired[ch]), length_steps=length_steps)
-        for ch in range(rates.size)
-    ]
-
-
 def synthetic_task(
     num_classes: int,
     num_channels: int,
@@ -215,16 +192,9 @@ def synthetic_task(
     each template spike survives with probability 1-deletion_prob and is
     jittered uniformly in [-jitter_steps, +jitter_steps] (clamped to the
     train), and each remaining empty timestep gains a spurious spike with
-    probability insertion_prob.
+    probability insertion_prob. :class:`~tcsnn.config.SyntheticSpec`
+    validates these arguments.
     """
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-    if num_channels < 1:
-        raise ValueError("num_channels must be >= 1")
-    if jitter_steps >= length_steps:
-        raise ValueError("jitter_steps must be smaller than length_steps")
-    if jitter_steps < 0:
-        raise ValueError("jitter_steps must be >= 0")
 
     rng = np.random.default_rng(seed)
     templates = rng.random((num_classes, num_channels, length_steps)) < template_rate

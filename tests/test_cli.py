@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 
@@ -7,6 +8,7 @@ import tcsnn.learning
 import tcsnn.network
 from tcsnn.cli import main
 from tcsnn.config import ExperimentConfig
+from tcsnn.spike import load_event_file, synthetic_task
 
 CONFIG = """\
 schema_version = 1
@@ -100,3 +102,73 @@ def test_huge_burst_constant_clamps_and_counts(tmp_path):
         assert (tmp_path / "huge" / name).read_bytes() == (tmp_path / "large" / name).read_bytes(), name
     report = json.loads((tmp_path / "huge" / "run_g1.json").read_text())
     assert report["counters"]["saturations"] > 0
+
+
+class InlinePool:
+    """Stands in for the process pool: records its size, runs each task at once."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+# (workers, gammas, pool size): never more processes than ratios, none for one
+@pytest.mark.parametrize("workers, gammas, pool", [(1, "1 4", []), (2, "1 4", [2]), (10**6, "1 4", [2]),
+                                                    (3, "1 2 4 8", [3]), (8, "4", [])])
+def test_pool_is_sized_by_workers_and_ratios(tmp_path, monkeypatch, workers, gammas, pool):
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: InlinePool(sizes, max_workers))
+    text = CONFIG.replace("gammas = 1 4", f"gammas = {gammas}") + f"workers = {workers}\n"
+    assert run(tmp_path, text, "out") == 0
+    assert sizes == pool
+    assert len([f for f in os.listdir(tmp_path / "out") if f.startswith("run_g")]) == len(gammas.split())
+
+
+def test_zero_workers_on_the_command_line_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG)
+    assert main(["run", "--config", str(cfg), "--workers", "0", "--out", str(tmp_path / "out")]) == 1
+    assert "workers must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_raster_writes_the_baseline_and_the_ratio(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "out"
+    assert main(["raster", "--config", str(cfg), "--example", "2", "--gamma", "4", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["raster_ex2_baseline.csv", "raster_ex2_g4.csv"]
+    assert main(["raster", "--config", str(cfg), "--example", "2", "--gamma", "17", "--out", str(out)]) == 1
+    assert "gamma 17 outside [1, 16]" in capsys.readouterr().err
+
+
+GEN = ["gen-dataset", "--classes", "3", "--channels", "4", "--steps", "20", "--seed", "6", "--jitter", "1"]
+
+
+def test_gen_dataset_writes_the_synthetic_task(tmp_path):
+    path = tmp_path / "events.txt"
+    assert main(GEN + ["--examples-per-class", "2", "--out", str(path)]) == 0
+    assert load_event_file(path) == synthetic_task(3, 4, 20, 1, 2, seed=6)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--examples-per-class", "0", "examples_per_class must be >= 1, got 0"),
+    ("--jitter", "20", "jitter_steps must be in [0, length_steps = 20), got 20"),
+    ("--classes", "1", "num_classes must be >= 2, got 1"),
+])
+def test_gen_dataset_rejects_bad_arguments_before_writing(tmp_path, capsys, flag, value, message):
+    path = tmp_path / "events.txt"
+    assert main(GEN + ["--out", str(path), flag, value]) == 1  # the last value of a flag counts
+    assert message in capsys.readouterr().err
+    assert not path.exists()

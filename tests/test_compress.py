@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tcsnn.compress import (
-    CompressionConfig,
     compress_train,
     decay_step,
     make_schedule,
@@ -219,11 +218,3 @@ class TestDecayStep:
                 break
         assert half_life_checked
 
-
-def test_compression_config_bounds():
-    with pytest.raises(ValueError):
-        CompressionConfig(gamma=17)
-    with pytest.raises(ValueError):
-        CompressionConfig(gamma=0)
-    cfg = CompressionConfig(gamma=17, max_gamma=32)
-    assert cfg.gamma == 17

@@ -93,10 +93,10 @@ def test_lsm_config_fills_the_per_run_fields(tmp_path):
     cfg = load(tmp_path, "seed = 4\nmodel = iow-burst-lif\nneuron.synapse_order = zeroth\n"
                          "dataset.steps = 50\ndataset.examples_per_class = 1\n")
     dataset = cfg.make_dataset()
-    lsm = cfg.make_lsm_config(dataset, 8)
+    lsm = cfg.make_lsm_config(dataset)
     assert (lsm.num_inputs, lsm.num_readout, lsm.seed) == (dataset.num_channels, dataset.num_classes, 4)
-    assert lsm.burst.beta == 1.5 and lsm.compression.gamma == 8
-    assert load(tmp_path, "").make_lsm_config(dataset, 1).burst is None
+    assert lsm.burst.beta == 1.5
+    assert load(tmp_path, "").make_lsm_config(dataset).burst is None
 
 
 # (file lines after schema_version, the line to report, a fragment of the message)
@@ -116,6 +116,10 @@ INVALID = {
     "infinite threshold": ("neuron.u_th = inf\n", 2, "u_th must be positive and finite"),
     "infinite energy": ("energy.e_spike = inf\n", 2, "e_spike must be >= 0 and finite"),
     "empty gammas": ("seed = 3\ngammas =\n", 3, "gammas must list one or more distinct ratios"),
+    "gamma past the bound": ("seed = 3\ngammas = 1 17\n", 3, "gamma 17 outside [1, 16]"),
+    "no workers": ("workers = 0\n", 2, "workers must be >= 1"),
+    "negative workers": ("workers = -4\n", 2, "workers must be >= 1"),
+    "negative input fanout": ("lsm.input_fanout = -1\n", 2, "input_fanout must be in [0, 135], got -1"),
     "negative seed": ("gammas = 1\nseed = -1\n", 3, "seed must be >= 0"),
     "resources twice": ("resources.baseline.lut = 1\nresources.baseline.ff = 1\nresources.g1.lut = 2\n", 4,
                         "resources.baseline (line 2)"),

@@ -4,7 +4,7 @@ A batched reservoir pass must equal one pass per example, and a readout run
 on a given pass must equal a run that simulates its own reservoir, in
 events, potentials and every counter. Every model runs with every synapse
 order it allows at every ratio; hypothesis draws the batches (sizes, rates
-and lengths) and the mode.
+and lengths) and the mode: a baseline run is a run at gamma 1.
 """
 
 import dataclasses
@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_golden import CHANNELS, GOLDEN, ORDERS, STEPS, _example, _network
-from traces import same_trace
+from traces import poisson_encode, same_trace
 
 from tcsnn.learning import LearningParams, _ReadoutLearner
 from tcsnn.network import _Projection, run_reservoir, simulate
-from tcsnn.spike import poisson_encode
 
 GAMMAS = (1, 2, 4, 8, 16)
 CASES = [(model, order, gamma) for model, orders in ORDERS.items() for order in orders for gamma in GAMMAS]
@@ -56,16 +55,18 @@ def assert_same_trace(a, b):
     mode=st.sampled_from(("compressed", "baseline")),
 )
 def test_batched_reservoir_equals_serial_and_readout_equals_full_run(case, specs, length, mode):
-    net = _network(*case)
+    model, order, gamma = case
+    net = _network(model, order)
+    gamma = 1 if mode == "baseline" else gamma
     examples = [encode(peak, seed, length) for peak, seed in specs]
-    batch = run_reservoir(net, examples, mode, record_potentials=True)
+    batch = run_reservoir(net, examples, gamma, record_potentials=True)
     assert len(batch) == len(examples)
     for example, together in zip(examples, batch):
-        (alone,) = run_reservoir(net, [example], mode, record_potentials=True)
+        (alone,) = run_reservoir(net, [example], gamma, record_potentials=True)
         assert_same_pass(together, alone)
     example, first = examples[0], batch[0]
-    replayed = simulate(net, example, mode, record_potentials=True, reservoir=first)
-    assert_same_trace(replayed, simulate(net, example, mode, record_potentials=True))
+    replayed = simulate(net, example, gamma, record_potentials=True, reservoir=first)
+    assert_same_trace(replayed, simulate(net, example, gamma, record_potentials=True))
 
 
 # every case, and every non-bursting case again with readout drives far past
@@ -79,18 +80,19 @@ RATE_ZERO_CASES = [pytest.param(c, False, id="-".join(map(str, c))) for c in CAS
 def test_learn_mode_at_rate_zero_equals_frozen_run(case, loud):
     # a learner's readout takes its drive one step at a time, a frozen one
     # all at once; at eta = 0 the weights never move, so both must agree
-    net = _network(*case)
+    model, order, gamma = case
+    net = _network(model, order)
     bound = 4.0
     if loud:  # every weight at +/- 2**14, the bound
         net.w_out[:] = np.sign(net.w_out) << 30
         bound = 2.0**14
     example = _example()
-    (res,) = run_reservoir(net, [example], "compressed", record_potentials=True)
-    frozen = simulate(net, example, record_potentials=True, reservoir=res)
+    (res,) = run_reservoir(net, [example], gamma, record_potentials=True)
+    frozen = simulate(net, example, gamma, record_potentials=True, reservoir=res)
     weights = net.w_out.copy()
-    learner = _ReadoutLearner(net, LearningParams(eta=0.0, w_min=-bound, w_max=bound), net.gamma, label=0)
+    learner = _ReadoutLearner(net, LearningParams(eta=0.0, w_min=-bound, w_max=bound), gamma, label=0)
     learner.prepare(frozen.timestep_count)
-    learned = simulate(net, example, record_potentials=True, reservoir=res, _learner=learner)
+    learned = simulate(net, example, gamma, record_potentials=True, reservoir=res, _learner=learner)
     assert np.array_equal(net.w_out, weights)
     assert_same_trace(learned, frozen)
     if loud and res.spikes[:-1].any():  # both forms clamped, and counted the same clamps
@@ -100,39 +102,39 @@ def test_learn_mode_at_rate_zero_equals_frozen_run(case, loud):
 def test_saturation_counts_stay_with_their_example():
     # the golden case whose input burst gains clamp: 98 saturations alone
     case = ("iow-burst-lif", "zeroth", 16)
-    net = _network(*case)
+    net = _network("iow-burst-lif", "zeroth")
     loud, quiet = _example(), encode(0.0, 0, STEPS)
-    batch = run_reservoir(net, [loud, quiet, loud], "compressed")
+    batch = run_reservoir(net, [loud, quiet, loud], 16)
     assert batch[1].saturations == 0
     assert batch[0].saturations == batch[2].saturations > 0
     for example, together in zip((loud, quiet), batch):
-        (alone,) = run_reservoir(net, [example], "compressed")
+        (alone,) = run_reservoir(net, [example], 16)
         assert_same_pass(together, alone)
-    trace = simulate(net, loud, "compressed", reservoir=batch[2])
+    trace = simulate(net, loud, 16, reservoir=batch[2])
     assert trace.counters.saturations == GOLDEN[case + ("compressed",)][1] == 98
 
 
 def test_batch_of_unequal_lengths_is_rejected():
-    net = _network("iow-lif", "second", 4)
-    assert run_reservoir(net, [], "compressed") == []
+    net = _network("iow-lif", "second")
+    assert run_reservoir(net, [], 4) == []
     with pytest.raises(ValueError, match="equally long: 10 and 9 steps"):
-        run_reservoir(net, [encode(0.1, 1, 40), encode(0.1, 2, 36)], "compressed")
-    assert len(run_reservoir(net, [encode(0.1, 1, 40), encode(0.1, 2, 37)], "compressed")) == 2
+        run_reservoir(net, [encode(0.1, 1, 40), encode(0.1, 2, 36)], 4)
+    assert len(run_reservoir(net, [encode(0.1, 1, 40), encode(0.1, 2, 37)], 4)) == 2
 
 
 def test_pass_from_another_ratio_or_mode_is_rejected():
-    net = _network("iow-lif", "second", 4)
+    net = _network("iow-lif", "second")
     example = _example()
-    (at_4,) = run_reservoir(net, [example], "compressed", 4)
-    with pytest.raises(ValueError, match="at gamma 4, not compressed at 8"):
-        simulate(net, example, "compressed", gamma=8, reservoir=at_4)
-    with pytest.raises(ValueError, match="not baseline at 1"):
-        simulate(net, example, "baseline", reservoir=at_4)
-    (base,) = run_reservoir(net, [example], "baseline")
-    with pytest.raises(ValueError, match="baseline mode at gamma 1, not compressed at 4"):
-        simulate(net, example, "compressed", reservoir=base)
+    (at_4,) = run_reservoir(net, [example], 4)
+    with pytest.raises(ValueError, match="at gamma 4, not 8"):
+        simulate(net, example, gamma=8, reservoir=at_4)
+    with pytest.raises(ValueError, match="at gamma 4, not 1"):
+        simulate(net, example, 1, reservoir=at_4)
+    (base,) = run_reservoir(net, [example], 1)
+    with pytest.raises(ValueError, match="at gamma 1, not 4"):
+        simulate(net, example, 4, reservoir=base)
     with pytest.raises(ValueError, match="no potentials"):
-        simulate(net, example, "compressed", record_potentials=True, reservoir=at_4)
+        simulate(net, example, 4, record_potentials=True, reservoir=at_4)
 
 
 def test_delivery_stays_exact_past_float_precision():

@@ -1,9 +1,9 @@
 """Golden traces: bit-exact fingerprints of small simulations.
 
 Every neuron model runs with every synapse order it allows, at three
-compression ratios, in baseline and compressed mode, on a 27-neuron 3x3x3
-reservoir driven by 20 Poisson channels for 120 steps. The readout weights
-are random and nonzero, so readout delivery is exercised too. Each case is
+compression ratios, each case also as a baseline (gamma 1) run, on a
+27-neuron 3x3x3 reservoir driven by 20 Poisson channels for 120 steps. The
+readout weights are random and nonzero, so readout delivery is exercised too. Each case is
 pinned by a hash of the input, reservoir and readout events, both recorded
 potential arrays and the event counters other than ``saturations``, which
 is pinned as a plain count beside it. A refactor of the engine must leave
@@ -18,10 +18,10 @@ import json
 import numpy as np
 import pytest
 
-from tcsnn.compress import CompressionConfig
+from traces import poisson_encode
+
 from tcsnn.network import LsmConfig, build_lsm, simulate
 from tcsnn.neuron import BurstParams, LIFParams, SynapseParams
-from tcsnn.spike import poisson_encode
 
 CHANNELS, STEPS, READOUT = 20, 120, 3
 GAMMAS = (1, 4, 16)
@@ -123,7 +123,7 @@ def _example():
     return poisson_encode(rates, STEPS, seed=2)
 
 
-def _network(model, order, gamma):
+def _network(model, order):
     cfg = LsmConfig(
         num_inputs=CHANNELS,
         reservoir_size=27,
@@ -133,7 +133,6 @@ def _network(model, order, gamma):
         seed=3,
         lif=LIFParams(synapse=SynapseParams(order=order)),
         burst=BurstParams(beta=1.5) if model in ("burst-lif", "iow-burst-lif") else None,
-        compression=CompressionConfig(gamma=gamma),
     )
     net = build_lsm(cfg)
     rng = np.random.default_rng(4)
@@ -143,7 +142,9 @@ def _network(model, order, gamma):
 
 
 def fingerprint(model, order, gamma, mode):
-    trace = simulate(_network(model, order, gamma), _example(), mode=mode, record_potentials=True)
+    # a baseline run is a run at gamma 1, whatever the case's ratio
+    ratio = 1 if mode == "baseline" else gamma
+    trace = simulate(_network(model, order), _example(), ratio, record_potentials=True)
     h = hashlib.sha256()
     for arr in (
         trace.input_events,

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from tcsnn.compress import CompressionConfig
 from tcsnn.fixedpoint import to_fixed
 from tcsnn.learning import LearningParams, _ReadoutLearner, evaluate, train_readout
 from tcsnn.network import LsmConfig, build_lsm
@@ -11,8 +10,7 @@ from tcsnn.spike import synthetic_task
 def small_task():
     dataset = synthetic_task(num_classes=2, num_channels=8, length_steps=30, jitter_steps=2,
                              examples_per_class=3, seed=1)
-    cfg = LsmConfig(num_inputs=8, reservoir_size=27, num_readout=2, reservoir_grid=(3, 3, 3),
-                    compression=CompressionConfig(gamma=2))
+    cfg = LsmConfig(num_inputs=8, reservoir_size=27, num_readout=2, reservoir_grid=(3, 3, 3))
     return build_lsm(cfg), dataset
 
 

@@ -2,11 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from traces import poisson_encode
 
-from tcsnn.compress import CompressionConfig
 from tcsnn.metrics import AtelInputs, atel, binned_raster_distance, spike_statistics
 from tcsnn.network import LsmConfig, build_lsm, simulate
-from tcsnn.spike import poisson_encode
 
 
 def inputs(accuracy, lut=100, ff=50, runtime=10.0, energy=20.0):
@@ -40,11 +39,10 @@ def test_accuracy_out_of_range_rejected():
 
 def traces(gamma):
     """Baseline and compressed runs of one example on a small network."""
-    cfg = LsmConfig(num_inputs=6, reservoir_size=27, num_readout=3, reservoir_grid=(3, 3, 3), seed=2,
-                    compression=CompressionConfig(gamma=gamma))
+    cfg = LsmConfig(num_inputs=6, reservoir_size=27, num_readout=3, reservoir_grid=(3, 3, 3), seed=2)
     net = build_lsm(cfg)
     example = poisson_encode(np.full(6, 0.3), 64, seed=4)
-    return simulate(net, example, mode="baseline"), simulate(net, example, mode="compressed", gamma=gamma)
+    return simulate(net, example, 1), simulate(net, example, gamma)
 
 
 @pytest.mark.parametrize("gamma", [2, 4])

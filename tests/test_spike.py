@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from traces import poisson_encode
 
+from tcsnn.config import SyntheticSpec
 from tcsnn.spike import (
     BinarySpikeTrain,
     EventFileError,
@@ -12,7 +14,6 @@ from tcsnn.spike import (
     WeightedSpikeTrain,
     dense_to_trains,
     load_event_file,
-    poisson_encode,
     save_event_file,
     synthetic_task,
     trains_to_dense,
@@ -102,7 +103,7 @@ class TestSyntheticTask:
 
     def test_jitter_bound_validated(self):
         with pytest.raises(ValueError):
-            synthetic_task(2, 4, 20, jitter_steps=20, examples_per_class=1, seed=0)
+            SyntheticSpec(num_classes=2, num_channels=4, length_steps=20, jitter_steps=20, examples_per_class=1)
 
     def test_deterministic(self):
         a = synthetic_task(3, 6, 30, 2, 5, seed=42)
