@@ -19,13 +19,13 @@ import argparse
 import concurrent.futures
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from .config import ConfigError, ExperimentConfig, SyntheticSpec, load_experiment_config
 from .learning import reservoir_passes, split_dataset, train_readout
 from .metrics import AtelInputs, RunReport, atel, energy_estimate, write_raster_csv, write_report_json
-from .network import build_lsm, simulate
-from .spike import SpikeDataset, save_event_file, synthetic_task
+from .network import build_lsm, run_readout, simulate
+from .spike import SpikeDataset, save_event_file
 
 __all__ = ["run_experiment", "emit_raster", "main"]
 
@@ -56,9 +56,10 @@ def _run_single(config: ExperimentConfig, gamma: int, dataset: SpikeDataset) -> 
     energy = 0.0
     counters: dict = {}
     timesteps = -(-dataset.length_steps // gamma)
-    for i in test_idx:
+    runs = run_readout(net, [passes[int(i)] for i in test_idx], gamma)  # the trained readout, frozen
+    for i, run in zip(test_idx, runs):
         trains, _ = dataset.examples[i]
-        trace = simulate(net, trains, gamma=gamma, reservoir=passes[int(i)])
+        trace = simulate(net, trains, gamma=gamma, reservoir=passes[int(i)], readout=run)
         energy += energy_estimate(trace, config.energy)
         for key, value in trace.counters.as_dict().items():
             counters[key] = counters.get(key, 0) + value
@@ -78,6 +79,18 @@ def _run_single(config: ExperimentConfig, gamma: int, dataset: SpikeDataset) -> 
     )
 
 
+_worker_dataset: SpikeDataset | None = None  # the experiment's dataset, in a pool worker
+
+
+def _init_worker(dataset: SpikeDataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _run_in_worker(config: ExperimentConfig, gamma: int) -> RunReport:
+    return _run_single(config, gamma, _worker_dataset)
+
+
 def run_experiment(config: ExperimentConfig):
     """Run every ratio in the config and write reports and a summary table.
 
@@ -86,11 +99,15 @@ def run_experiment(config: ExperimentConfig):
     ATEL column is filled from this experiment's accuracy/runtime/energy.
     """
     gammas = list(config.gammas)
-    dataset = config.make_dataset()  # the same for every ratio; a pool task carries its own copy
+    dataset = config.make_dataset()  # the same for every ratio
     workers = min(config.workers, len(gammas))
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_single, config, g, dataset) for g in gammas]
+        # each worker gets the dataset once, when it starts (inherited, when
+        # forked); a task carries only its config and ratio
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(dataset,)
+        ) as pool:
+            futures = [pool.submit(_run_in_worker, config, g) for g in gammas]
             reports = [f.result() for f in futures]
     else:
         reports = [_run_single(config, g, dataset) for g in gammas]
@@ -218,7 +235,7 @@ def main(argv=None) -> int:
                 )
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-            dataset = synthetic_task(seed=args.seed, **asdict(spec))
+            dataset = ExperimentConfig(seed=args.seed, synthetic=spec).make_dataset()
             save_event_file(dataset, args.out)
             print(f"wrote {len(dataset)} examples to {args.out}")
     except ConfigError as exc:

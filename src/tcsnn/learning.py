@@ -19,7 +19,7 @@ import numpy as np
 
 from .compress import decay_step, plan_time_constant
 from .fixedpoint import to_fixed
-from .network import Network, SimulationTrace, run_reservoir, simulate
+from .network import Network, SimulationTrace, run_readout, run_reservoir, simulate
 from .spike import SpikeDataset
 
 __all__ = [
@@ -217,16 +217,20 @@ def train_readout(
 
 
 def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int, passes: dict | None = None):
-    """Accuracy (percent) over the given examples with frozen weights."""
+    """Accuracy (percent) over the given examples with frozen weights.
+
+    The frozen readout runs once over all the examples' passes, as one batch.
+    """
     indices = list(indices)
     if not indices:
         raise ValueError("no examples to evaluate")
     passes = reservoir_passes(network, dataset, indices, gamma, passes)
+    runs = run_readout(network, [passes[int(i)] for i in indices], gamma)
     correct = 0
     no_spike = 0
-    for i in indices:
+    for i, run in zip(indices, runs):
         trains, label = dataset.examples[i]
-        trace = simulate(network, trains, gamma=gamma, record_events=False, reservoir=passes[int(i)])
+        trace = simulate(network, trains, gamma=gamma, record_events=False, reservoir=passes[int(i)], readout=run)
         result = classify(trace)
         correct += int(result.label == label)
         no_spike += int(result.no_spike)

@@ -11,15 +11,21 @@ and readout share that compiled neuron. gamma = 1 is the baseline: the raw
 binary trains and the nominal time constants.
 
 The reservoir is fixed and the readout sends nothing back to it, so the
-engine runs in two passes:
+engine runs reservoir pass -> readout pass -> trace:
 
 - :func:`run_reservoir` simulates input and reservoir for a batch of
   examples side by side, on ``(batch, neuron)`` state arrays, and returns
   one :class:`ReservoirPass` per example: its input events, the reservoir's
   output weight per step and the pass's own event and saturation counts.
-- :func:`simulate` runs the readout on one pass, after running the pass as
-  a batch of one when it is given none. Training replays a pass in every
-  epoch; evaluation and the energy count replay it again.
+- :func:`run_readout` runs the readout over a batch of reservoir passes the
+  same way, on ``(batch, readout)`` state, and returns one
+  :class:`ReadoutPass` per pass. Frozen weights serve a whole test split in
+  one call; a learner, whose weights change between steps, runs a batch of
+  one.
+- :func:`simulate` assembles one example's :class:`SimulationTrace` from
+  its two passes, running whichever it was not given. Training replays a
+  reservoir pass in every epoch; evaluation and the energy count replay it
+  again.
 
 Every spike is delivered as a fixed-point amplitude: its weight (1 for
 binary-input models) times its source's burst gain (1.0 unless bursting).
@@ -27,9 +33,9 @@ A fixed layer's drive is ``(amplitudes @ w.T) >> frac_bits``, exact for the
 fixed +/- 2**(e + frac_bits) weights: a float64 matmul while every partial
 sum provably stays below 2**53, an integer one otherwise (bursting). The
 plastic readout multiplies the integer spike weights instead: a frozen one
-for all steps in one product, a learning one step by step, since its weights
-change between steps. When amplitudes carry fractional bits (bursting), it
-floors each product on its own.
+for all steps in one product per example, a learning one step by step. When
+amplitudes carry fractional bits (bursting), it floors each product on its
+own.
 
 Spikes emitted at step t are delivered at step t+1; external input spikes
 are delivered at their own step. All arithmetic is integer fixed point, so
@@ -65,7 +71,9 @@ __all__ = [
     "EventCounters",
     "build_lsm",
     "ReservoirPass",
+    "ReadoutPass",
     "run_reservoir",
+    "run_readout",
     "simulate",
 ]
 
@@ -302,8 +310,8 @@ class ReservoirPass:
 
 
 class _Projection:
-    """Fixed weights ``w`` (post, pre) delivering a batch of presynaptic
-    amplitudes: ``(amp @ w.T) >> frac_bits``, exact in integers."""
+    """Weights ``w`` (post, pre), fixed while it lives, delivering a batch of
+    presynaptic amplitudes: ``(amp @ w.T) >> frac_bits``, exact in integers."""
 
     def __init__(self, w: np.ndarray, amp_max: int, frac: int):
         self.w_t = np.ascontiguousarray(w.T)
@@ -428,6 +436,103 @@ def run_reservoir(
     ]
 
 
+@dataclass(frozen=True)
+class ReadoutPass:
+    """The readout's activity on one reservoir pass, under the weights it ran with."""
+
+    gamma: int
+    outs: np.ndarray  # (steps, readout) output weight per step
+    saturations: int
+    potentials: np.ndarray | None = None  # (steps, readout) raw membrane potentials
+
+
+def run_readout(
+    network: Network,
+    passes,
+    gamma: int,
+    record_potentials: bool = False,
+    _learner=None,
+) -> list[ReadoutPass]:
+    """Run the readout over a batch of reservoir passes at ``gamma``, one run each.
+
+    The passes advance side by side on ``(batch, readout)`` state arrays, so
+    they must run equally long, and every run, its saturation count
+    included, equals the run of a batch of one. A learner updates
+    ``network.w_out`` between steps, so it needs a batch of one; its
+    ``on_step`` gets each step's delivered spike weights and outputs as rows.
+    """
+    passes = list(passes)
+    for p in passes:
+        if p.gamma != gamma:
+            raise ValueError(f"reservoir pass ran at gamma {p.gamma}, not {gamma}")
+    lengths = sorted({p.spikes.shape[0] for p in passes})
+    if len(lengths) > 1:
+        raise ValueError(f"passes of one batch must run equally long, got {lengths} steps")
+    if _learner is not None and len(passes) != 1:
+        raise ValueError(f"a learner runs on a batch of one pass, got {len(passes)}")
+    if not passes:
+        return []
+    cfg = network.config
+    comp = _compile(cfg, gamma)
+
+    fmt = cfg.fmt
+    frac = fmt.frac_bits
+    batch, (steps, n_res) = len(passes), passes[0].spikes.shape
+    n_read = cfg.num_readout
+    bursting = comp.spec.bursting
+    step_fn = STEP_FUNCTIONS[cfg.model]
+    w_out = network.w_out  # plastic: a learner updates it in place between steps
+
+    sat = SaturationCounter(rows=batch)
+    state = new_neuron_state((batch, n_read), fmt, bursting)
+    k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
+    outs = np.empty((batch, steps, n_read), dtype=np.int64)
+    potentials = np.empty((batch, steps, n_read), dtype=np.int64) if record_potentials else None
+    # the reservoir's spikes of step t reach the readout at step t+1
+    drives = None
+    if bursting or _learner is not None:
+        spikes = np.stack([p.spikes for p in passes])
+        delivered = np.zeros((batch, n_res), dtype=np.int64)
+    else:  # frozen weights: every step's drive from one product per example, clamped elementwise
+        deliver = _Projection(w_out, comp.n_max, 0)
+        drives = np.zeros((batch, steps, n_read), dtype=np.int64)
+        for b, p in enumerate(passes):
+            drives[b, 1:] = deliver(p.spikes[:-1])
+        drives = saturate(drives, fmt, sat)
+    if bursting:  # the reservoir's burst gains, replayed from its spikes; the passes counted their clamps
+        gain = np.full((batch, n_res), fmt.scale, dtype=np.int64)
+
+    for t in range(steps):
+        if drives is not None:
+            drive = drives[:, t]
+        else:
+            if t:
+                delivered = spikes[:, t - 1].astype(np.int64)
+            if bursting:  # fractional amplitudes, arbitrary plastic weights: floor each product
+                amp = gain * delivered
+                drive = saturate(((w_out * amp[:, None, :]) >> frac).sum(axis=2), fmt, sat)
+                gain = burst_gain_update(gain, delivered, comp)
+            else:
+                drive = saturate(delivered @ w_out.T, fmt, sat)
+        i_read = synapse_step(state, drive, comp, k_s1[t], k_s2[t], sat)
+        out = step_fn(state, i_read, comp, k_m[t], sat)
+        if _learner is not None:
+            _learner.on_step(t, delivered[0], out[0])
+        outs[:, t] = out
+        if record_potentials:
+            potentials[:, t] = state.u
+
+    return [
+        ReadoutPass(
+            gamma=gamma,
+            outs=outs[b],
+            saturations=int(sat.count[b]),
+            potentials=None if potentials is None else potentials[b],
+        )
+        for b in range(batch)
+    ]
+
+
 def simulate(
     network: Network,
     example,
@@ -435,6 +540,7 @@ def simulate(
     record_potentials: bool = False,
     record_events: bool = True,
     reservoir: ReservoirPass | None = None,
+    readout: ReadoutPass | None = None,
     _learner=None,
 ) -> SimulationTrace:
     """Run one example through the network and record a full trace.
@@ -442,56 +548,31 @@ def simulate(
     ``example`` is a sequence of per-channel BinarySpikeTrains, merged at
     ratio ``gamma`` with all constants rescaled; gamma = 1 feeds them raw
     with the nominal constants. ``reservoir`` is the example's pass from
-    :func:`run_reservoir` at the same ratio; without it the reservoir runs
-    here first. Only the readout runs on the pass.
+    :func:`run_reservoir` and ``readout`` the readout's run on it from
+    :func:`run_readout`, both at the same ratio; whichever is not given
+    runs here, as a batch of one. A learner needs the readout to run here.
     """
     cfg = network.config
+    if readout is not None and _learner is not None:
+        raise ValueError("a learner needs the readout to run here, not a given readout pass")
     if reservoir is None:
         reservoir = run_reservoir(network, [example], gamma, record_potentials)[0]
     elif reservoir.gamma != gamma:
         raise ValueError(f"reservoir pass ran at gamma {reservoir.gamma}, not {gamma}")
     if record_potentials and reservoir.potentials is None:
         raise ValueError("the reservoir pass has no potentials: run it with record_potentials=True")
-    comp = _compile(cfg, gamma)
-
-    fmt = cfg.fmt
-    frac = fmt.frac_bits
     spikes = reservoir.spikes
     steps, n_res = spikes.shape
+    if readout is None:
+        (readout,) = run_readout(network, [reservoir], gamma, record_potentials, _learner)
+    elif readout.gamma != gamma:
+        raise ValueError(f"readout pass ran at gamma {readout.gamma}, not {gamma}")
+    elif readout.outs.shape[0] != steps:
+        raise ValueError(f"readout pass ran {readout.outs.shape[0]} steps, its reservoir pass {steps}")
+    elif record_potentials and readout.potentials is None:
+        raise ValueError("the readout pass has no potentials: run it with record_potentials=True")
+    outs = readout.outs
     n_read = cfg.num_readout
-    bursting = comp.spec.bursting
-    step_fn = STEP_FUNCTIONS[cfg.model]
-    w_out = network.w_out  # plastic: a learner updates it in place between steps
-
-    sat = SaturationCounter()
-    state = new_neuron_state(n_read, fmt, bursting)
-    k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
-    outs = np.empty((steps, n_read), dtype=np.int64)
-    pot_read = np.empty((steps, n_read), dtype=np.int64) if record_potentials else None
-    # the reservoir's spikes of step t reach the readout at step t+1
-    delivered = np.zeros((steps, n_res), dtype=np.int64)
-    delivered[1:] = spikes[:-1]
-    drives = None
-    if bursting:  # the reservoir's burst gains, replayed from its spikes; the pass counted their clamps
-        gain = np.full(n_res, fmt.scale, dtype=np.int64)
-    elif _learner is None:  # frozen weights: every step's drive from one product, clamped elementwise
-        drives = saturate(delivered @ w_out.T, fmt, sat)
-
-    for t in range(steps):
-        if drives is not None:
-            drive = drives[t]
-        elif bursting:  # fractional amplitudes, arbitrary plastic weights: floor each product
-            drive = saturate(((w_out * (gain * delivered[t])) >> frac).sum(axis=1), fmt, sat)
-            gain = burst_gain_update(gain, delivered[t], comp)
-        else:
-            drive = saturate(w_out @ delivered[t], fmt, sat)
-        i_read = synapse_step(state, drive, comp, k_s1[t], k_s2[t], sat)
-        out = step_fn(state, i_read, comp, k_m[t], sat)
-        if _learner is not None:
-            _learner.on_step(t, delivered[t], out)
-        outs[t] = out
-        if record_potentials:
-            pot_read[t] = state.u
 
     empty = np.empty((0, 3), dtype=np.int64)
     res_events = read_events = empty
@@ -506,9 +587,9 @@ def simulate(
         synaptic_ops_reservoir=reservoir.reservoir_ops,
         neuron_updates=(n_res + n_read) * steps,
         spike_events=reservoir.spike_events + read_ts.size,
-        saturations=reservoir.saturations + sat.count,
+        saturations=reservoir.saturations + readout.saturations,
     )
-    potentials = {"reservoir": reservoir.potentials, "readout": pot_read} if record_potentials else None
+    potentials = {"reservoir": reservoir.potentials, "readout": readout.potentials} if record_potentials else None
     return SimulationTrace(
         gamma=gamma,
         timestep_count=steps,

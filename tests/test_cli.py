@@ -7,8 +7,9 @@ import pytest
 import tcsnn.learning
 import tcsnn.network
 from tcsnn.cli import main
+import tcsnn.cli
 from tcsnn.config import ExperimentConfig
-from tcsnn.spike import load_event_file, synthetic_task
+from tcsnn.spike import SpikeDataset, load_event_file, synthetic_task
 
 CONFIG = """\
 schema_version = 1
@@ -73,6 +74,24 @@ def test_reservoir_runs_once_per_example_and_ratio(tmp_path, monkeypatch, epochs
     assert sum(runs) == examples_per_ratio * 2
 
 
+# per ratio: one learning run per epoch and training example, alone, then
+# one frozen run over the 3 test examples each for evaluation and energy
+@pytest.mark.parametrize("epochs", [2, 0])
+def test_frozen_readout_runs_once_per_use_and_ratio(tmp_path, monkeypatch, epochs):
+    real = tcsnn.network.run_readout
+    runs = []
+
+    def counting(network, passes, gamma, record_potentials=False, _learner=None):
+        passes = list(passes)
+        runs.append((len(passes), _learner is not None))
+        return real(network, passes, gamma, record_potentials, _learner)
+
+    for module in (tcsnn.network, tcsnn.learning, tcsnn.cli):  # every module that binds it
+        monkeypatch.setattr(module, "run_readout", counting)
+    assert run(tmp_path, CONFIG.replace("epochs = 1", f"epochs = {epochs}"), "out") == 0
+    assert sorted(runs) == sorted([(1, True)] * epochs * 12 * 2 + [(3, False)] * 2 * 2)
+
+
 def test_dataset_is_made_once_per_experiment(tmp_path, monkeypatch):
     real = ExperimentConfig.make_dataset
     calls = tmp_path / "calls"  # a file, so that calls in pool workers count too
@@ -105,10 +124,14 @@ def test_huge_burst_constant_clamps_and_counts(tmp_path):
 
 
 class InlinePool:
-    """Stands in for the process pool: records its size, runs each task at once."""
+    """Stands in for the process pool: records its size and every task's
+    arguments, starts its one worker in this process, runs each task at once."""
 
-    def __init__(self, sizes, max_workers):
+    def __init__(self, sizes, submitted, max_workers, initializer=None, initargs=()):
         sizes.append(max_workers)
+        self.submitted = submitted
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -117,6 +140,7 @@ class InlinePool:
         return False
 
     def submit(self, fn, *args):
+        self.submitted.append(args)
         future = concurrent.futures.Future()
         future.set_result(fn(*args))
         return future
@@ -126,12 +150,15 @@ class InlinePool:
 @pytest.mark.parametrize("workers, gammas, pool", [(1, "1 4", []), (2, "1 4", [2]), (10**6, "1 4", [2]),
                                                     (3, "1 2 4 8", [3]), (8, "4", [])])
 def test_pool_is_sized_by_workers_and_ratios(tmp_path, monkeypatch, workers, gammas, pool):
-    sizes = []
+    sizes, submitted = [], []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: InlinePool(sizes, max_workers))
+                        lambda max_workers, **kwargs: InlinePool(sizes, submitted, max_workers, **kwargs))
     text = CONFIG.replace("gammas = 1 4", f"gammas = {gammas}") + f"workers = {workers}\n"
     assert run(tmp_path, text, "out") == 0
     assert sizes == pool
+    # a task carries its config and ratio; the workers got the dataset at start
+    assert len(submitted) == (len(gammas.split()) if pool else 0)
+    assert not any(isinstance(arg, SpikeDataset) for args in submitted for arg in args)
     assert len([f for f in os.listdir(tmp_path / "out") if f.startswith("run_g")]) == len(gammas.split())
 
 
@@ -166,6 +193,7 @@ def test_gen_dataset_writes_the_synthetic_task(tmp_path):
     ("--examples-per-class", "0", "examples_per_class must be >= 1, got 0"),
     ("--jitter", "20", "jitter_steps must be in [0, length_steps = 20), got 20"),
     ("--classes", "1", "num_classes must be >= 2, got 1"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_gen_dataset_rejects_bad_arguments_before_writing(tmp_path, capsys, flag, value, message):
     path = tmp_path / "events.txt"

@@ -1,10 +1,11 @@
 """The engine's two passes: reservoir, then readout.
 
-A batched reservoir pass must equal one pass per example, and a readout run
-on a given pass must equal a run that simulates its own reservoir, in
-events, potentials and every counter. Every model runs with every synapse
-order it allows at every ratio; hypothesis draws the batches (sizes, rates
-and lengths) and the mode: a baseline run is a run at gamma 1.
+A batched reservoir pass must equal one pass per example, a batched readout
+run one run per pass, and a trace assembled from given passes must equal a
+run that simulates its own, in events, potentials and every counter. Every
+model runs with every synapse order it allows at every ratio; hypothesis
+draws the batches (sizes, rates and lengths) and the mode: a baseline run is
+a run at gamma 1.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ from test_golden import CHANNELS, GOLDEN, ORDERS, STEPS, _example, _network
 from traces import poisson_encode, same_trace
 
 from tcsnn.learning import LearningParams, _ReadoutLearner
-from tcsnn.network import _Projection, run_reservoir, simulate
+from tcsnn.network import _Projection, run_readout, run_reservoir, simulate
 
 GAMMAS = (1, 2, 4, 8, 16)
 CASES = [(model, order, gamma) for model, orders in ORDERS.items() for order in orders for gamma in GAMMAS]
@@ -71,21 +72,48 @@ def test_batched_reservoir_equals_serial_and_readout_equals_full_run(case, specs
 
 # every case, and every non-bursting case again with readout drives far past
 # the register (a bursting product would pass int64 first)
-RATE_ZERO_CASES = [pytest.param(c, False, id="-".join(map(str, c))) for c in CASES] + [
+READOUT_CASES = [pytest.param(c, False, id="-".join(map(str, c))) for c in CASES] + [
     pytest.param(c, True, id="-".join(map(str, c)) + "-clamping") for c in CASES if "burst" not in c[0]
 ]
 
 
-@pytest.mark.parametrize("case, loud", RATE_ZERO_CASES)
+def make_loud(net):
+    """Set every readout weight to +/- 2**14 so that drives clamp; return that bound."""
+    net.w_out[:] = np.sign(net.w_out) << 30
+    return 2.0**14
+
+
+@pytest.mark.parametrize("case, loud", READOUT_CASES)
+@given(specs=st.lists(EXAMPLE, min_size=0, max_size=2), length=st.sampled_from((24, 37)))
+def test_batched_readout_equals_serial_and_given_passes_equal_full_run(case, loud, specs, length):
+    model, order, gamma = case
+    net = _network(model, order)
+    if loud:
+        make_loud(net)
+    # drawn examples, then a fixed busy one and a silent one
+    examples = [encode(peak, seed, length) for peak, seed in specs] + [encode(0.4, 1, length), encode(0.0, 0, length)]
+    passes = run_reservoir(net, examples, gamma, record_potentials=True)
+    batch = run_readout(net, passes, gamma, record_potentials=True)
+    assert len(batch) == len(passes)
+    for example, res, together in zip(examples, passes, batch):
+        (alone,) = run_readout(net, [res], gamma, record_potentials=True)
+        assert_same_pass(together, alone)
+        given_passes = simulate(net, example, gamma, record_potentials=True, reservoir=res, readout=together)
+        assert_same_trace(given_passes, simulate(net, example, gamma, record_potentials=True))
+    busy, silent = batch[-2:]
+    assert silent.saturations == 0 and not silent.outs.any()
+    drive = passes[-2].spikes[:-1].astype(np.int64) @ net.w_out.T
+    if np.abs(drive).max(initial=0) > net.config.fmt.raw_max:  # the busy example's clamps stay its own
+        assert busy.saturations > 0
+
+
+@pytest.mark.parametrize("case, loud", READOUT_CASES)
 def test_learn_mode_at_rate_zero_equals_frozen_run(case, loud):
     # a learner's readout takes its drive one step at a time, a frozen one
     # all at once; at eta = 0 the weights never move, so both must agree
     model, order, gamma = case
     net = _network(model, order)
-    bound = 4.0
-    if loud:  # every weight at +/- 2**14, the bound
-        net.w_out[:] = np.sign(net.w_out) << 30
-        bound = 2.0**14
+    bound = make_loud(net) if loud else 4.0
     example = _example()
     (res,) = run_reservoir(net, [example], gamma, record_potentials=True)
     frozen = simulate(net, example, gamma, record_potentials=True, reservoir=res)
@@ -135,6 +163,32 @@ def test_pass_from_another_ratio_or_mode_is_rejected():
         simulate(net, example, 4, reservoir=base)
     with pytest.raises(ValueError, match="no potentials"):
         simulate(net, example, 4, record_potentials=True, reservoir=at_4)
+
+
+def test_readout_pass_that_does_not_fit_is_rejected():
+    net = _network("iow-lif", "second")
+    example, short = _example(), encode(0.1, 1, STEPS - 8)  # 30 and 28 steps at gamma 4
+    (at_4,) = run_reservoir(net, [example], 4)
+    (at_8,) = run_reservoir(net, [example], 8)
+    (short_4,) = run_reservoir(net, [short], 4)
+    (with_potentials,) = run_reservoir(net, [example], 4, record_potentials=True)
+    (run_4,) = run_readout(net, [at_4], 4)
+    with pytest.raises(ValueError, match="readout pass ran at gamma 4, not 8"):
+        simulate(net, example, 8, reservoir=at_8, readout=run_4)
+    with pytest.raises(ValueError, match="readout pass ran 28 steps, its reservoir pass 30"):
+        simulate(net, example, 4, reservoir=at_4, readout=run_readout(net, [short_4], 4)[0])
+    with pytest.raises(ValueError, match="readout pass has no potentials"):
+        simulate(net, example, 4, record_potentials=True, reservoir=with_potentials, readout=run_4)
+    learner = _ReadoutLearner(net, LearningParams(), 4, label=0)
+    with pytest.raises(ValueError, match="a learner needs the readout to run here"):
+        simulate(net, example, 4, reservoir=at_4, readout=run_4, _learner=learner)
+    with pytest.raises(ValueError, match="batch of one pass, got 2"):
+        run_readout(net, [at_4, at_4], 4, _learner=learner)
+    with pytest.raises(ValueError, match="reservoir pass ran at gamma 8, not 4"):
+        run_readout(net, [at_4, at_8], 4)
+    with pytest.raises(ValueError, match=r"equally long, got \[28, 30\] steps"):
+        run_readout(net, [at_4, short_4], 4)
+    assert run_readout(net, [], 4) == []
 
 
 def test_delivery_stays_exact_past_float_precision():
