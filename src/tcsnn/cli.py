@@ -51,7 +51,7 @@ def _run_single(config: ExperimentConfig, gamma: int, dataset: SpikeDataset) -> 
     # each test example's reservoir runs once and serves the evaluation and
     # the energy count below; training runs its own examples' once per ratio
     passes = reservoir_passes(net, dataset, test_idx, gamma)
-    report = train_readout(net, dataset, (train_idx, test_idx), config.learning, gamma, seed=config.seed, passes=passes)
+    report = train_readout(net, dataset, (train_idx, test_idx), config.learning, gamma, passes=passes)
 
     energy = 0.0
     counters: dict = {}
@@ -96,7 +96,8 @@ def run_experiment(config: ExperimentConfig):
 
     Returns the list of RunReports ordered by ratio. When resource counts
     for a ratio and the baseline (gamma=1) are configured, the normalized
-    ATEL column is filled from this experiment's accuracy/runtime/energy.
+    ATEL column is filled from this experiment's accuracy/runtime/energy,
+    unless the baseline scored 100%: that column then stays empty.
     """
     gammas = list(config.gammas)
     dataset = config.make_dataset()  # the same for every ratio
@@ -117,7 +118,7 @@ def run_experiment(config: ExperimentConfig):
     for rep in reports:
         if baseline is not None and rep.energy > 0:
             rep.energy_reduction = baseline.energy / rep.energy
-        if baseline is not None and rep.gamma in config.resources and 1 in config.resources:
+        if baseline is not None and baseline.accuracy < 100.0 and rep.gamma in config.resources and 1 in config.resources:
             lut_d, ff_d = config.resources[rep.gamma]
             lut_b, ff_b = config.resources[1]
             rep.atel_percent = atel(

@@ -2,7 +2,8 @@
 time-averaged schedules for non-power-of-two constants.
 
 A compression ratio ``gamma`` merges each window of gamma binary timesteps
-into one weighted timestep. First-order decays ``x <- x * (1 - 1/tau)`` stay
+into one weighted timestep: a window sum over a dense count array with time
+on its last axis. First-order decays ``x <- x * (1 - 1/tau)`` stay
 shifter-realizable after compression by toggling between the two powers of
 two bounding the scaled constant so their arithmetic mean equals it.
 """
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spike import BinarySpikeTrain, WeightedSpikeTrain
-
 __all__ = [
     "TimeConstantPlan",
     "compress_train",
@@ -26,23 +25,16 @@ __all__ = [
 ]
 
 
-def compress_train(train: BinarySpikeTrain, gamma: int) -> WeightedSpikeTrain:
+def compress_train(spikes: np.ndarray, gamma: int) -> np.ndarray:
     """Merge each window of ``gamma`` steps into one weighted spike.
 
-    Compressed step j carries the number of binary spikes in original steps
-    [j*gamma, (j+1)*gamma); zero-weight steps are omitted. Total weight
-    always equals the original spike count.
+    ``spikes`` holds spike counts with time on its last axis. Compressed
+    step j carries the count of original steps [j*gamma, (j+1)*gamma), so
+    the result is ceil(steps/gamma) long and conserves every row's total.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    out_len = -(-train.length_steps // gamma)  # ceil
-    if train.events.size == 0:
-        return WeightedSpikeTrain(train.channel_id, np.empty((0, 2), dtype=np.int64), out_len, gamma)
-    bins = train.events // gamma
-    counts = np.bincount(bins, minlength=out_len)
-    steps = np.flatnonzero(counts)
-    events = np.column_stack((steps, counts[steps]))
-    return WeightedSpikeTrain(train.channel_id, events, out_len, gamma)
+    return np.add.reduceat(spikes, np.arange(0, spikes.shape[-1], gamma), axis=-1)
 
 
 def scale_time_constant(tau_nom: float, gamma: int) -> float:

@@ -39,10 +39,6 @@ class FixedPointFormat:
             object.__setattr__(self, "raw_max", (1 << self.total_bits) - 1)
             object.__setattr__(self, "raw_min", 0)
 
-    @property
-    def resolution(self) -> float:
-        return 1.0 / self.scale
-
 
 DEFAULT_FORMAT = FixedPointFormat(total_bits=32, frac_bits=16, signed=True)
 

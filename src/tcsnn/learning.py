@@ -62,20 +62,7 @@ class TrainingReport:
 
     epoch_train_accuracy: list
     test_accuracy: float
-    epochs_run: int
-    weights: np.ndarray  # raw fixed-point snapshot (readout x reservoir)
     no_spike_examples: int = 0  # test examples classified only by the tie rule
-
-    def __eq__(self, other):
-        if not isinstance(other, TrainingReport):
-            return NotImplemented
-        return (
-            self.epoch_train_accuracy == other.epoch_train_accuracy
-            and self.test_accuracy == other.test_accuracy
-            and self.epochs_run == other.epochs_run
-            and self.no_spike_examples == other.no_spike_examples
-            and np.array_equal(self.weights, other.weights)
-        )
 
 
 class Classification(NamedTuple):
@@ -165,28 +152,25 @@ def reservoir_passes(network: Network, dataset: SpikeDataset, indices, gamma: in
 def train_readout(
     network: Network,
     dataset: SpikeDataset,
-    split: float | tuple,
+    split: tuple,
     params: LearningParams,
     gamma: int,
-    seed: int = 0,
     passes: dict | None = None,
 ) -> TrainingReport:
     """Train the plastic readout at compression ratio ``gamma``.
 
-    ``split`` is either a train fraction or an explicit (train_idx, test_idx)
-    pair. Training mutates network.w_out in place and is fully deterministic
-    under (network, dataset, params, gamma, seed). Each example's reservoir
-    runs once, or not at all when ``passes`` (see :func:`reservoir_passes`)
-    holds it, and serves every epoch and the evaluation.
+    ``split`` is a (train_idx, test_idx) pair of dataset indices (see
+    :func:`split_dataset`). Training mutates network.w_out in place and is
+    fully deterministic under (network, dataset, split, params, gamma). Each
+    example's reservoir runs once, or not at all when ``passes`` (see
+    :func:`reservoir_passes`) holds it, and serves every epoch and the
+    evaluation.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     if dataset.num_classes > network.config.num_readout:
         raise ValueError("more classes than readout neurons")
-    if isinstance(split, tuple):
-        train_idx, test_idx = split
-    else:
-        train_idx, test_idx = split_dataset(dataset, split, seed)
+    train_idx, test_idx = split
     if len(test_idx) == 0:
         raise ValueError("the test split is empty: lower the train fraction or add examples")
 
@@ -200,20 +184,13 @@ def train_readout(
             learner = _ReadoutLearner(network, params, gamma, label)
             steps = -(-dataset.length_steps // gamma)
             learner.prepare(steps)
-            trace = simulate(network, trains, gamma=gamma, record_events=False,
-                             reservoir=passes[int(i)], _learner=learner)
+            trace = simulate(network, trains, gamma=gamma, reservoir=passes[int(i)], _learner=learner)
             if classify(trace).label == label:
                 correct += 1
         epoch_acc.append(100.0 * correct / len(train_idx) if len(train_idx) else 0.0)
 
     test_acc, no_spike = evaluate(network, dataset, test_idx, gamma, passes)
-    return TrainingReport(
-        epoch_train_accuracy=epoch_acc,
-        test_accuracy=test_acc,
-        epochs_run=params.epochs,
-        weights=network.w_out.copy(),
-        no_spike_examples=no_spike,
-    )
+    return TrainingReport(epoch_train_accuracy=epoch_acc, test_accuracy=test_acc, no_spike_examples=no_spike)
 
 
 def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int, passes: dict | None = None):
@@ -230,7 +207,7 @@ def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int, passe
     no_spike = 0
     for i, run in zip(indices, runs):
         trains, label = dataset.examples[i]
-        trace = simulate(network, trains, gamma=gamma, record_events=False, reservoir=passes[int(i)], readout=run)
+        trace = simulate(network, trains, gamma=gamma, reservoir=passes[int(i)], readout=run)
         result = classify(trace)
         correct += int(result.label == label)
         no_spike += int(result.no_spike)

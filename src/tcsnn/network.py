@@ -22,10 +22,14 @@ engine runs reservoir pass -> readout pass -> trace:
   :class:`ReadoutPass` per pass. Frozen weights serve a whole test split in
   one call; a learner, whose weights change between steps, runs a batch of
   one.
-- :func:`simulate` assembles one example's :class:`SimulationTrace` from
-  its two passes, running whichever it was not given. Training replays a
-  reservoir pass in every epoch; evaluation and the energy count replay it
-  again.
+- :func:`simulate` returns one example's :class:`SimulationTrace`, a view
+  of its two passes, running whichever it was not given. The trace builds
+  its event arrays and counters from the passes' dense spike arrays only
+  when they are read. Training replays a reservoir pass in every epoch;
+  evaluation and the energy count replay it again.
+
+Inside the engine spikes stay dense: each example's input trains become one
+``(channels, steps)`` count array, compressed by one window sum.
 
 Every spike is delivered as a fixed-point amplitude: its weight (1 for
 binary-input models) times its source's burst gain (1.0 unless bursting).
@@ -223,28 +227,71 @@ class EventCounters:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    """Everything one run produced: spike events, counters, optional
-    membrane trajectories. Event arrays have rows (unit_id, timestep, weight)
-    ordered by timestep."""
+    """One example's run at one ratio: a view of its reservoir and readout passes.
 
-    gamma: int
-    timestep_count: int
-    input_length: int
+    Everything else is derived from the two passes when read: sizes,
+    counters, event arrays with rows (unit_id, timestep, weight) ordered by
+    timestep, and the membrane potentials when both passes recorded them.
+    """
+
     num_inputs: int
-    num_reservoir: int
-    num_readout: int
-    input_events: np.ndarray
-    reservoir_events: np.ndarray
-    readout_events: np.ndarray
-    counters: EventCounters
-    potentials: dict | None = None
-    _totals: np.ndarray | None = None  # cached readout totals (light runs)
+    reservoir: ReservoirPass
+    readout: ReadoutPass
+
+    @property
+    def gamma(self) -> int:
+        return self.reservoir.gamma
+
+    @property
+    def timestep_count(self) -> int:
+        return self.reservoir.spikes.shape[0]
+
+    @property
+    def input_length(self) -> int:
+        return self.reservoir.input_length
+
+    @property
+    def num_reservoir(self) -> int:
+        return self.reservoir.spikes.shape[1]
+
+    @property
+    def num_readout(self) -> int:
+        return self.readout.outs.shape[1]
 
     @property
     def num_neurons(self) -> int:
         return self.num_reservoir + self.num_readout
+
+    @property
+    def input_events(self) -> np.ndarray:
+        return self.reservoir.input_events
+
+    @property
+    def reservoir_events(self) -> np.ndarray:
+        return _events(self.reservoir.spikes)
+
+    @property
+    def readout_events(self) -> np.ndarray:
+        return _events(self.readout.outs)
+
+    @property
+    def potentials(self) -> dict | None:
+        res, read = self.reservoir.potentials, self.readout.potentials
+        return None if res is None or read is None else {"reservoir": res, "readout": read}
+
+    @property
+    def counters(self) -> EventCounters:
+        res = self.reservoir
+        return EventCounters(
+            synaptic_ops=res.input_ops + res.reservoir_ops,
+            synaptic_ops_input=res.input_ops,
+            synaptic_ops_reservoir=res.reservoir_ops,
+            neuron_updates=self.num_neurons * self.timestep_count,
+            spike_events=res.spike_events + int(np.count_nonzero(self.readout.outs)),
+            saturations=res.saturations + self.readout.saturations,
+        )
 
     def events_for(self, layer: str) -> np.ndarray:
         return {
@@ -262,13 +309,7 @@ class SimulationTrace:
 
     def readout_totals(self) -> np.ndarray:
         """Total output spike weight per readout neuron."""
-        if self._totals is not None:
-            return self._totals
-        totals = np.zeros(self.num_readout, dtype=np.int64)
-        ev = self.readout_events
-        if ev.size:
-            np.add.at(totals, ev[:, 0], ev[:, 2])
-        return totals
+        return self.readout.outs.sum(axis=0)
 
 
 @functools.lru_cache(maxsize=512)
@@ -337,12 +378,10 @@ class _Projection:
         return total >> self.frac
 
 
-def _input_events(dense_in: np.ndarray) -> np.ndarray:
-    """Input spike records (channel, timestep, weight) ordered by timestep."""
-    ts, chans = np.nonzero(dense_in.T)
-    if ts.size == 0:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.column_stack((chans, ts, dense_in[chans, ts]))
+def _events(per_step: np.ndarray) -> np.ndarray:
+    """Spike records (unit, timestep, weight) of a (steps, units) array, ordered by timestep."""
+    ts, units = np.nonzero(per_step)
+    return np.column_stack((units, ts, per_step[ts, units]))
 
 
 def run_reservoir(
@@ -359,32 +398,32 @@ def run_reservoir(
     """
     cfg = network.config
     comp = _compile(cfg, gamma)
+    examples = [list(example) for example in examples]
+    if not examples:
+        return []
+    # input spike weights per (example, step, channel): at most gamma, and 1 unless weighted in
+    weighted_in = comp.spec.weighted_in
+    w_max = gamma if weighted_in else 1
+    in_weights = None
     inputs = []  # (input events, input length) per example
-    steps = None
-    for example in examples:
-        trains = list(example)
+    for b, trains in enumerate(examples):
         if len(trains) != cfg.num_inputs:
             raise ValueError(f"expected {cfg.num_inputs} channels, got {len(trains)}")
-        dense = trains_to_dense([compress_train(tr, gamma) for tr in trains])
-        if steps not in (None, dense.shape[1]):
-            raise ValueError(f"examples of one batch must run equally long: {steps} and {dense.shape[1]} steps")
-        steps = dense.shape[1]
-        inputs.append((_input_events(dense), trains[0].length_steps))
-    if not inputs:
-        return []
+        counts = compress_train(trains_to_dense(trains), gamma).T  # (steps, channels)
+        if in_weights is None:
+            in_weights = np.zeros((len(examples),) + counts.shape, dtype=np.min_scalar_type(w_max))
+        elif counts.shape[0] != in_weights.shape[1]:
+            raise ValueError(
+                f"examples of one batch must run equally long: {in_weights.shape[1]} and {counts.shape[0]} steps"
+            )
+        in_weights[b] = counts if weighted_in else counts > 0
+        inputs.append((_events(counts), trains[0].length_steps))
 
     fmt = cfg.fmt
     frac = fmt.frac_bits
     bursting = comp.spec.bursting
     step_fn = STEP_FUNCTIONS[cfg.model]
-    batch, n_res = len(inputs), cfg.reservoir_size
-
-    # input spike weights per (example, step, channel), 1 unless weighted in
-    weighted_in = comp.spec.weighted_in
-    w_max = max(int(events[:, 2].max(initial=1)) for events, _ in inputs) if weighted_in else 1
-    in_weights = np.zeros((batch, steps, cfg.num_inputs), dtype=np.min_scalar_type(w_max))
-    for b, (events, _) in enumerate(inputs):
-        in_weights[b, events[:, 1], events[:, 0]] = events[:, 2] if weighted_in else 1
+    batch, steps, n_res = len(inputs), in_weights.shape[1], cfg.reservoir_size
 
     amp_unit = fmt.raw_max if bursting else fmt.scale  # largest amplitude of a weight-1 spike
     deliver_in = _Projection(network.w_in, w_max * amp_unit, frac)
@@ -538,12 +577,11 @@ def simulate(
     example,
     gamma: int,
     record_potentials: bool = False,
-    record_events: bool = True,
     reservoir: ReservoirPass | None = None,
     readout: ReadoutPass | None = None,
     _learner=None,
 ) -> SimulationTrace:
-    """Run one example through the network and record a full trace.
+    """Run one example through the network and return its trace.
 
     ``example`` is a sequence of per-channel BinarySpikeTrains, merged at
     ratio ``gamma`` with all constants rescaled; gamma = 1 feeds them raw
@@ -552,7 +590,6 @@ def simulate(
     :func:`run_readout`, both at the same ratio; whichever is not given
     runs here, as a batch of one. A learner needs the readout to run here.
     """
-    cfg = network.config
     if readout is not None and _learner is not None:
         raise ValueError("a learner needs the readout to run here, not a given readout pass")
     if reservoir is None:
@@ -561,8 +598,7 @@ def simulate(
         raise ValueError(f"reservoir pass ran at gamma {reservoir.gamma}, not {gamma}")
     if record_potentials and reservoir.potentials is None:
         raise ValueError("the reservoir pass has no potentials: run it with record_potentials=True")
-    spikes = reservoir.spikes
-    steps, n_res = spikes.shape
+    steps = reservoir.spikes.shape[0]
     if readout is None:
         (readout,) = run_readout(network, [reservoir], gamma, record_potentials, _learner)
     elif readout.gamma != gamma:
@@ -571,36 +607,4 @@ def simulate(
         raise ValueError(f"readout pass ran {readout.outs.shape[0]} steps, its reservoir pass {steps}")
     elif record_potentials and readout.potentials is None:
         raise ValueError("the readout pass has no potentials: run it with record_potentials=True")
-    outs = readout.outs
-    n_read = cfg.num_readout
-
-    empty = np.empty((0, 3), dtype=np.int64)
-    res_events = read_events = empty
-    read_ts, read_cols = np.nonzero(outs)
-    if record_events:
-        ts, cols = np.nonzero(spikes)
-        res_events = np.column_stack((cols, ts, spikes[ts, cols]))
-        read_events = np.column_stack((read_cols, read_ts, outs[read_ts, read_cols]))
-    counters = EventCounters(
-        synaptic_ops=reservoir.input_ops + reservoir.reservoir_ops,
-        synaptic_ops_input=reservoir.input_ops,
-        synaptic_ops_reservoir=reservoir.reservoir_ops,
-        neuron_updates=(n_res + n_read) * steps,
-        spike_events=reservoir.spike_events + read_ts.size,
-        saturations=reservoir.saturations + readout.saturations,
-    )
-    potentials = {"reservoir": reservoir.potentials, "readout": readout.potentials} if record_potentials else None
-    return SimulationTrace(
-        gamma=gamma,
-        timestep_count=steps,
-        input_length=reservoir.input_length,
-        num_inputs=cfg.num_inputs,
-        num_reservoir=n_res,
-        num_readout=n_read,
-        input_events=reservoir.input_events,
-        reservoir_events=res_events,
-        readout_events=read_events,
-        counters=counters,
-        potentials=potentials,
-        _totals=outs.sum(axis=0),
-    )
+    return SimulationTrace(network.config.num_inputs, reservoir, readout)

@@ -2,20 +2,22 @@
 event-file I/O.
 
 All timing is in dimensionless timesteps; rates are expected spikes per
-timestep. Types are immutable after construction (event arrays are marked
-read-only) and generation is pure given a seed.
+timestep. A train is binary: at most one spike per channel and step. The
+engine compresses dense ``(channels, steps)`` count arrays
+(:func:`trains_to_dense`), so no weighted train type exists. Types are
+immutable after construction (event arrays are marked read-only) and
+generation is pure given a seed.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BinarySpikeTrain",
-    "WeightedSpikeTrain",
     "SpikeDataset",
     "synthetic_task",
     "load_event_file",
@@ -25,22 +27,8 @@ __all__ = [
 ]
 
 
-def _frozen_int_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
-
-
-class _ReadOnlyEvents:
-    """Keeps a train's events read-only through pickling, which numpy does not."""
-
-    def __setstate__(self, state):
-        state["events"].setflags(write=False)
-        self.__dict__.update(state)
-
-
 @dataclass(frozen=True, eq=False)
-class BinarySpikeTrain(_ReadOnlyEvents):
+class BinarySpikeTrain:
     """Per-channel binary spike sequence: at most one spike per timestep."""
 
     channel_id: int
@@ -48,8 +36,9 @@ class BinarySpikeTrain(_ReadOnlyEvents):
     length_steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "events", _frozen_int_array(self.events))
-        ev = self.events
+        ev = np.asarray(self.events, dtype=np.int64)
+        ev.setflags(write=False)
+        object.__setattr__(self, "events", ev)
         if ev.ndim != 1:
             raise ValueError("events must be a 1-d sequence of timesteps")
         if ev.size:
@@ -57,6 +46,11 @@ class BinarySpikeTrain(_ReadOnlyEvents):
                 raise ValueError(f"channel {self.channel_id}: timesteps must be strictly increasing")
             if ev[0] < 0 or ev[-1] >= self.length_steps:
                 raise ValueError(f"channel {self.channel_id}: event outside [0, {self.length_steps})")
+
+    def __setstate__(self, state):
+        # numpy does not keep arrays read-only through pickling
+        state["events"].setflags(write=False)
+        self.__dict__.update(state)
 
     @property
     def spike_count(self) -> int:
@@ -68,52 +62,6 @@ class BinarySpikeTrain(_ReadOnlyEvents):
         return (
             self.channel_id == other.channel_id
             and self.length_steps == other.length_steps
-            and np.array_equal(self.events, other.events)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedSpikeTrain(_ReadOnlyEvents):
-    """Spike sequence where each event carries a positive integer weight."""
-
-    channel_id: int
-    events: np.ndarray  # shape (n, 2): (timestep, weight >= 1)
-    length_steps: int
-    gamma: int = 1
-
-    def __post_init__(self):
-        arr = np.asarray(self.events, dtype=np.int64).reshape(-1, 2)
-        arr.setflags(write=False)
-        object.__setattr__(self, "events", arr)
-        if arr.size:
-            if (np.diff(arr[:, 0]) <= 0).any():
-                raise ValueError(f"channel {self.channel_id}: timesteps must be strictly increasing")
-            if arr[0, 0] < 0 or arr[-1, 0] >= self.length_steps:
-                raise ValueError(f"channel {self.channel_id}: event outside [0, {self.length_steps})")
-            if (arr[:, 1] < 1).any():
-                raise ValueError(f"channel {self.channel_id}: weights must be >= 1")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-
-    @property
-    def timesteps(self) -> np.ndarray:
-        return self.events[:, 0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.events[:, 1]
-
-    @property
-    def total_weight(self) -> int:
-        return int(self.events[:, 1].sum()) if self.events.size else 0
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightedSpikeTrain):
-            return NotImplemented
-        return (
-            self.channel_id == other.channel_id
-            and self.length_steps == other.length_steps
-            and self.gamma == other.gamma
             and np.array_equal(self.events, other.events)
         )
 
@@ -152,18 +100,12 @@ class SpikeDataset:
         )
 
 
-def trains_to_dense(trains, length_steps: int | None = None) -> np.ndarray:
-    """Stack trains into a dense (channels, steps) count array."""
+def trains_to_dense(trains) -> np.ndarray:
+    """Stack binary trains into a dense (channels, steps) 0/1 count array."""
     trains = list(trains)
-    if length_steps is None:
-        length_steps = trains[0].length_steps if trains else 0
-    dense = np.zeros((len(trains), length_steps), dtype=np.int64)
+    dense = np.zeros((len(trains), trains[0].length_steps if trains else 0), dtype=np.int64)
     for row, tr in enumerate(trains):
-        if isinstance(tr, WeightedSpikeTrain):
-            if tr.events.size:
-                dense[row, tr.events[:, 0]] = tr.events[:, 1]
-        elif tr.events.size:
-            dense[row, tr.events] = 1
+        dense[row, tr.events] = 1
     return dense
 
 

@@ -55,9 +55,12 @@ print(json.dumps({"layers": layers, "per_gamma": per_gamma}))
 
 
 # 3 classes x 5 examples split 12 / 3: per ratio, 12 learning runs per
-# epoch, then 3 evaluation and 3 energy runs of the frozen readout
-@pytest.mark.parametrize("epochs, simulate_calls", [(1, 2 * (12 + 3 + 3)), (0, 2 * (3 + 3))])
-def test_traced_run_passes_the_self_check(tmp_path, epochs, simulate_calls):
+# epoch, then 3 evaluation and 3 energy runs of the frozen readout; one
+# compression per example whose reservoir runs (training ones only with
+# epochs) and ratio
+@pytest.mark.parametrize("epochs, simulate_calls, compress_calls",
+                         [(1, 2 * (12 + 3 + 3), 2 * (12 + 3)), (0, 2 * (3 + 3), 2 * 3)])
+def test_traced_run_passes_the_self_check(tmp_path, epochs, simulate_calls, compress_calls):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CONFIG.replace("epochs = 1", f"epochs = {epochs}") + f"out_dir = {tmp_path / 'out'}\n")
     trace_dir = tmp_path / "trace"
@@ -73,5 +76,6 @@ def test_traced_run_passes_the_self_check(tmp_path, epochs, simulate_calls):
     result = json.loads(proc.stdout.splitlines()[-1])
     layers, per_gamma = result["layers"], result["per_gamma"]
     assert layers["network.simulate.calls"] == simulate_calls
+    assert layers["compress.compress_train.calls"] == compress_calls
     assert layers["spike.make_dataset.calls"] == 1
     assert {"cli.run_single_s.g1", "cli.run_single_s.g4"} <= per_gamma.keys()

@@ -9,6 +9,7 @@ import tcsnn.network
 from tcsnn.cli import main
 import tcsnn.cli
 from tcsnn.config import ExperimentConfig
+from tcsnn.metrics import RunReport
 from tcsnn.spike import SpikeDataset, load_event_file, synthetic_task
 
 CONFIG = """\
@@ -55,6 +56,26 @@ def test_missing_event_file_exits_2(tmp_path, capsys):
 def test_empty_test_split_exits_2(tmp_path, capsys):
     assert run(tmp_path, CONFIG + "learning.train_fraction = 1.0\n", "out") == 2
     assert "test split is empty" in capsys.readouterr().err
+
+
+RESOURCES = "resources.baseline.lut = 100\nresources.baseline.ff = 50\nresources.g4.lut = 80\nresources.g4.ff = 40\n"
+
+
+# a baseline without loss has no normalized ATEL; every report is still written
+@pytest.mark.parametrize("baseline_accuracy, atel_cells", [(100.0, ["", ""]), (90.0, ["100", "10"])])
+def test_perfect_baseline_leaves_the_atel_cells_empty(tmp_path, monkeypatch, baseline_accuracy, atel_cells):
+    def scored(config, gamma, dataset):
+        return RunReport(gamma=gamma, model=config.lsm.model, seed=config.seed,
+                         accuracy=baseline_accuracy if gamma == 1 else 80.0, timestep_count=40 // gamma,
+                         input_length=40, speedup=float(gamma), counters={}, energy=100.0 / gamma)
+
+    monkeypatch.setattr(tcsnn.cli, "_run_single", scored)
+    assert run(tmp_path, CONFIG + RESOURCES, "out") == 0
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == atel_cells
+    for gamma, cell in zip((1, 4), atel_cells):
+        report = json.loads((tmp_path / "out" / f"run_g{gamma}.json").read_text())
+        assert (report["atel_percent"] is None) == (cell == "")
 
 
 # CONFIG has 3 classes x 5 examples, split 12 train / 3 test, and two ratios

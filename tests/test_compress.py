@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tcsnn.compress import (
     compress_train,
@@ -9,7 +11,6 @@ from tcsnn.compress import (
     scale_time_constant,
 )
 from tcsnn.fixedpoint import from_fixed, to_fixed
-from tcsnn.spike import BinarySpikeTrain, dense_to_trains
 
 
 def constants(plan, n_steps: int) -> np.ndarray:
@@ -45,50 +46,41 @@ def binned_oracle(dense_row: np.ndarray, gamma: int) -> np.ndarray:
 
 class TestCompressTrain:
     def test_four_to_one_window(self):
-        tr = BinarySpikeTrain(0, [0, 2, 3], 4)  # pattern 1,0,1,1
-        wt = compress_train(tr, 4)
-        assert wt.length_steps == 1
-        assert np.array_equal(wt.events, [[0, 3]])
+        assert np.array_equal(compress_train(np.array([1, 0, 1, 1]), 4), [3])
 
     def test_gamma_one_is_identity(self):
-        tr = BinarySpikeTrain(2, [1, 4, 7], 9)
-        wt = compress_train(tr, 1)
-        assert np.array_equal(wt.timesteps, tr.events)
-        assert np.array_equal(wt.weights, [1, 1, 1])
-        assert wt.length_steps == 9
+        dense = np.array([[0, 1, 0, 0, 1, 0, 0, 1, 0], [1, 1, 0, 0, 0, 0, 0, 0, 1]])
+        assert np.array_equal(compress_train(dense, 1), dense)
 
     def test_partial_final_window(self):
-        tr = BinarySpikeTrain(0, [8, 9], 10)
-        wt = compress_train(tr, 4)
-        assert wt.length_steps == 3  # ceil(10/4)
-        assert np.array_equal(wt.events, [[2, 2]])
+        # ceil(10/4) windows, the last one two steps long
+        assert np.array_equal(compress_train(np.array([0] * 8 + [1, 1]), 4), [0, 0, 2])
 
     def test_weight_bounded_by_gamma(self):
-        tr = BinarySpikeTrain(0, np.arange(32), 32)
+        dense = np.ones((2, 32), dtype=np.int64)
         for gamma in range(1, 17):
-            wt = compress_train(tr, gamma)
-            assert wt.weights.max() <= gamma
+            assert compress_train(dense, gamma).max() <= gamma
 
-    def test_conservation_and_windowing_random(self):
-        # production path (event bincount) vs dense reshape-sum oracle
-        rng = np.random.default_rng(99)
-        for i in range(500):
-            length = int(rng.integers(1, 300))
-            density = rng.random()
-            dense = (rng.random(length) < density).astype(np.int64)
-            tr = dense_to_trains(dense[None, :])[0]
-            gamma = int(rng.integers(1, 17))
-            wt = compress_train(tr, gamma)
-            oracle = binned_oracle(dense, gamma)
-            assert wt.total_weight == dense.sum()
-            got = np.zeros(wt.length_steps, dtype=np.int64)
-            if wt.events.size:
-                got[wt.timesteps] = wt.weights
-            assert np.array_equal(got, oracle)
+    @given(
+        channels=st.integers(1, 4),
+        steps=st.integers(1, 300),
+        gamma=st.integers(1, 16),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(channels=2, steps=5, gamma=16, density=1.0, seed=0)  # gamma > steps: one window
+    def test_conservation_and_windowing_random(self, channels, steps, gamma, density, seed):
+        # the production window sum vs the pad-and-reshape oracle, row by row
+        dense = (np.random.default_rng(seed).random((channels, steps)) < density).astype(np.int64)
+        got = compress_train(dense, gamma)
+        assert got.shape == (channels, -(-steps // gamma))
+        assert np.array_equal(got.sum(axis=1), dense.sum(axis=1))
+        for row, out in zip(dense, got):
+            assert np.array_equal(out, binned_oracle(row, gamma))
 
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
-            compress_train(BinarySpikeTrain(0, [0], 4), 0)
+            compress_train(np.array([[1, 0, 0, 0]]), 0)
 
 
 class TestScaleTimeConstant:

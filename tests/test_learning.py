@@ -17,7 +17,7 @@ def small_task():
 def test_empty_test_split_is_an_error():
     net, dataset = small_task()
     with pytest.raises(ValueError, match="test split is empty"):
-        train_readout(net, dataset, 1.0, LearningParams(epochs=1), gamma=2)
+        train_readout(net, dataset, (range(len(dataset)), []), LearningParams(epochs=1), gamma=2)
 
 
 def test_evaluate_without_examples_is_an_error():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from traces import poisson_encode
@@ -37,12 +35,24 @@ def test_accuracy_out_of_range_rejected():
 
 
 
+EXAMPLE = poisson_encode(np.full(6, 0.3), 64, seed=4)
+
+
+def network(reservoir_size=27, grid=(3, 3, 3)):
+    return build_lsm(LsmConfig(num_inputs=6, reservoir_size=reservoir_size, num_readout=3, reservoir_grid=grid, seed=2))
+
+
 def traces(gamma):
     """Baseline and compressed runs of one example on a small network."""
-    cfg = LsmConfig(num_inputs=6, reservoir_size=27, num_readout=3, reservoir_grid=(3, 3, 3), seed=2)
-    net = build_lsm(cfg)
-    example = poisson_encode(np.full(6, 0.3), 64, seed=4)
-    return simulate(net, example, 1), simulate(net, example, gamma)
+    net = network()
+    return simulate(net, EXAMPLE, 1), simulate(net, EXAMPLE, gamma)
+
+
+@pytest.mark.parametrize("gamma", [1, 2, 4, 8, 16])
+def test_input_layer_keeps_every_spike_at_every_ratio(gamma):
+    base, comp = traces(gamma)
+    assert binned_raster_distance(base, comp, gamma, layer="input") == 0.0
+    assert comp.input_events[:, 2].sum() == sum(tr.spike_count for tr in EXAMPLE)
 
 
 @pytest.mark.parametrize("gamma", [2, 4])
@@ -61,7 +71,7 @@ def test_identical_traces_are_at_distance_zero():
 
 def test_raster_distance_rejects_layer_size_mismatch():
     base, _ = traces(2)
-    wider = replace(base, num_reservoir=base.num_reservoir + 1)
+    wider = simulate(network(reservoir_size=36, grid=(3, 3, 4)), EXAMPLE, 1)
     with pytest.raises(ValueError, match="unit counts differ"):
         binned_raster_distance(base, wider, 1)
 

@@ -11,7 +11,6 @@ from tcsnn.spike import (
     BinarySpikeTrain,
     EventFileError,
     SpikeDataset,
-    WeightedSpikeTrain,
     dense_to_trains,
     load_event_file,
     save_event_file,
@@ -36,7 +35,7 @@ class TestTrainTypes:
 
     def test_events_stay_read_only_through_pickling(self):
         # a process pool pickles each task's dataset
-        trains = (BinarySpikeTrain(0, [1, 5], 10), WeightedSpikeTrain(1, [[2, 3]], 10, gamma=4))
+        trains = (BinarySpikeTrain(0, [1, 5], 10),)
         for tr in pickle.loads(pickle.dumps(trains)):
             with pytest.raises(ValueError):
                 tr.events[0] = 2
@@ -47,7 +46,7 @@ class TestTrainTypes:
         dense[0, 2] = 1
         dense[2, 7] = 1
         trains = dense_to_trains(dense)
-        assert np.array_equal(trains_to_dense(trains, 8), dense)
+        assert np.array_equal(trains_to_dense(trains), dense)
 
 
 class TestPoissonEncode:
