@@ -44,13 +44,16 @@ def scale_time_constant(tau_nom: float, gamma: int) -> float:
     step equals gamma uncompressed ones. gamma == 1 returns tau_nom
     unchanged (exact identity, so schedules are bit-identical to baseline).
     """
-    if tau_nom <= 1.0:
-        raise ValueError(f"tau_nom must exceed 1, got {tau_nom}")
+    if not 1.0 < tau_nom < math.inf:
+        raise ValueError(f"tau_nom must exceed 1 and be finite, got {tau_nom}")
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     if gamma == 1:
         return float(tau_nom)
-    return 1.0 / (1.0 - (1.0 - 1.0 / tau_nom) ** gamma)
+    decay = (1.0 - 1.0 / tau_nom) ** gamma
+    if decay == 1.0:
+        raise ValueError(f"time constant {tau_nom:g} is too long to scale by gamma {gamma}: its decay rounds to 1")
+    return 1.0 / (1.0 - decay)
 
 
 def decay_step(x, k: int):
@@ -129,6 +132,15 @@ def make_schedule(tau_target: float, tau_nom: float | None = None, gamma: int = 
     )
 
 
-def plan_time_constant(tau_nom: float, gamma: int) -> TimeConstantPlan:
-    """Scale ``tau_nom`` by ``gamma`` exactly and schedule the result."""
-    return make_schedule(scale_time_constant(tau_nom, gamma), tau_nom=tau_nom, gamma=gamma)
+def plan_time_constant(tau_nom: float, gamma: int, max_shift: int | None = None) -> TimeConstantPlan:
+    """Scale ``tau_nom`` by ``gamma`` exactly and schedule the result.
+
+    A schedule that needs a shift past ``max_shift`` bits, more than the
+    register it decays holds, is rejected.
+    """
+    plan = make_schedule(scale_time_constant(tau_nom, gamma), tau_nom=tau_nom, gamma=gamma)
+    if max_shift is not None and plan.k_high > max_shift:
+        raise ValueError(
+            f"time constant {tau_nom:g} needs a {plan.k_high}-bit shift at gamma {gamma}, past {max_shift} bits"
+        )
+    return plan

@@ -27,11 +27,12 @@ import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import get_args, get_origin, get_type_hints
 
-from .fixedpoint import SaturationCounter, to_fixed
+from .fixedpoint import fixed_constant
 from .learning import LearningParams
 from .metrics import EnergyModel
 from .network import LsmConfig
-from .neuron import MODELS, BurstParams
+from .compress import plan_time_constant
+from .neuron import MODELS, BurstParams, compile_neuron
 from .spike import SpikeDataset, load_event_file, synthetic_task
 
 __all__ = ["ConfigError", "ExperimentConfig", "KEYS", "load_experiment_config", "parse_kv_text"]
@@ -137,12 +138,14 @@ class ExperimentConfig:
         if any(count < 0 for pair in self.resources.values() for count in pair):
             raise ConfigError("resource counts must be >= 0")
         fmt = self.lsm.fmt
-        for name in ("eta", "w_min", "w_max"):
-            value = getattr(self.learning, name)
-            clamped = SaturationCounter()
-            to_fixed(value, fmt, clamped)
-            if clamped.count:
-                raise ConfigError(f"{name} {value:g} does not fit the {fmt.total_bits}-bit fixed-point format")
+        try:  # every constant the datapath holds, at every ratio a run uses
+            for name in ("eta", "w_min", "w_max"):
+                fixed_constant(name, getattr(self.learning, name), fmt)
+            for gamma in self.gammas:
+                compile_neuron(self.lsm.model, self.lsm.lif, gamma, fmt, self.lsm.burst)
+                plan_time_constant(self.learning.tau_trace_nom, gamma, max_shift=fmt.total_bits - 1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def make_dataset(self) -> SpikeDataset:
         if self.dataset_kind == "event_file":
@@ -195,10 +198,16 @@ KEYS = {
 }
 
 
+@functools.cache
+def _defaults() -> ExperimentConfig:
+    """The default experiment, validated (its neuron compiled at every ratio) once."""
+    return ExperimentConfig()
+
+
 def field_type(field_path: str):
     """The annotated type of the ExperimentConfig field at ``field_path``."""
     *parents, name = field_path.split(".")
-    owner = functools.reduce(getattr, parents, ExperimentConfig())
+    owner = functools.reduce(getattr, parents, _defaults())
     return _type_hints(type(owner))[name]
 
 
@@ -232,13 +241,17 @@ def _build(base, fields: dict):
 
 
 def _locate(error: ValueError, found: dict, path) -> str:
-    """``error`` led by the line of the first key whose removal changes it."""
+    """``error`` led by the line of the first key whose removal clears it.
+
+    A key whose removal only trades the error for another (a reservoir size
+    without its grid) is not to blame. When no single key clears it, the
+    error names the file alone.
+    """
     for key, (lineno, field_path, _) in found.items():
         try:
-            _build(ExperimentConfig(), {p: v for _, p, v in found.values() if p != field_path})
-        except ValueError as exc:
-            if str(exc) == str(error):
-                continue
+            _build(_defaults(), {p: v for _, p, v in found.values() if p != field_path})
+        except ValueError:
+            continue
         return f"{path}:{lineno}: {key}: {error}"
     return f"{path}: {error}"
 
@@ -275,7 +288,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         found["resources"] = (min(entry["line"] for entry in resources.values()), "resources", counts)
 
     try:
-        config = _build(ExperimentConfig(), {field_path: value for _, field_path, value in found.values()})
+        config = _build(_defaults(), {field_path: value for _, field_path, value in found.values()})
     except ValueError as exc:
         raise ConfigError(_locate(exc, found, path)) from None
     if not config.out_dir:

@@ -3,6 +3,13 @@
 Values are carried as plain integers (or int64 numpy arrays) holding
 ``value * 2**frac_bits``. Overflow never wraps: callers pass a
 :class:`SaturationCounter` and out-of-range results are clamped and counted.
+
+A clamp site whose values are proven to stay inside the register needs no
+check. :func:`saturate` takes that proof as ``fits`` and then returns its
+input untouched, so a proven site costs a call, not two reductions. The
+engine proves the sites of each non-bursting run from its weights and
+compiled constants (:func:`tcsnn.neuron.prove_ranges`), as a hardware
+datapath sizes each register from the value range it must hold.
 """
 
 from __future__ import annotations
@@ -89,6 +96,15 @@ def to_fixed(value, fmt: FixedPointFormat = DEFAULT_FORMAT, counter: SaturationC
     return raw
 
 
+def fixed_constant(name: str, value: float, fmt: FixedPointFormat = DEFAULT_FORMAT, where: str = "") -> int:
+    """A constant of the datapath in raw fixed point; one past the format is an error, not a clamp."""
+    clamped = SaturationCounter()
+    raw = to_fixed(value, fmt, clamped)
+    if clamped.count:
+        raise ValueError(f"{name} {value:g}{where} does not fit the {fmt.total_bits}-bit fixed-point format")
+    return raw
+
+
 def from_fixed(raw, fmt: FixedPointFormat = DEFAULT_FORMAT):
     """Raw representation back to float."""
     if np.ndim(raw) == 0:
@@ -96,8 +112,14 @@ def from_fixed(raw, fmt: FixedPointFormat = DEFAULT_FORMAT):
     return np.asarray(raw, dtype=np.float64) / fmt.scale
 
 
-def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = None):
-    """Clamp raw values into the format's range, counting every clamp."""
+def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = None, fits: bool = False):
+    """Clamp raw values into the format's range, counting every clamp.
+
+    ``fits`` says the caller has proven every value inside the range: the
+    values come back unchecked, and there is nothing to count.
+    """
+    if fits:
+        return raw
     if np.ndim(raw) == 0:
         raw = int(raw)
         if raw > fmt.raw_max:
@@ -120,10 +142,15 @@ def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = Non
     return np.clip(raw, fmt.raw_min, fmt.raw_max)
 
 
-def fixed_mul(a, b, fmt: FixedPointFormat = DEFAULT_FORMAT, counter: SaturationCounter | None = None):
-    """Fixed-point product: (a*b) >> frac_bits, floor semantics, then clamp."""
+def fixed_product(a, b, fmt: FixedPointFormat = DEFAULT_FORMAT):
+    """Unclamped fixed-point product: (a*b) >> frac_bits, floor semantics."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or np.ndim(a) or np.ndim(b):
         prod = np.multiply(a, b, dtype=np.int64)
         prod >>= fmt.frac_bits
-        return saturate(prod, fmt, counter)
-    return saturate((int(a) * int(b)) >> fmt.frac_bits, fmt, counter)
+        return prod
+    return (int(a) * int(b)) >> fmt.frac_bits
+
+
+def fixed_mul(a, b, fmt: FixedPointFormat = DEFAULT_FORMAT, counter: SaturationCounter | None = None):
+    """Fixed-point product: (a*b) >> frac_bits, floor semantics, then clamp."""
+    return saturate(fixed_product(a, b, fmt), fmt, counter)

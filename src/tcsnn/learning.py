@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compress import decay_step, plan_time_constant
+from .compress import plan_time_constant
 from .fixedpoint import to_fixed
 from .network import Network, SimulationTrace, run_readout, run_reservoir, simulate
 from .spike import SpikeDataset
@@ -48,8 +48,8 @@ class LearningParams:
     def __post_init__(self):
         if not 0.0 <= self.eta < math.inf:
             raise ValueError("eta must be >= 0 and finite")
-        if self.tau_trace_nom <= 1.0:
-            raise ValueError("tau_trace_nom must exceed 1")
+        if not 1.0 < self.tau_trace_nom < math.inf:
+            raise ValueError("tau_trace_nom must exceed 1 and be finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not -math.inf < self.w_min <= self.w_max < math.inf:
@@ -95,7 +95,7 @@ class _ReadoutLearner:
         self.label = label
         self.trace = np.zeros(cfg.reservoir_size, dtype=np.int64)
         self.k_seq = None
-        self.plan = plan_time_constant(params.tau_trace_nom, gamma)
+        self.plan = plan_time_constant(params.tau_trace_nom, gamma, max_shift=fmt.total_bits - 1)
         self.cum = np.zeros(cfg.num_readout, dtype=np.int64)
         self.others = np.arange(cfg.num_readout) != label
 
@@ -104,11 +104,13 @@ class _ReadoutLearner:
 
     def on_step(self, t: int, delivered: np.ndarray, readout_out: np.ndarray):
         """``delivered`` holds each reservoir neuron's spike weight reaching the readout at step t."""
-        self.trace = decay_step(self.trace, int(self.k_seq[t])) + (delivered << self.fmt.frac_bits)
+        trace = self.trace
+        trace -= trace >> self.k_seq[t]  # one shifter decay, in place
+        trace += delivered << self.fmt.frac_bits
 
         self.cum += readout_out
         teacher_cum = self.cum[self.label]
-        rival_cum = self.cum[self.others].max() if self.others.any() else 0
+        rival_cum = self.cum.max(where=self.others, initial=0)  # outputs are never negative
         if teacher_cum - rival_cum >= self.margin:
             return  # teacher winning by the target margin: weights are fine
 

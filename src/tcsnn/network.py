@@ -44,6 +44,14 @@ own.
 Spikes emitted at step t are delivered at step t+1; external input spikes
 are delivered at their own step. All arithmetic is integer fixed point, so
 traces are bit-reproducible across runs and machines.
+
+Each run starts by bounding its layer's drive: the largest row sum of |w|
+times the largest spike weight. For a learning readout every weight is
+taken at the larger of its starting value and the learner's clip bounds,
+since the learner clips the whole matrix whenever it touches it. From that
+bound, :func:`~tcsnn.neuron.prove_ranges` proves which clamp sites of a
+non-bursting run can never clamp, and those skip their checks; outputs and
+saturation counts are the same either way. Bursting runs check every site.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ from .neuron import (
     burst_gain_update,
     compile_neuron,
     new_neuron_state,
+    prove_ranges,
     synapse_step,
 )
 from .spike import trains_to_dense
@@ -328,7 +337,7 @@ def _plan_shifts(comp: CompiledNeuron, steps: int):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReservoirPass:
     """One example's reservoir activity at one ratio.
 
@@ -350,9 +359,15 @@ class ReservoirPass:
     potentials: np.ndarray | None = None  # (steps, neurons) raw membrane potentials
 
 
+def _drive_bound(w: np.ndarray, amp_max: float) -> float:
+    """Largest |w @ amp| over amplitudes up to ``amp_max``: the largest row sum of |w| times it."""
+    return float(np.abs(w).sum(axis=1, dtype=np.float64).max(initial=0.0)) * amp_max
+
+
 class _Projection:
     """Weights ``w`` (post, pre), fixed while it lives, delivering a batch of
-    presynaptic amplitudes: ``(amp @ w.T) >> frac_bits``, exact in integers."""
+    presynaptic amplitudes: ``(amp @ w.T) >> frac_bits``, exact in integers.
+    ``bound`` bounds the |value| of every delivery."""
 
     def __init__(self, w: np.ndarray, amp_max: int, frac: int):
         self.w_t = np.ascontiguousarray(w.T)
@@ -362,8 +377,9 @@ class _Projection:
         # of |w|) * amp_max; 2**52 leaves a bit for rounding the bound.
         # Non-bursting amplitudes are at most n_max * 2**frac, far inside;
         # burst gains reach raw_max (2**31), so bursting sums stay int64.
-        bound = float(np.abs(w).sum(axis=1, dtype=np.float64).max(initial=0.0)) * amp_max
+        bound = _drive_bound(w, amp_max)
         self.w_float = self.w_t.astype(np.float64) if bound < 2.0**52 else None
+        self.bound = bound / (1 << frac)
 
     def __call__(self, amp: np.ndarray) -> np.ndarray:
         if self.w_float is not None:
@@ -428,6 +444,7 @@ def run_reservoir(
     amp_unit = fmt.raw_max if bursting else fmt.scale  # largest amplitude of a weight-1 spike
     deliver_in = _Projection(network.w_in, w_max * amp_unit, frac)
     deliver_res = _Projection(network.w_res, comp.n_max * amp_unit, frac)
+    fits = prove_ranges(comp, deliver_in.bound + deliver_res.bound)
 
     sat = SaturationCounter(rows=batch)
     state = new_neuron_state((batch, n_res), fmt, bursting)
@@ -449,9 +466,9 @@ def run_reservoir(
             drive = deliver_in(w << frac)
         if amp_res is not None:
             drive += deliver_res(amp_res)
-        drive = saturate(drive, fmt, sat)
-        i_res = synapse_step(state, drive, comp, k_s1[t], k_s2[t], sat)
-        out = step_fn(state, i_res, comp, k_m[t], sat)
+        drive = saturate(drive, fmt, sat, fits.drive)
+        i_res = synapse_step(state, drive, comp, k_s1[t], k_s2[t], sat, fits)
+        out = step_fn(state, i_res, comp, k_m[t], sat, fits)
         spikes[:, t] = out
         amp_res = state.g * out if bursting else out << frac
         if record_potentials:
@@ -475,7 +492,7 @@ def run_reservoir(
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReadoutPass:
     """The readout's activity on one reservoir pass, under the weights it ran with."""
 
@@ -498,7 +515,8 @@ def run_readout(
     they must run equally long, and every run, its saturation count
     included, equals the run of a batch of one. A learner updates
     ``network.w_out`` between steps, so it needs a batch of one; its
-    ``on_step`` gets each step's delivered spike weights and outputs as rows.
+    ``on_step`` gets each step's delivered spike weights and outputs as rows,
+    and it keeps every weight it changes within ``[w_min_fp, w_max_fp]``.
     """
     passes = list(passes)
     for p in passes:
@@ -532,12 +550,17 @@ def run_readout(
     if bursting or _learner is not None:
         spikes = np.stack([p.spikes for p in passes])
         delivered = np.zeros((batch, n_res), dtype=np.int64)
+        reach = np.abs(w_out)
+        if _learner is not None:  # a weight is its start value until the learner clips it
+            reach = np.maximum(reach, max(abs(_learner.w_min_fp), abs(_learner.w_max_fp)))
+        fits = prove_ranges(comp, _drive_bound(reach, comp.n_max))
     else:  # frozen weights: every step's drive from one product per example, clamped elementwise
         deliver = _Projection(w_out, comp.n_max, 0)
+        fits = prove_ranges(comp, deliver.bound)
         drives = np.zeros((batch, steps, n_read), dtype=np.int64)
         for b, p in enumerate(passes):
             drives[b, 1:] = deliver(p.spikes[:-1])
-        drives = saturate(drives, fmt, sat)
+        drives = saturate(drives, fmt, sat, fits.drive)
     if bursting:  # the reservoir's burst gains, replayed from its spikes; the passes counted their clamps
         gain = np.full((batch, n_res), fmt.scale, dtype=np.int64)
 
@@ -552,9 +575,9 @@ def run_readout(
                 drive = saturate(((w_out * amp[:, None, :]) >> frac).sum(axis=2), fmt, sat)
                 gain = burst_gain_update(gain, delivered, comp)
             else:
-                drive = saturate(delivered @ w_out.T, fmt, sat)
-        i_read = synapse_step(state, drive, comp, k_s1[t], k_s2[t], sat)
-        out = step_fn(state, i_read, comp, k_m[t], sat)
+                drive = saturate(delivered @ w_out.T, fmt, sat, fits.drive)
+        i_read = synapse_step(state, drive, comp, k_s1[t], k_s2[t], sat, fits)
+        out = step_fn(state, i_read, comp, k_m[t], sat, fits)
         if _learner is not None:
             _learner.on_step(t, delivered[0], out[0])
         outs[:, t] = out

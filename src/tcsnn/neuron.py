@@ -15,6 +15,22 @@ Every model is a row of :data:`MODELS`, three switches on one datapath:
 raw fixed-point values), a pure transition: state in, state out, no globals.
 Membrane and synapse decays are shifter steps driven by per-step shift
 amounts taken from a :class:`~tcsnn.compress.TimeConstantPlan`.
+
+Every register of the datapath saturates. :func:`site_ranges` bounds the
+values at each clamp site of a non-bursting run, from the compiled
+constants and a bound on the layer's drive: the synaptic states ``s1`` and
+``s2``, the synaptic product, the membrane gain product and the membrane.
+A decay ``x <- x - (x >> k) + d`` with ``d`` in ``[d_lo, d_hi]`` (which
+holds 0) and ``k <= k_high`` keeps ``x`` in ``2**k_high * [d_lo, d_hi]``
+once it starts there, and a spike's reset only moves the membrane toward
+zero, so these intervals hold at every step. :func:`prove_ranges` marks
+each site whose interval fits its register; that site skips its check,
+as it can never clamp.
+
+Bursting is not proven: a unit's burst gain grows by beta**w after each
+spike and is limited only by its own register, so its threshold, and with
+it the membrane and every delivered amplitude, has no bound below the
+register's.
 """
 
 from __future__ import annotations
@@ -26,7 +42,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .compress import TimeConstantPlan, decay_step, plan_time_constant
-from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat, SaturationCounter, fixed_mul, saturate, to_fixed
+from .fixedpoint import (
+    DEFAULT_FORMAT,
+    FixedPointFormat,
+    SaturationCounter,
+    fixed_constant,
+    fixed_mul,
+    fixed_product,
+    saturate,
+)
 
 __all__ = [
     "MODELS",
@@ -38,6 +62,10 @@ __all__ = [
     "CompiledNeuron",
     "new_neuron_state",
     "compile_neuron",
+    "Fits",
+    "NO_PROOF",
+    "site_ranges",
+    "prove_ranges",
     "synapse_step",
     "burst_gain_update",
     "integrate_fire",
@@ -73,11 +101,11 @@ class SynapseParams:
             raise ValueError(f"unknown synapse order {self.order!r}")
         if not math.isfinite(self.q):
             raise ValueError("q must be finite")
-        if self.order == "first" and self.tau_s1_nom <= 1.0:
-            raise ValueError("first order needs tau_s1_nom > 1")
+        if self.order == "first" and not 1.0 < self.tau_s1_nom < math.inf:
+            raise ValueError("first order needs a finite tau_s1_nom > 1")
         if self.order == "second":
-            if self.tau_s1_nom <= 1.0 or self.tau_s2_nom <= 1.0:
-                raise ValueError("second order needs both time constants > 1")
+            if not (1.0 < self.tau_s1_nom < math.inf and 1.0 < self.tau_s2_nom < math.inf):
+                raise ValueError("second order needs both time constants finite and > 1")
             if self.tau_s1_nom == self.tau_s2_nom:
                 raise ValueError("second order needs tau_s1_nom != tau_s2_nom")
 
@@ -199,6 +227,9 @@ def compile_neuron(
 
     The beta**k table covers every spike weight a bursting source can emit
     at ``gamma``: up to n_max from a neuron, up to gamma from an input channel.
+    A constant the datapath cannot hold is rejected: a threshold, gain or q
+    past the register, a threshold that rounds to zero, or a time constant
+    whose shifts would pass the register's width.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
@@ -209,22 +240,29 @@ def compile_neuron(
         if lif.synapse.order != "zeroth":
             raise ValueError("bursting models require a zeroth-order synapse")
 
+    def plan(tau):
+        return plan_time_constant(tau, gamma, max_shift=fmt.total_bits - 1)
+
     syn = lif.synapse
     if lif.leakless:
         tau_m_plan = None
         gain = lif.R
     else:
-        tau_m_plan = plan_time_constant(lif.tau_m_nom, gamma)
+        tau_m_plan = plan(lif.tau_m_nom)
         gain = lif.R / tau_m_plan.tau_nom_c_exact
+    u_th_fp = fixed_constant("u_th", lif.u_th, fmt)
+    if u_th_fp == 0:
+        raise ValueError(f"u_th {lif.u_th:g} rounds to a zero threshold in the {fmt.total_bits}-bit fixed-point format")
 
+    q_fp = fixed_constant("q", syn.q, fmt)
     tau_s1_plan = tau_s2_plan = None
     syn_gain_fp = 0
     if syn.order in ("first", "second"):
-        tau_s1_plan = plan_time_constant(syn.tau_s1_nom, gamma)
+        tau_s1_plan = plan(syn.tau_s1_nom)
     if syn.order == "second":
-        tau_s2_plan = plan_time_constant(syn.tau_s2_nom, gamma)
+        tau_s2_plan = plan(syn.tau_s2_nom)
         peak = _second_order_peak(tau_s1_plan.tau_nom_c_exact, tau_s2_plan.tau_nom_c_exact)
-        syn_gain_fp = to_fixed(syn.q / peak, fmt)
+        syn_gain_fp = fixed_constant("synaptic gain q/peak", syn.q / peak, fmt, f" at gamma {gamma}")
 
     beta_pow_fp = None
     if spec.bursting:
@@ -241,9 +279,9 @@ def compile_neuron(
         lif=lif,
         gamma=gamma,
         fmt=fmt,
-        u_th_fp=to_fixed(lif.u_th, fmt),
-        gain_fp=to_fixed(gain, fmt),
-        q_fp=to_fixed(syn.q, fmt),
+        u_th_fp=u_th_fp,
+        gain_fp=fixed_constant("membrane gain R/tau_m", gain, fmt, f" at gamma {gamma}"),
+        q_fp=q_fp,
         syn_gain_fp=syn_gain_fp,
         n_max=lif.n_max if spec.weighted_out else 1,
         spec=spec,
@@ -254,6 +292,79 @@ def compile_neuron(
     )
 
 
+class Fits(NamedTuple):
+    """Which clamp sites of one population's datapath can never clamp.
+
+    ``drive`` is the layer's summed input, ``syn`` the synaptic filter's
+    product (q times the drive in first order, the normalized output in
+    second order), ``gain`` the membrane gain product and ``u`` the
+    membrane before it fires.
+    """
+
+    drive: bool = False
+    s1: bool = False
+    s2: bool = False
+    syn: bool = False
+    gain: bool = False
+    u: bool = False
+
+
+NO_PROOF = Fits()  # every site checked
+
+
+def site_ranges(comp: CompiledNeuron, drive_bound: float) -> dict:
+    """Worst-case interval (lo, hi) of the values reaching each clamp site of
+    a non-bursting run at ``comp``, keyed by :class:`Fits` field.
+
+    ``drive_bound`` bounds |drive| at every step of the run, and the
+    synaptic and membrane states start at zero and advance on the shifts of
+    ``comp``'s plans. A site that does not fit its register is clamped, so
+    the register bounds what it passes on. A leakless membrane has no bound
+    (None); the sites a synapse order lacks are absent.
+    """
+    fmt = comp.fmt
+
+    def held(iv):  # values after the site's clamp
+        return (fmt.raw_min, fmt.raw_max) if iv is None else tuple(min(max(v, fmt.raw_min), fmt.raw_max) for v in iv)
+
+    def product(a, iv):  # floor(a*x / 2**frac) is monotone in x
+        return tuple(sorted((a * v) >> fmt.frac_bits for v in iv))
+
+    def decayed(iv, plan):  # x <- x - (x >> k) + d, k <= k_high, keeps x in 2**k_high * [d_lo, d_hi]
+        return None if plan is None else tuple(v << plan.k_high for v in iv)
+
+    bound = math.ceil(drive_bound)
+    ranges = {"drive": (-bound, bound)}
+    current = held(ranges["drive"])
+    order = comp.lif.synapse.order
+    if order == "first":
+        ranges["syn"] = product(comp.q_fp, current)
+        ranges["s1"] = decayed(held(ranges["syn"]), comp.tau_s1_plan)
+        current = held(ranges["s1"])
+    elif order == "second":
+        ranges["s1"] = decayed(current, comp.tau_s1_plan)
+        ranges["s2"] = decayed(current, comp.tau_s2_plan)
+        (lo1, hi1), (lo2, hi2) = held(ranges["s1"]), held(ranges["s2"])
+        ranges["syn"] = product(comp.syn_gain_fp, (lo2 - hi1, hi2 - lo1))
+        current = held(ranges["syn"])
+    ranges["gain"] = product(comp.gain_fp, current)
+    ranges["u"] = decayed(held(ranges["gain"]), comp.tau_m_plan)
+    return ranges
+
+
+def prove_ranges(comp: CompiledNeuron, drive_bound: float) -> Fits:
+    """The clamp sites of a run at ``comp`` that can never clamp, given a
+    bound on |drive| (see :func:`site_ranges`). Bursting runs prove nothing
+    (see the module docstring)."""
+    if comp.spec.bursting:
+        return NO_PROOF
+    fmt = comp.fmt
+    return Fits(**{
+        site: iv is not None and fmt.raw_min <= iv[0] and iv[1] <= fmt.raw_max
+        for site, iv in site_ranges(comp, drive_bound).items()
+    })
+
+
 def synapse_step(
     state: NeuronState,
     drive_fp: np.ndarray,
@@ -261,24 +372,27 @@ def synapse_step(
     k_s1: int = 0,
     k_s2: int = 0,
     sat: SaturationCounter | None = None,
+    fits: Fits = NO_PROOF,
 ) -> np.ndarray:
     """Advance the synaptic filter one step and return the current I.
 
     ``drive_fp`` is the weight-multiplied input sum per neuron (raw fixed
     point). Zeroth order passes it through; first order is a decaying
     accumulator scaled by q; second order subtracts a fast rise stage from a
-    slow decay stage, normalized so a unit impulse peaks near q.
+    slow decay stage, normalized so a unit impulse peaks near q. ``fits``
+    names the sites proven never to clamp (:func:`prove_ranges`).
     """
     order = comp.lif.synapse.order
     fmt = comp.fmt
     if order == "zeroth":
         return drive_fp
     if order == "first":
-        state.s1 = saturate(decay_step(state.s1, k_s1) + fixed_mul(comp.q_fp, drive_fp, fmt, sat), fmt, sat)
+        scaled = saturate(fixed_product(comp.q_fp, drive_fp, fmt), fmt, sat, fits.syn)
+        state.s1 = saturate(decay_step(state.s1, k_s1) + scaled, fmt, sat, fits.s1)
         return state.s1
-    state.s1 = saturate(decay_step(state.s1, k_s1) + drive_fp, fmt, sat)
-    state.s2 = saturate(decay_step(state.s2, k_s2) + drive_fp, fmt, sat)
-    return fixed_mul(comp.syn_gain_fp, state.s2 - state.s1, fmt, sat)
+    state.s1 = saturate(decay_step(state.s1, k_s1) + drive_fp, fmt, sat, fits.s1)
+    state.s2 = saturate(decay_step(state.s2, k_s2) + drive_fp, fmt, sat, fits.s2)
+    return saturate(fixed_product(comp.syn_gain_fp, state.s2 - state.s1, fmt), fmt, sat, fits.syn)
 
 
 def burst_gain_update(
@@ -301,6 +415,7 @@ def integrate_fire(
     comp: CompiledNeuron,
     k_m: int = 0,
     sat: SaturationCounter | None = None,
+    fits: Fits = NO_PROOF,
 ) -> np.ndarray:
     """One step of the shared core: decay, integrate, fire, soft reset.
 
@@ -308,7 +423,8 @@ def integrate_fire(
     the reset subtracts k*thr; above n_max*thr the residual may exceed thr
     and fires again next step. The threshold thr is u_th or, for bursting
     models, g*u_th (at least one LSB) after g is updated from the unit's
-    previous output.
+    previous output. ``fits`` names the sites proven never to clamp
+    (:func:`prove_ranges`).
     """
     fmt = comp.fmt
     thr = comp.u_th_fp
@@ -317,7 +433,8 @@ def integrate_fire(
         state.g = burst_gain_update(state.g, state.prev_out, comp, sat)
         thr = np.maximum(fixed_mul(comp.u_th_fp, state.g, fmt, sat), 1)
     decayed = state.u if comp.lif.leakless else decay_step(state.u, k_m)
-    state.u = saturate(decayed + fixed_mul(comp.gain_fp, i_fp, fmt, sat), fmt, sat)
+    drive = saturate(fixed_product(comp.gain_fp, i_fp, fmt), fmt, sat, fits.gain)
+    state.u = saturate(decayed + drive, fmt, sat, fits.u)
     out = np.minimum(np.maximum(state.u // thr, 0), comp.n_max)
     state.u -= out * thr
     if bursting:

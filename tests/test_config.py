@@ -137,6 +137,22 @@ INVALID = {
     "no examples": ("dataset.examples_per_class = 0\n", 2, "examples_per_class must be >= 1"),
     "template rate": ("dataset.template_rate = 2\n", 2, "template_rate must be a probability"),
     "deletion probability": ("dataset.deletion_prob = -0.5\n", 2, "deletion_prob must be a probability"),
+    "infinite synapse rise": ("neuron.tau_s1 = inf\n", 2, "both time constants finite"),
+    "infinite synapse decay": ("neuron.tau_s2 = inf\n", 2, "both time constants finite"),
+    "infinite first-order synapse": ("neuron.synapse_order = first\nneuron.tau_s1 = inf\n", 3,
+                                     "needs a finite tau_s1_nom"),
+    "infinite trace time constant": ("learning.tau_trace = inf\n", 2, "tau_trace_nom must exceed 1 and be finite"),
+    "time constant past the shifter": ("neuron.tau_m = 1e12\n", 2, "needs a 40-bit shift at gamma 1, past 31 bits"),
+    "trace past the shifter": ("learning.tau_trace = 1e20\n", 2, "needs a 67-bit shift at gamma 1"),
+    "time constant that cannot scale": ("gammas = 4\nneuron.tau_s2 = 1e20\n", 3, "too long to scale by gamma 4"),
+    "zero threshold": ("neuron.u_th = 1e-9\n", 2, "u_th 1e-09 rounds to a zero threshold"),
+    "threshold past the format": ("neuron.u_th = 1e10\n", 2, "u_th 1e+10 does not fit"),
+    "q past the format": ("neuron.q = 1e12\n", 2, "q 1e+12 does not fit"),
+    "gain past the format": ("neuron.r = 1e12\n", 2, "membrane gain R/tau_m 3.125e+10 at gamma 1 does not fit"),
+    "gain past the format at one ratio": ("gammas = 1 16\nneuron.r = 1e5\n", 3, "at gamma 16 does not fit"),
+    # dropping the size alone would leave a grid that does not tile: the rate is to blame
+    "blame past a paired key": ("lsm.reservoir_size = 27\nlsm.grid = 3 3 3\nlearning.eta = 1e30\n", 4,
+                                "learning.eta: eta 1e+30 does not fit"),
     "insertion probability": ("dataset.insertion_prob = 1.5\n", 2, "insertion_prob must be a probability"),
 }
 
@@ -158,3 +174,10 @@ def test_invalid_value_exits_1_naming_the_line(tmp_path, capsys, case):
 def test_nan_rejected_in_every_float_key(tmp_path, key):
     with pytest.raises(ValueError, match=f"exp.cfg:2: {key}: expected a number, got 'nan'"):
         load(tmp_path, f"{key} = nan\n")
+
+
+def test_error_no_single_key_clears_names_the_file(tmp_path):
+    # dropping either line alone still leaves a grid that does not tile
+    with pytest.raises(ValueError) as caught:
+        load(tmp_path, "lsm.reservoir_size = 28\nlsm.grid = 3 3 3\n")
+    assert str(caught.value).endswith("exp.cfg: grid (3, 3, 3) does not tile 28 neurons")

@@ -200,3 +200,17 @@ def test_delivery_stays_exact_past_float_precision():
     assert _Projection(w, amp_max=1 << 54, frac=0)(amp).tolist() == exact
     assert _Projection(w << 4, amp_max=1 << 54, frac=4)(amp).tolist() == exact
     assert _Projection(w, amp_max=7, frac=0)(np.array([[7, 1], [0, 0]])).tolist() == [[8, 7], [0, 0]]
+
+
+def test_passes_compare_and_hash_by_identity():
+    # passes hold numpy arrays, so a generated field-wise == or hash() would
+    # raise; like traces, two passes are equal only when they are one object
+    net = _network("iow-lif", "second")
+    example = _example()
+    first, again = run_reservoir(net, [example, example], 4)
+    assert np.array_equal(first.spikes, again.spikes)
+    assert first == first and first != again
+    assert len({first, again, first}) == 2
+    run, rerun = run_readout(net, [first, again], 4)
+    assert run == run and run != rerun
+    assert len({run, rerun}) == 2

@@ -1,0 +1,78 @@
+"""Golden learning runs: bit-exact fingerprints of trained readouts.
+
+``train_readout`` runs on a small synthetic task (3 classes, 20 channels,
+40 steps, a 27-neuron 3x3x3 reservoir, 3 epochs) for ``iow-lif`` in every
+synapse order at three ratios and for ``iow-burst-lif`` at gamma 4. Each
+case is pinned by a hash of the final readout weights, the epoch curve, the
+test accuracy and the no-spike count, so a refactor of the learner or the
+learn-mode readout must leave every entry unchanged.
+
+``PYTHONPATH=src python tests/test_learning_golden.py`` prints the table for the current code.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from tcsnn.learning import LearningParams, split_dataset, train_readout
+from tcsnn.network import LsmConfig, build_lsm
+from tcsnn.neuron import BurstParams, LIFParams, SynapseParams
+from tcsnn.spike import synthetic_task
+
+CLASSES, CHANNELS, STEPS = 3, 20, 40
+PARAMS = LearningParams(eta=0.01, epochs=3)
+
+# (model, synapse order, gamma) -> hash of w_out, epoch curve, test accuracy and no-spike count
+GOLDEN = {
+    ('iow-lif', 'zeroth', 1): 'e46101eecac75b5a',
+    ('iow-lif', 'zeroth', 4): 'e06aaca5417006da',
+    ('iow-lif', 'zeroth', 16): '47d5d9c6e3de3083',
+    ('iow-lif', 'first', 1): 'ea1991d5d3ceedd3',
+    ('iow-lif', 'first', 4): '9d37e1c99eee597e',
+    ('iow-lif', 'first', 16): '47d5d9c6e3de3083',
+    ('iow-lif', 'second', 1): '772c35dd599f51a4',
+    ('iow-lif', 'second', 4): 'c2c0b3d302c4811c',
+    ('iow-lif', 'second', 16): '0acbfd0b49b3632b',
+    ('iow-burst-lif', 'zeroth', 4): 'b290a5560c6b415b',
+}
+
+
+def _cases():
+    cases = [("iow-lif", order, gamma) for order in ("zeroth", "first", "second") for gamma in (1, 4, 16)]
+    return cases + [("iow-burst-lif", "zeroth", 4)]
+
+
+def fingerprint(model, order, gamma):
+    dataset = synthetic_task(num_classes=CLASSES, num_channels=CHANNELS, length_steps=STEPS,
+                             jitter_steps=2, examples_per_class=5, seed=3)
+    cfg = LsmConfig(
+        num_inputs=CHANNELS,
+        reservoir_size=27,
+        num_readout=CLASSES,
+        reservoir_grid=(3, 3, 3),
+        model=model,
+        seed=3,
+        lif=LIFParams(synapse=SynapseParams(order=order)),
+        burst=BurstParams() if model == "iow-burst-lif" else None,
+    )
+    net = build_lsm(cfg)
+    report = train_readout(net, dataset, split_dataset(dataset, 0.8, seed=3), PARAMS, gamma)
+    h = hashlib.sha256(np.ascontiguousarray(net.w_out, dtype="<i8").tobytes())
+    h.update(json.dumps([report.epoch_train_accuracy, report.test_accuracy, report.no_spike_examples]).encode())
+    return h.hexdigest()[:16]
+
+
+def test_table_covers_every_case():
+    assert sorted(GOLDEN) == sorted(_cases())
+
+
+@pytest.mark.parametrize("case", _cases(), ids=lambda c: "-".join(map(str, c)))
+def test_learning_matches_golden(case):
+    assert fingerprint(*case) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    for case in _cases():
+        print(f"    {case!r}: {fingerprint(*case)!r},")

@@ -1,0 +1,163 @@
+"""The range analysis behind the skipped fixed-point checks is sound.
+
+``site_ranges`` claims an interval for the values reaching every clamp site
+of a non-bursting neuron, given a bound on its drive, and ``prove_ranges``
+lets each site whose interval fits the register skip its check. From any
+state inside the intervals and any drive within the bound, one synapse step
+and one integrate-fire step must keep every site inside its interval, and a
+site that skips its check must have nothing to clamp.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import _example, _network
+
+import tcsnn.network as network
+import tcsnn.neuron as neuron
+from tcsnn.fixedpoint import SaturationCounter, saturate
+from tcsnn.learning import LearningParams, _ReadoutLearner
+from tcsnn.network import _Projection, _compile, run_readout, run_reservoir, simulate
+from tcsnn.neuron import (
+    MODELS,
+    NO_PROOF,
+    LIFParams,
+    SynapseParams,
+    compile_neuron,
+    new_neuron_state,
+    prove_ranges,
+    site_ranges,
+)
+
+NON_BURSTING = sorted(m for m, spec in MODELS.items() if not spec.bursting)
+# the sites a step meets, in the order it meets them
+SITES = {"zeroth": ("gain", "u"), "first": ("syn", "s1", "gain", "u"), "second": ("s1", "s2", "syn", "gain", "u")}
+
+drive_bounds = st.one_of(
+    st.integers(0, 1 << 24),  # small
+    st.integers(1 << 28, 1 << 33),  # near the register
+    st.integers(1 << 33, 1 << 45),  # past it
+)
+
+
+def _held(iv, fmt):
+    """A site's values after its clamp."""
+    if iv is None:
+        return fmt.raw_min, fmt.raw_max
+    return tuple(min(max(v, fmt.raw_min), fmt.raw_max) for v in iv)
+
+
+def _values(data, iv, n):
+    lo, hi = iv
+    return np.array(data.draw(st.lists(st.one_of(st.sampled_from((lo, hi, 0)), st.integers(lo, hi)),
+                                       min_size=n, max_size=n)), dtype=np.int64)
+
+
+def _shift(data, plan):
+    return 0 if plan is None else data.draw(st.sampled_from((plan.k_low, plan.k_high)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    model=st.sampled_from(NON_BURSTING),
+    order=st.sampled_from(tuple(SITES)),
+    gamma=st.sampled_from((1, 2, 4, 8, 16)),
+    leakless=st.booleans(),
+    r=st.sampled_from((1.0, 2.5, -0.5)),
+    q=st.sampled_from((1.0, 3.0, -1.0)),
+    drive_bound=drive_bounds,
+)
+def test_one_step_keeps_every_site_inside_its_interval(data, model, order, gamma, leakless, r, q, drive_bound):
+    lif = LIFParams(tau_m_nom=math.inf if leakless else 32.0, R=r, synapse=SynapseParams(order=order, q=q))
+    comp = compile_neuron(model, lif, gamma)
+    fmt = comp.fmt
+    ranges = site_ranges(comp, drive_bound)
+    fits = prove_ranges(comp, drive_bound)
+    assert set(ranges) == {"drive", *SITES[order]}
+
+    n = 6
+    state = new_neuron_state(n)
+    for name in ("s1", "s2"):
+        if name in ranges:
+            setattr(state, name, _values(data, _held(ranges[name], fmt), n))
+    state.u = _values(data, _held(ranges["u"], fmt), n)
+    drive = saturate(_values(data, (-drive_bound, drive_bound), n), fmt, SaturationCounter(), fits.drive)
+
+    seen = []  # (site values, clamps a full check counts, whether the site skipped its check)
+
+    def spy(raw, fmt_, counter=None, fits=False):
+        full = SaturationCounter()
+        saturate(raw.copy(), fmt_, full)
+        seen.append((raw.copy(), full.count, fits))
+        return saturate(raw, fmt_, counter, fits)
+
+    sat = SaturationCounter()
+    with mock.patch.object(neuron, "saturate", spy):
+        current = neuron.synapse_step(state, drive, comp, _shift(data, comp.tau_s1_plan),
+                                      _shift(data, comp.tau_s2_plan), sat, fits)
+        neuron.integrate_fire(state, current, comp, _shift(data, comp.tau_m_plan), sat, fits)
+
+    assert len(seen) == len(SITES[order])
+    for site, (values, clamps, skipped) in zip(SITES[order], seen):
+        assert skipped == getattr(fits, site)
+        iv = ranges[site]
+        if iv is not None:
+            assert iv[0] <= values.min() and values.max() <= iv[1], site
+        if skipped:
+            assert clamps == 0, site
+
+
+def test_bursting_proves_nothing():
+    comp = _compile(_network("iow-burst-lif", "zeroth").config, 4)
+    assert prove_ranges(comp, 0) == NO_PROOF
+
+
+def test_a_small_network_proves_every_neuron_site():
+    # the 27-neuron networks of the golden table: every site of the
+    # reservoir and the frozen readout fits at every ratio
+    for order in SITES:
+        net = _network("iow-lif", order)
+        for gamma in (1, 4, 16):
+            comp = _compile(net.config, gamma)
+            drive_in = _Projection(net.w_in, gamma << 16, 16).bound
+            drive_res = _Projection(net.w_res, comp.n_max << 16, 16).bound
+            for bound in (drive_in + drive_res, _Projection(net.w_out, comp.n_max, 0).bound):
+                fits = prove_ranges(comp, bound)
+                assert all(getattr(fits, site) for site in ("drive", *SITES[order])), (order, gamma, fits)
+
+
+def _runs(net, gamma):
+    """Reservoir pass, frozen readout and a learning run of the golden example, as arrays."""
+    (res,) = run_reservoir(net, [_example()], gamma, record_potentials=True)
+    (frozen,) = run_readout(net, [res], gamma, record_potentials=True)
+    weights = net.w_out.copy()
+    learner = _ReadoutLearner(net, LearningParams(eta=1000.0, w_min=-2.0**14, w_max=2.0**14), gamma, label=1)
+    learner.prepare(res.spikes.shape[0])
+    learned = simulate(net, _example(), gamma, record_potentials=True, reservoir=res, _learner=learner).readout
+    trained, net.w_out[:] = net.w_out.copy(), weights
+    return [res.spikes, res.potentials, res.saturations, frozen.outs, frozen.potentials, frozen.saturations,
+            learned.outs, learned.potentials, learned.saturations, trained]
+
+
+@pytest.mark.parametrize("order", SITES)
+@pytest.mark.parametrize("loud", [False, True])
+def test_proofs_change_no_output(order, loud):
+    # the same runs with every site checked: outputs, potentials, learned
+    # weights and saturation counts agree; loud readout weights (+/- 2**14)
+    # make the readout's drive and synaptic sites clamp while others stay proven
+    net = _network("iow-lif", order)
+    if loud:
+        net.w_out[:] = np.sign(net.w_out) << 30
+    for gamma in (1, 4, 16):
+        proven = _runs(net, gamma)
+        with mock.patch.object(network, "prove_ranges", lambda comp, bound: NO_PROOF):
+            checked = _runs(net, gamma)
+        for a, b in zip(proven, checked):
+            assert np.array_equal(a, b)
+        if loud and gamma == 1:
+            assert proven[5] > 0 and proven[8] > 0  # the readouts clamped
