@@ -24,7 +24,7 @@ from dataclasses import replace
 from .config import ConfigError, ExperimentConfig, SyntheticSpec, load_experiment_config
 from .learning import reservoir_passes, split_dataset, train_readout
 from .metrics import AtelInputs, RunReport, atel, energy_estimate, write_raster_csv, write_report_json
-from .network import build_lsm, run_readout, simulate
+from .network import build_lsm, simulate
 from .spike import SpikeDataset, save_event_file
 
 __all__ = ["run_experiment", "emit_raster", "main"]
@@ -48,18 +48,17 @@ def _run_single(config: ExperimentConfig, gamma: int, dataset: SpikeDataset) -> 
     """
     net = build_lsm(config.make_lsm_config(dataset))
     train_idx, test_idx = split_dataset(dataset, config.train_fraction, config.seed)
-    # each test example's reservoir runs once and serves the evaluation and
-    # the energy count below; training runs its own examples' once per ratio
+    # each test example's reservoir runs once, and the trained readout once
+    # over them all: both serve the evaluation and the energy count below;
+    # training runs its own examples' reservoirs once per ratio
     passes = reservoir_passes(net, dataset, test_idx, gamma)
     report = train_readout(net, dataset, (train_idx, test_idx), config.learning, gamma, passes=passes)
 
     energy = 0.0
     counters: dict = {}
     timesteps = -(-dataset.length_steps // gamma)
-    runs = run_readout(net, [passes[int(i)] for i in test_idx], gamma)  # the trained readout, frozen
-    for i, run in zip(test_idx, runs):
-        trains, _ = dataset.examples[i]
-        trace = simulate(net, trains, gamma=gamma, reservoir=passes[int(i)], readout=run)
+    for i, run in zip(test_idx, report.test_readouts):
+        trace = simulate(net, dataset.row(i), gamma=gamma, reservoir=passes[int(i)], readout=run)
         energy += energy_estimate(trace, config.energy)
         for key, value in trace.counters.as_dict().items():
             counters[key] = counters.get(key, 0) + value
@@ -167,9 +166,9 @@ def emit_raster(config: ExperimentConfig, example_index: int, gamma: int):
     if not 1 <= gamma <= config.max_gamma:
         raise ConfigError(f"gamma {gamma} outside [1, {config.max_gamma}]")
     net = build_lsm(config.make_lsm_config(dataset))
-    trains, _ = dataset.examples[example_index]
-    base = simulate(net, trains, gamma=1)
-    comp = simulate(net, trains, gamma=gamma)
+    row = dataset.row(example_index)
+    base = simulate(net, row, gamma=1)
+    comp = simulate(net, row, gamma=gamma)
     os.makedirs(config.out_dir, exist_ok=True)
     base_path = os.path.join(config.out_dir, f"raster_ex{example_index}_baseline.csv")
     comp_path = os.path.join(config.out_dir, f"raster_ex{example_index}_g{gamma}.csv")

@@ -31,10 +31,22 @@ def compress_train(spikes: np.ndarray, gamma: int) -> np.ndarray:
     ``spikes`` holds spike counts with time on its last axis. Compressed
     step j carries the count of original steps [j*gamma, (j+1)*gamma), so
     the result is ceil(steps/gamma) long and conserves every row's total.
+    gamma = 1 returns ``spikes`` itself. Other ratios add the gamma columns
+    of a zero-padded (windows, gamma) reshape into int64 counts, which costs
+    less than numpy's reduction over a short last axis.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    return np.add.reduceat(spikes, np.arange(0, spikes.shape[-1], gamma), axis=-1)
+    if gamma == 1:
+        return spikes
+    *rows, steps = spikes.shape
+    windows = -(-steps // gamma)
+    padded = np.zeros((*rows, windows, gamma), dtype=spikes.dtype)
+    padded.reshape(*rows, -1)[..., :steps] = spikes
+    counts = padded[..., 0].astype(np.int64)
+    for offset in range(1, gamma):
+        counts += padded[..., offset]
+    return counts
 
 
 def scale_time_constant(tau_nom: float, gamma: int) -> float:

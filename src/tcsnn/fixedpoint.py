@@ -105,13 +105,6 @@ def fixed_constant(name: str, value: float, fmt: FixedPointFormat = DEFAULT_FORM
     return raw
 
 
-def from_fixed(raw, fmt: FixedPointFormat = DEFAULT_FORMAT):
-    """Raw representation back to float."""
-    if np.ndim(raw) == 0:
-        return float(raw) / fmt.scale
-    return np.asarray(raw, dtype=np.float64) / fmt.scale
-
-
 def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = None, fits: bool = False):
     """Clamp raw values into the format's range, counting every clamp.
 

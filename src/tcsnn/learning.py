@@ -12,14 +12,14 @@ same activity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .compress import plan_time_constant
 from .fixedpoint import to_fixed
-from .network import Network, SimulationTrace, run_readout, run_reservoir, simulate
+from .network import Network, ReadoutPass, SimulationTrace, run_readout, run_reservoir, simulate
 from .spike import SpikeDataset
 
 __all__ = [
@@ -63,6 +63,7 @@ class TrainingReport:
     epoch_train_accuracy: list
     test_accuracy: float
     no_spike_examples: int = 0  # test examples classified only by the tie rule
+    test_readouts: list[ReadoutPass] = field(default_factory=list)  # the trained readout's runs, in test order
 
 
 class Classification(NamedTuple):
@@ -146,7 +147,7 @@ def reservoir_passes(network: Network, dataset: SpikeDataset, indices, gamma: in
     passes = dict(passes or {})
     todo = [i for i in dict.fromkeys(int(i) for i in indices) if i not in passes]
     if todo:
-        runs = run_reservoir(network, [dataset.examples[i][0] for i in todo], gamma)
+        runs = run_reservoir(network, [dataset.row(i) for i in todo], gamma)
         passes.update(zip(todo, runs))
     return passes
 
@@ -182,22 +183,24 @@ def train_readout(
     for _ in range(params.epochs):
         correct = 0
         for i in train_idx:
-            trains, label = dataset.examples[i]
+            label = int(dataset.labels[i])
             learner = _ReadoutLearner(network, params, gamma, label)
             steps = -(-dataset.length_steps // gamma)
             learner.prepare(steps)
-            trace = simulate(network, trains, gamma=gamma, reservoir=passes[int(i)], _learner=learner)
+            trace = simulate(network, dataset.row(i), gamma=gamma, reservoir=passes[int(i)], _learner=learner)
             if classify(trace).label == label:
                 correct += 1
         epoch_acc.append(100.0 * correct / len(train_idx) if len(train_idx) else 0.0)
 
-    test_acc, no_spike = evaluate(network, dataset, test_idx, gamma, passes)
-    return TrainingReport(epoch_train_accuracy=epoch_acc, test_accuracy=test_acc, no_spike_examples=no_spike)
+    test_acc, no_spike, runs = evaluate(network, dataset, test_idx, gamma, passes)
+    return TrainingReport(epoch_acc, test_acc, no_spike, runs)
 
 
 def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int, passes: dict | None = None):
     """Accuracy (percent) over the given examples with frozen weights.
 
+    Returns the accuracy, the number of examples whose readout stayed
+    silent, and the readout's run on each example, in ``indices`` order.
     The frozen readout runs once over all the examples' passes, as one batch.
     """
     indices = list(indices)
@@ -208,10 +211,9 @@ def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int, passe
     correct = 0
     no_spike = 0
     for i, run in zip(indices, runs):
-        trains, label = dataset.examples[i]
-        trace = simulate(network, trains, gamma=gamma, reservoir=passes[int(i)], readout=run)
+        trace = simulate(network, dataset.row(i), gamma=gamma, reservoir=passes[int(i)], readout=run)
         result = classify(trace)
-        correct += int(result.label == label)
+        correct += int(result.label == dataset.labels[i])
         no_spike += int(result.no_spike)
-    return 100.0 * correct / len(indices), no_spike
+    return 100.0 * correct / len(indices), no_spike, runs
 

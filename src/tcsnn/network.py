@@ -4,11 +4,17 @@ The network is input channels -> recurrent reservoir -> readout, with fixed
 signed power-of-two synapses everywhere except the plastic reservoir->readout
 layer. A built network is the pre-designed SNN and holds no ratio: every
 run takes its own compression ratio gamma. The run merges each input
-train's windows of gamma steps into weighted spikes and compiles the neuron
-(one row of :data:`~tcsnn.neuron.MODELS`) at gamma, with every time
+channel's windows of gamma steps into weighted spikes and compiles the
+neuron (one row of :data:`~tcsnn.neuron.MODELS`) at gamma, with every time
 constant scaled exactly and realized through shifter schedules; reservoir
 and readout share that compiled neuron. gamma = 1 is the baseline: the raw
-binary trains and the nominal time constants.
+binary spikes and the nominal time constants.
+
+An example is a row of a :class:`~tcsnn.spike.SpikeDataset`, a boolean
+``(channels, steps)`` spike array. :func:`trains_to_dense` views it as 0/1
+counts without a copy and :func:`~tcsnn.compress.compress_train` sums their
+windows. From there on spikes stay dense arrays; event lists are derived
+from them only when read.
 
 The reservoir is fixed and the readout sends nothing back to it, so the
 engine runs reservoir pass -> readout pass -> trace:
@@ -23,13 +29,9 @@ engine runs reservoir pass -> readout pass -> trace:
   one call; a learner, whose weights change between steps, runs a batch of
   one.
 - :func:`simulate` returns one example's :class:`SimulationTrace`, a view
-  of its two passes, running whichever it was not given. The trace builds
-  its event arrays and counters from the passes' dense spike arrays only
-  when they are read. Training replays a reservoir pass in every epoch;
-  evaluation and the energy count replay it again.
-
-Inside the engine spikes stay dense: each example's input trains become one
-``(channels, steps)`` count array, compressed by one window sum.
+  of its two passes, running whichever it was not given. Training replays
+  a reservoir pass in every epoch; evaluation and the energy count replay
+  it again.
 
 Every spike is delivered as a fixed-point amplitude: its weight (1 for
 binary-input models) times its source's burst gain (1.0 unless bursting).
@@ -75,7 +77,6 @@ from .neuron import (
     prove_ranges,
     synapse_step,
 )
-from .spike import trains_to_dense
 
 __all__ = [
     "LsmConfig",
@@ -88,6 +89,7 @@ __all__ = [
     "run_reservoir",
     "run_readout",
     "simulate",
+    "trains_to_dense",
 ]
 
 
@@ -394,6 +396,15 @@ class _Projection:
         return total >> self.frac
 
 
+def trains_to_dense(row) -> np.ndarray:
+    """An example row as ``(channels, steps)`` 0/1 spike counts: its bytes, not a copy.
+
+    The one place the engine turns an example into counts; the benchmark's
+    tracer times it under this name.
+    """
+    return np.asarray(row, dtype=bool).view(np.uint8)
+
+
 def _events(per_step: np.ndarray) -> np.ndarray:
     """Spike records (unit, timestep, weight) of a (steps, units) array, ordered by timestep."""
     ts, units = np.nonzero(per_step)
@@ -406,7 +417,7 @@ def run_reservoir(
     gamma: int,
     record_potentials: bool = False,
 ) -> list[ReservoirPass]:
-    """Run the reservoir once over a batch of examples at ``gamma``, one pass each.
+    """Run the reservoir once over a batch of example rows at ``gamma``, one pass each.
 
     The examples advance side by side on ``(batch, neuron)`` state arrays, so
     they must run for the same number of steps. Every pass, its saturation
@@ -414,7 +425,7 @@ def run_reservoir(
     """
     cfg = network.config
     comp = _compile(cfg, gamma)
-    examples = [list(example) for example in examples]
+    examples = list(examples)
     if not examples:
         return []
     # input spike weights per (example, step, channel): at most gamma, and 1 unless weighted in
@@ -422,10 +433,11 @@ def run_reservoir(
     w_max = gamma if weighted_in else 1
     in_weights = None
     inputs = []  # (input events, input length) per example
-    for b, trains in enumerate(examples):
-        if len(trains) != cfg.num_inputs:
-            raise ValueError(f"expected {cfg.num_inputs} channels, got {len(trains)}")
-        counts = compress_train(trains_to_dense(trains), gamma).T  # (steps, channels)
+    for b, row in enumerate(examples):
+        dense = trains_to_dense(row)
+        if dense.ndim != 2 or dense.shape[0] != cfg.num_inputs:
+            raise ValueError(f"expected a ({cfg.num_inputs}, steps) example row, got shape {dense.shape}")
+        counts = compress_train(dense, gamma).T  # (steps, channels)
         if in_weights is None:
             in_weights = np.zeros((len(examples),) + counts.shape, dtype=np.min_scalar_type(w_max))
         elif counts.shape[0] != in_weights.shape[1]:
@@ -433,7 +445,7 @@ def run_reservoir(
                 f"examples of one batch must run equally long: {in_weights.shape[1]} and {counts.shape[0]} steps"
             )
         in_weights[b] = counts if weighted_in else counts > 0
-        inputs.append((_events(counts), trains[0].length_steps))
+        inputs.append((_events(counts), dense.shape[1]))
 
     fmt = cfg.fmt
     frac = fmt.frac_bits
@@ -606,11 +618,11 @@ def simulate(
 ) -> SimulationTrace:
     """Run one example through the network and return its trace.
 
-    ``example`` is a sequence of per-channel BinarySpikeTrains, merged at
-    ratio ``gamma`` with all constants rescaled; gamma = 1 feeds them raw
-    with the nominal constants. ``reservoir`` is the example's pass from
-    :func:`run_reservoir` and ``readout`` the readout's run on it from
-    :func:`run_readout`, both at the same ratio; whichever is not given
+    ``example`` is an example row, a boolean ``(channels, steps)`` spike
+    array, merged at ratio ``gamma`` with all constants rescaled; gamma = 1
+    feeds it raw with the nominal constants. ``reservoir`` is the example's
+    pass from :func:`run_reservoir` and ``readout`` the readout's run on it
+    from :func:`run_readout`, both at the same ratio; whichever is not given
     runs here, as a batch of one. A learner needs the readout to run here.
     """
     if readout is not None and _learner is not None:

@@ -198,19 +198,19 @@ class CompiledNeuron:
 
 
 def _second_order_peak(tau_rise_c: float, tau_decay_c: float) -> float:
-    """Peak of the discrete impulse response a_d**t - a_r**t over t >= 0."""
+    """Peak of the discrete impulse response |a_d**t - a_r**t| over t >= 1.
+
+    The continuous response a_d**t - a_r**t rises to its one extremum at
+    t* = ln(ln a_r / ln a_d) / ln(a_d / a_r) and falls after it, so the
+    discrete peak is at floor(t*) or ceil(t*), however slow the synapse.
+    """
     a_r = 1.0 - 1.0 / tau_rise_c
     a_d = 1.0 - 1.0 / tau_decay_c
-    best = 0.0
-    v_r, v_d = 1.0, 1.0
-    for _ in range(100000):
-        v_r *= a_r
-        v_d *= a_d
-        cur = abs(v_d - v_r)
-        if cur > best:
-            best = cur
-        elif v_d + v_r < best:  # both branches below the peak: done
-            break
+    steps = {1}
+    if a_r > 0.0 and a_d > 0.0 and a_r != a_d:
+        t_star = math.log(math.log(a_r) / math.log(a_d)) / math.log(a_d / a_r)
+        steps |= {max(1, math.floor(t_star)), max(1, math.ceil(t_star))}
+    best = max(abs(a_d**t - a_r**t) for t in steps)
     if best <= 0.0:
         raise ValueError("degenerate second-order response")
     return best

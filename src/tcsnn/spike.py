@@ -1,120 +1,95 @@
-"""Spike-train data types, synthetic task generation and line-oriented
-event-file I/O.
+"""Spike datasets, synthetic task generation and line-oriented event-file I/O.
 
-All timing is in dimensionless timesteps; rates are expected spikes per
-timestep. A train is binary: at most one spike per channel and step. The
-engine compresses dense ``(channels, steps)`` count arrays
-(:func:`trains_to_dense`), so no weighted train type exists. Types are
-immutable after construction (event arrays are marked read-only) and
-generation is pure given a seed.
+All timing is in dimensionless timesteps. Spikes are binary: at most one per
+channel and step. A :class:`SpikeDataset` holds every example's spikes in one
+read-only array, bit-packed along time, and a label vector. The engine takes
+an example row, one example's boolean ``(channels, steps)`` array, from
+:meth:`SpikeDataset.row`. Generation is pure given a seed.
+
+The event-file reader splits the text at its ``example`` lines, parses each
+block's events with one numpy call and checks them on arrays. A file this
+bulk parse does not take as plainly valid is read again line by line, by the
+reference reader, which reports the first offending line as ``path:line``.
 """
 
 from __future__ import annotations
 
-import warnings
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BinarySpikeTrain",
     "SpikeDataset",
     "synthetic_task",
     "load_event_file",
     "save_event_file",
-    "trains_to_dense",
-    "dense_to_trains",
 ]
 
 
 @dataclass(frozen=True, eq=False)
-class BinarySpikeTrain:
-    """Per-channel binary spike sequence: at most one spike per timestep."""
-
-    channel_id: int
-    events: np.ndarray  # strictly increasing timestep indices
-    length_steps: int
-
-    def __post_init__(self):
-        ev = np.asarray(self.events, dtype=np.int64)
-        ev.setflags(write=False)
-        object.__setattr__(self, "events", ev)
-        if ev.ndim != 1:
-            raise ValueError("events must be a 1-d sequence of timesteps")
-        if ev.size:
-            if (np.diff(ev) <= 0).any():
-                raise ValueError(f"channel {self.channel_id}: timesteps must be strictly increasing")
-            if ev[0] < 0 or ev[-1] >= self.length_steps:
-                raise ValueError(f"channel {self.channel_id}: event outside [0, {self.length_steps})")
-
-    def __setstate__(self, state):
-        # numpy does not keep arrays read-only through pickling
-        state["events"].setflags(write=False)
-        self.__dict__.update(state)
-
-    @property
-    def spike_count(self) -> int:
-        return int(self.events.size)
-
-    def __eq__(self, other):
-        if not isinstance(other, BinarySpikeTrain):
-            return NotImplemented
-        return (
-            self.channel_id == other.channel_id
-            and self.length_steps == other.length_steps
-            and np.array_equal(self.events, other.events)
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class SpikeDataset:
-    """Labeled multi-channel spike-train examples sharing one geometry."""
+    """Labeled binary spike examples sharing one geometry.
 
-    examples: tuple  # of (tuple[BinarySpikeTrain, ...], label)
-    num_channels: int
+    ``bits[i]`` is example i's ``(channels, steps)`` spike array packed along
+    time by ``np.packbits`` (pad bits zero), ``labels[i]`` its label. The
+    dataset keeps read-only copies of both.
+    """
+
+    bits: np.ndarray  # (examples, channels, ceil(steps / 8)) uint8
+    labels: np.ndarray  # (examples,) int64
     num_classes: int
     length_steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "examples", tuple((tuple(trains), int(label)) for trains, label in self.examples))
-        for idx, (trains, label) in enumerate(self.examples):
-            if len(trains) != self.num_channels:
-                raise ValueError(f"example {idx}: expected {self.num_channels} channels, got {len(trains)}")
-            if not 0 <= label < self.num_classes:
-                raise ValueError(f"example {idx}: label {label} out of range [0, {self.num_classes})")
-            for tr in trains:
-                if tr.length_steps != self.length_steps:
-                    raise ValueError(f"example {idx}: train length {tr.length_steps} != {self.length_steps}")
+        bits = np.array(self.bits, dtype=np.uint8)
+        labels = np.array(self.labels, dtype=np.int64)
+        if self.length_steps < 1 or bits.ndim != 3 or bits.shape[2] != -(-self.length_steps // 8):
+            raise ValueError(f"bits of shape {bits.shape} do not pack {self.length_steps} steps")
+        if labels.shape != bits.shape[:1]:
+            raise ValueError(f"{labels.size} labels for {bits.shape[0]} examples")
+        bad = np.flatnonzero((labels < 0) | (labels >= self.num_classes))
+        if bad.size:
+            raise ValueError(f"example {bad[0]}: label {labels[bad[0]]} out of range [0, {self.num_classes})")
+        if (bits[..., -1] & (0xFF >> (self.length_steps % 8 or 8))).any():
+            raise ValueError(f"spikes past step {self.length_steps}")
+        for name, arr in (("bits", bits), ("labels", labels)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __setstate__(self, state):
+        # numpy does not keep arrays read-only through pickling
+        for arr in (state["bits"], state["labels"]):
+            arr.setflags(write=False)
+        self.__dict__.update(state)
+
+    @property
+    def num_channels(self) -> int:
+        return self.bits.shape[1]
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return self.bits.shape[0]
+
+    def row(self, index: int) -> np.ndarray:
+        """Example ``index``'s spikes as a boolean ``(channels, steps)`` array."""
+        return np.unpackbits(self.bits[index], axis=-1, count=self.length_steps).view(bool)
 
     def __eq__(self, other):
         if not isinstance(other, SpikeDataset):
             return NotImplemented
         return (
-            self.num_channels == other.num_channels
-            and self.num_classes == other.num_classes
+            self.num_classes == other.num_classes
             and self.length_steps == other.length_steps
-            and self.examples == other.examples
+            and np.array_equal(self.bits, other.bits)
+            and np.array_equal(self.labels, other.labels)
         )
 
 
-def trains_to_dense(trains) -> np.ndarray:
-    """Stack binary trains into a dense (channels, steps) 0/1 count array."""
-    trains = list(trains)
-    dense = np.zeros((len(trains), trains[0].length_steps if trains else 0), dtype=np.int64)
-    for row, tr in enumerate(trains):
-        dense[row, tr.events] = 1
-    return dense
-
-
-def dense_to_trains(dense: np.ndarray) -> list[BinarySpikeTrain]:
-    """Inverse of :func:`trains_to_dense` for binary (0/1) matrices."""
-    return [
-        BinarySpikeTrain(channel_id=ch, events=np.flatnonzero(dense[ch]), length_steps=dense.shape[1])
-        for ch in range(dense.shape[0])
-    ]
+def _packed(channels: np.ndarray, steps: np.ndarray, shape: tuple) -> np.ndarray:
+    """One example's packed bits from its events' channels and timesteps."""
+    row = np.zeros(shape, dtype=bool)
+    row[channels, steps] = True
+    return np.packbits(row, axis=-1)
 
 
 def synthetic_task(
@@ -134,39 +109,36 @@ def synthetic_task(
     each template spike survives with probability 1-deletion_prob and is
     jittered uniformly in [-jitter_steps, +jitter_steps] (clamped to the
     train), and each remaining empty timestep gains a spurious spike with
-    probability insertion_prob. :class:`~tcsnn.config.SyntheticSpec`
-    validates these arguments.
+    probability insertion_prob. Examples come class by class, and the
+    random stream is drawn channel by channel within each example.
+    :class:`~tcsnn.config.SyntheticSpec` validates these arguments.
     """
 
     rng = np.random.default_rng(seed)
     templates = rng.random((num_classes, num_channels, length_steps)) < template_rate
 
-    examples = []
-    for label in range(num_classes):
-        for _ in range(examples_per_class):
-            dense = np.zeros((num_channels, length_steps), dtype=bool)
-            for ch in range(num_channels):
-                times = np.flatnonzero(templates[label, ch])
-                if times.size:
-                    keep = rng.random(times.size) >= deletion_prob
-                    times = times[keep]
-                if times.size and jitter_steps > 0:
-                    offsets = rng.integers(-jitter_steps, jitter_steps + 1, size=times.size)
-                    times = np.clip(times + offsets, 0, length_steps - 1)
-                dense[ch, times] = True
-                if insertion_prob > 0.0:
-                    empty = np.flatnonzero(~dense[ch])
-                    if empty.size:
-                        extra = empty[rng.random(empty.size) < insertion_prob]
-                        dense[ch, extra] = True
-            trains = dense_to_trains(dense.astype(np.int64))
-            examples.append((tuple(trains), label))
-    return SpikeDataset(
-        examples=tuple(examples),
-        num_channels=num_channels,
-        num_classes=num_classes,
-        length_steps=length_steps,
-    )
+    bits = np.empty((num_classes * examples_per_class, num_channels, -(-length_steps // 8)), dtype=np.uint8)
+    dense = np.empty((num_channels, length_steps), dtype=bool)
+    for index in range(len(bits)):
+        label = index // examples_per_class
+        dense[:] = False
+        for ch in range(num_channels):
+            times = np.flatnonzero(templates[label, ch])
+            if times.size:
+                keep = rng.random(times.size) >= deletion_prob
+                times = times[keep]
+            if times.size and jitter_steps > 0:
+                offsets = rng.integers(-jitter_steps, jitter_steps + 1, size=times.size)
+                times = np.clip(times + offsets, 0, length_steps - 1)
+            dense[ch, times] = True
+            if insertion_prob > 0.0:
+                empty = np.flatnonzero(~dense[ch])
+                if empty.size:
+                    extra = empty[rng.random(empty.size) < insertion_prob]
+                    dense[ch, extra] = True
+        bits[index] = np.packbits(dense, axis=-1)
+    labels = np.repeat(np.arange(num_classes), examples_per_class)
+    return SpikeDataset(bits=bits, labels=labels, num_classes=num_classes, length_steps=length_steps)
 
 
 class EventFileError(ValueError):
@@ -182,55 +154,120 @@ def load_event_file(path) -> SpikeDataset:
 
     Format: header ``channels=<n> classes=<k> steps=<T>``, then blocks
     opened by ``example label=<c>`` containing ``<channel> <timestep>``
-    lines. ``#`` starts a comment; blank lines are ignored. The file is read
-    line by line and each example's events are parsed in bulk; a malformed
-    file reports its first offending line.
+    lines, each channel's timesteps strictly increasing. ``#`` starts a
+    comment; blank lines are ignored. A malformed file reports its first
+    offending line.
     """
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise FileNotFoundError(f"event file not found: {path}") from None
+    except UnicodeDecodeError:  # the line reader reports it as it always has
+        text = None
+    dataset = None if text is None else _parse_bulk(text)
+    return dataset if dataset is not None else _read_lines(path)
 
+
+_COMMENT = re.compile(r"#[^\n]*")
+_HEADER = re.compile(r"channels=([1-9]\d*)[ \t]+classes=([1-9]\d*)[ \t]+steps=([1-9]\d*)")
+_LABEL = re.compile(r"[ \t]+label=(\d+)[ \t]*")
+_EVENT_CHARS = b"0123456789 \t\n"
+
+
+def _parse_bulk(text: str) -> SpikeDataset | None:
+    """The dataset ``text`` holds, or None unless every line of it is plainly valid.
+
+    Plainly valid takes the header's keys in their written order, unsigned
+    decimals without leading zeros in the header, decimal digits only in the
+    events and spaces or tabs between tokens; anything else, valid or not,
+    is left to the line reader.
+    """
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    head, *blocks = text.split("example")
+    # "example" must open a line: every piece before one ends a line
+    if any(not piece.rstrip(" \t").endswith("\n") for piece in [head] + blocks[:-1]):
+        return None
+    header = _HEADER.fullmatch(head.strip(" \t\n"))
+    if header is None:
+        return None
+    channels, classes, steps = map(int, header.groups())
+
+    bits = np.empty((len(blocks), channels, -(-steps // 8)), dtype=np.uint8)
+    labels = np.empty(len(blocks), dtype=np.int64)
+    for index, block in enumerate(blocks):
+        opening, _, events = block.partition("\n")
+        label = _LABEL.fullmatch(opening)
+        if label is None or int(label[1]) >= classes or events.encode().translate(None, _EVENT_CHARS):
+            return None
+        # each line's end becomes a -1 after its values: a line holds two values or none
+        values = np.fromstring(events.replace("\n", " -1 ") + " -1", dtype=np.int64, sep=" ")
+        per_line = np.diff(np.flatnonzero(values < 0), prepend=-1) - 1
+        if ((per_line != 0) & (per_line != 2)).any():
+            return None
+        ch, t = values[values >= 0].reshape(-1, 2).T
+        if (ch >= channels).any() or (t >= steps).any():
+            return None
+        # in range, ch * steps + t orders events by channel, then timestep: each
+        # channel's events, kept in file order by a stable sort, must rise
+        if (np.diff((ch * steps + t)[np.argsort(ch, kind="stable")]) <= 0).any():
+            return None
+        labels[index] = int(label[1])
+        bits[index] = _packed(ch, t, (channels, steps))
+    return SpikeDataset(bits=bits, labels=labels, num_classes=classes, length_steps=steps)
+
+
+def _read_lines(path) -> SpikeDataset:
+    """Read an event file line by line, raising at its first offending line."""
     header = None
-    examples = []
-    block = None  # raw lines of the open example, which opened at line ``first - 1``
-    first = label = 0
-    with fh:
+    examples = []  # (label, [(channel, timestep), ...]) per example
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if block is not None and not raw.lstrip().startswith("example"):
-                block.append(raw)
-                continue
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if header is None:
                 header = _parse_header(path, lineno, line)
                 continue
-            if not line.startswith("example"):
-                _fail(path, lineno, "event line before any 'example' block")
-            if block is not None:
-                examples.append((_parse_example(path, first, block, header), label))
             parts = line.split()
-            if len(parts) != 2 or not parts[1].startswith("label="):
-                _fail(path, lineno, "expected 'example label=<c>'")
+            if line.startswith("example"):
+                if len(parts) != 2 or not parts[1].startswith("label="):
+                    _fail(path, lineno, "expected 'example label=<c>'")
+                try:
+                    label = int(parts[1][len("label="):])
+                except ValueError:
+                    _fail(path, lineno, "label must be an integer")
+                if not 0 <= label < header["classes"]:
+                    _fail(path, lineno, f"label {label} out of range [0, {header['classes']})")
+                examples.append((label, []))
+                last_time = {}  # channel -> last timestep seen in this example
+                continue
+            if not examples:
+                _fail(path, lineno, "event line before any 'example' block")
+            if len(parts) != 2:
+                _fail(path, lineno, "expected '<channel> <timestep>'")
             try:
-                label = int(parts[1][len("label="):])
+                ch, t = int(parts[0]), int(parts[1])
             except ValueError:
-                _fail(path, lineno, "label must be an integer")
-            if not 0 <= label < header["classes"]:
-                _fail(path, lineno, f"label {label} out of range [0, {header['classes']})")
-            block, first = [], lineno + 1
+                _fail(path, lineno, "channel and timestep must be integers")
+            if not 0 <= ch < header["channels"]:
+                _fail(path, lineno, f"channel {ch} out of range [0, {header['channels']})")
+            if not 0 <= t < header["steps"]:
+                _fail(path, lineno, f"timestep {t} out of range [0, {header['steps']})")
+            if t <= last_time.get(ch, -1):
+                _fail(path, lineno, f"non-monotonic timestamp {t} on channel {ch}")
+            last_time[ch] = t
+            examples[-1][1].append((ch, t))
 
     if header is None:
         raise EventFileError(f"{path}: missing header line")
-    if block is not None:
-        examples.append((_parse_example(path, first, block, header), label))
-    return SpikeDataset(
-        examples=tuple(examples),
-        num_channels=header["channels"],
-        num_classes=header["classes"],
-        length_steps=header["steps"],
-    )
+    shape = (header["channels"], header["steps"])
+    bits = np.zeros((len(examples), shape[0], -(-shape[1] // 8)), dtype=np.uint8)
+    for index, (_, events) in enumerate(examples):
+        bits[index] = _packed(*np.array(events, dtype=np.int64).reshape(-1, 2).T, shape)
+    labels = [label for label, _ in examples]
+    return SpikeDataset(bits=bits, labels=labels, num_classes=header["classes"], length_steps=header["steps"])
 
 
 def _parse_header(path, lineno: int, line: str) -> dict:
@@ -246,69 +283,11 @@ def _parse_header(path, lineno: int, line: str) -> dict:
     return header
 
 
-def _parse_example(path, first: int, lines: list, header: dict) -> tuple:
-    """One example's trains from its raw event lines, the first at line ``first``.
-
-    The lines are parsed and checked in bulk; when that fails, they are read
-    again one by one, which finds the first offending line.
-    """
-    channels, steps = header["channels"], header["steps"]
-    events = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a block without events
-        try:
-            events = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
-        except ValueError:
-            pass
-    if events is None or events.shape[1] != 2:  # malformed, or no events at all
-        events = _events_line_by_line(path, first, lines, header)
-    ch, t = events[:, 0], events[:, 1]
-    order = np.argsort(ch, kind="stable")  # each channel's events, in file order
-    ch, t = ch[order], t[order]
-    if ch.size and (
-        ch[0] < 0 or ch[-1] >= channels or t.min() < 0 or t.max() >= steps
-        or ((ch[1:] == ch[:-1]) & (t[1:] <= t[:-1])).any()
-    ):
-        _events_line_by_line(path, first, lines, header)  # raises at the first bad line
-    bounds = np.cumsum(np.bincount(ch, minlength=channels))[:-1]
-    return tuple(
-        BinarySpikeTrain(channel_id=c, events=times, length_steps=steps)
-        for c, times in enumerate(np.split(t, bounds))
-    )
-
-
-def _events_line_by_line(path, first: int, lines: list, header: dict) -> np.ndarray:
-    """Check event lines one by one and return their (channel, timestep) rows."""
-    last_time = {}  # channel -> last timestep seen
-    rows = []
-    for lineno, raw in enumerate(lines, start=first):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            _fail(path, lineno, "expected '<channel> <timestep>'")
-        try:
-            ch, t = int(parts[0]), int(parts[1])
-        except ValueError:
-            _fail(path, lineno, "channel and timestep must be integers")
-        if not 0 <= ch < header["channels"]:
-            _fail(path, lineno, f"channel {ch} out of range [0, {header['channels']})")
-        if not 0 <= t < header["steps"]:
-            _fail(path, lineno, f"timestep {t} out of range [0, {header['steps']})")
-        if t <= last_time.get(ch, -1):
-            _fail(path, lineno, f"non-monotonic timestamp {t} on channel {ch}")
-        last_time[ch] = t
-        rows.append((ch, t))
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
-
-
 def save_event_file(dataset: SpikeDataset, path):
-    """Write a dataset in the same format :func:`load_event_file` reads."""
+    """Write a dataset in the format :func:`load_event_file` reads, channel by channel."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"channels={dataset.num_channels} classes={dataset.num_classes} steps={dataset.length_steps}\n")
-        for trains, label in dataset.examples:
+        for index, label in enumerate(dataset.labels.tolist()):
+            channels, steps = np.nonzero(dataset.row(index))
             fh.write(f"example label={label}\n")
-            for tr in trains:
-                for t in tr.events:
-                    fh.write(f"{tr.channel_id} {int(t)}\n")
+            fh.write("".join(f"{ch} {t}\n" for ch, t in zip(channels.tolist(), steps.tolist())))

@@ -96,7 +96,7 @@ def test_reservoir_runs_once_per_example_and_ratio(tmp_path, monkeypatch, epochs
 
 
 # per ratio: one learning run per epoch and training example, alone, then
-# one frozen run over the 3 test examples each for evaluation and energy
+# one frozen run over the 3 test examples, which serves evaluation and energy
 @pytest.mark.parametrize("epochs", [2, 0])
 def test_frozen_readout_runs_once_per_use_and_ratio(tmp_path, monkeypatch, epochs):
     real = tcsnn.network.run_readout
@@ -107,10 +107,10 @@ def test_frozen_readout_runs_once_per_use_and_ratio(tmp_path, monkeypatch, epoch
         runs.append((len(passes), _learner is not None))
         return real(network, passes, gamma, record_potentials, _learner)
 
-    for module in (tcsnn.network, tcsnn.learning, tcsnn.cli):  # every module that binds it
+    for module in (tcsnn.network, tcsnn.learning):  # every module that binds it
         monkeypatch.setattr(module, "run_readout", counting)
     assert run(tmp_path, CONFIG.replace("epochs = 1", f"epochs = {epochs}"), "out") == 0
-    assert sorted(runs) == sorted([(1, True)] * epochs * 12 * 2 + [(3, False)] * 2 * 2)
+    assert sorted(runs) == sorted([(1, True)] * epochs * 12 * 2 + [(3, False)] * 2)
 
 
 def test_dataset_is_made_once_per_experiment(tmp_path, monkeypatch):
@@ -208,6 +208,17 @@ def test_gen_dataset_writes_the_synthetic_task(tmp_path):
     path = tmp_path / "events.txt"
     assert main(GEN + ["--examples-per-class", "2", "--out", str(path)]) == 0
     assert load_event_file(path) == synthetic_task(3, 4, 20, 1, 2, seed=6)
+
+
+def test_run_from_the_generated_event_file_equals_the_synthetic_run(tmp_path):
+    # CONFIG's task, written by gen-dataset and read back from the file
+    events = tmp_path / "task.events"
+    gen = ["gen-dataset", "--classes", "3", "--channels", "20", "--steps", "40", "--seed", "3", "--jitter", "2"]
+    assert main(gen + ["--examples-per-class", "5", "--out", str(events)]) == 0
+    assert run(tmp_path, CONFIG, "synthetic") == 0
+    assert run(tmp_path, CONFIG + f"dataset.kind = event_file\ndataset.path = {events}\n", "event_file") == 0
+    for name in OUTPUTS:
+        assert (tmp_path / "synthetic" / name).read_bytes() == (tmp_path / "event_file" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from traces import from_fixed
 
 from tcsnn.compress import (
     compress_train,
@@ -10,7 +11,7 @@ from tcsnn.compress import (
     plan_time_constant,
     scale_time_constant,
 )
-from tcsnn.fixedpoint import from_fixed, to_fixed
+from tcsnn.fixedpoint import to_fixed
 
 
 def constants(plan, n_steps: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tcsnn.config import SyntheticSpec
-from tcsnn.spike import save_event_file, synthetic_task, trains_to_dense
+from tcsnn.spike import save_event_file, synthetic_task
 
 
 def _sha(array: np.ndarray) -> str:
@@ -22,8 +22,8 @@ def _sha(array: np.ndarray) -> str:
 
 
 def _arrays(ds):
-    spikes = np.stack([trains_to_dense(trains) for trains, _ in ds.examples]).astype(np.uint8)
-    labels = np.array([label for _, label in ds.examples], dtype="<i8")
+    spikes = np.stack([ds.row(i) for i in range(len(ds))]).astype(np.uint8)
+    labels = ds.labels.astype("<i8")
     return spikes, labels
 
 

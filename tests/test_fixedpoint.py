@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from traces import from_fixed
 
 from tcsnn.fixedpoint import (
     DEFAULT_FORMAT,
     FixedPointFormat,
     SaturationCounter,
     fixed_mul,
-    from_fixed,
     saturate,
     to_fixed,
 )

@@ -50,7 +50,7 @@ def test_documented_input_gain_saturation():
     cfg = ExperimentConfig(lsm=lsm)
     dataset = cfg.make_dataset()
     net = build_lsm(cfg.make_lsm_config(dataset))
-    trace = simulate(net, dataset.examples[99][0], 16, record_potentials=True)
+    trace = simulate(net, dataset.row(99), 16, record_potentials=True)
     h = hashlib.sha256()
     for arr in (trace.reservoir_events, trace.readout_events, trace.potentials["reservoir"], trace.potentials["readout"]):
         h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from traces import from_fixed
 
-from tcsnn.fixedpoint import FixedPointFormat, SaturationCounter, from_fixed, to_fixed
+from tcsnn.fixedpoint import FixedPointFormat, SaturationCounter, to_fixed
 from tcsnn.neuron import (
     BurstParams,
     LIFParams,
     SynapseParams,
+    _second_order_peak,
     burst_gain_update,
     compile_neuron,
     integrate_fire,
@@ -92,6 +94,17 @@ class TestSynapseStep:
         assert all(a <= b + 1e-9 for a, b in zip(outs[: peak + 1], outs[1 : peak + 1]))
         assert all(a >= b - 1e-9 for a, b in zip(outs[peak:], outs[peak + 1 :]))
         assert outs[peak] == pytest.approx(1.0, rel=0.05)
+
+    # the default pair, a slow rise, and two pairs peaking past step 100,000
+    # (near 138,629 and 277,259), where a search capped there fell short
+    @pytest.mark.parametrize("tau_rise, tau_decay", [(4.0, 8.0), (40.0, 2.0), (1e5, 2e5), (2e5, 4e5)])
+    def test_second_order_peak_is_the_discrete_maximum(self, tau_rise, tau_decay):
+        a_r, a_d = 1.0 - 1.0 / tau_rise, 1.0 - 1.0 / tau_decay
+        t = np.arange(1, 10**6, dtype=np.float64)
+        brute = np.abs(a_d**t - a_r**t).max()
+        assert _second_order_peak(tau_rise, tau_decay) == pytest.approx(brute, rel=1e-12)
+        if tau_rise >= 1e5:  # near the continuous e**(-t/2T) - e**(-t/T), whose peak is 1/4
+            assert _second_order_peak(tau_rise, tau_decay) == pytest.approx(0.25, abs=1e-5)
 
 
 class TestLifStep:

@@ -6,67 +6,83 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from traces import poisson_encode
 
+from tcsnn import spike
 from tcsnn.config import SyntheticSpec
 from tcsnn.spike import (
-    BinarySpikeTrain,
     EventFileError,
     SpikeDataset,
-    dense_to_trains,
     load_event_file,
     save_event_file,
     synthetic_task,
-    trains_to_dense,
 )
 
 
-class TestTrainTypes:
-    def test_rejects_decreasing_timesteps(self):
-        with pytest.raises(ValueError):
-            BinarySpikeTrain(0, [3, 2], 10)
+def dataset(spikes, labels, classes) -> SpikeDataset:
+    """A dataset of boolean ``(examples, channels, steps)`` spikes."""
+    spikes = np.asarray(spikes, dtype=bool)
+    return SpikeDataset(bits=np.packbits(spikes, axis=-1), labels=labels, num_classes=classes,
+                        length_steps=spikes.shape[-1])
 
-    def test_rejects_event_past_end(self):
-        with pytest.raises(ValueError):
-            BinarySpikeTrain(0, [9, 10], 10)
 
-    def test_events_are_read_only(self):
-        tr = BinarySpikeTrain(0, [1, 5], 10)
-        with pytest.raises(ValueError):
-            tr.events[0] = 2
+class TestDatasetType:
+    def test_rows_unpack_the_spikes(self):
+        spikes = np.zeros((2, 3, 10), dtype=bool)
+        spikes[0, 0, 2] = spikes[1, 2, 9] = True
+        ds = dataset(spikes, [0, 1], 2)
+        assert ds.bits.shape == (2, 3, 2) and len(ds) == 2 and ds.num_channels == 3
+        for i in range(2):
+            assert ds.row(i).dtype == bool and np.array_equal(ds.row(i), spikes[i])
 
-    def test_events_stay_read_only_through_pickling(self):
-        # a process pool pickles each task's dataset
-        trains = (BinarySpikeTrain(0, [1, 5], 10),)
-        for tr in pickle.loads(pickle.dumps(trains)):
+    def test_rejects_spikes_past_the_last_step(self):
+        bits = np.packbits(np.ones((1, 1, 16), dtype=bool), axis=-1)
+        with pytest.raises(ValueError, match="spikes past step 10"):
+            SpikeDataset(bits=bits, labels=[0], num_classes=1, length_steps=10)
+        with pytest.raises(ValueError, match="do not pack 17 steps"):
+            SpikeDataset(bits=bits, labels=[0], num_classes=1, length_steps=17)
+
+    def test_rejects_label_out_of_range(self):
+        with pytest.raises(ValueError, match=r"example 1: label 5 out of range \[0, 2\)"):
+            dataset(np.zeros((2, 1, 10)), [0, 5], 2)
+        with pytest.raises(ValueError, match="1 labels for 2 examples"):
+            dataset(np.zeros((2, 1, 10)), [0], 2)
+
+    def test_arrays_are_read_only_copies(self):
+        spikes = np.zeros((1, 2, 8), dtype=bool)
+        bits, labels = np.packbits(spikes, axis=-1), np.array([1])
+        ds = SpikeDataset(bits=bits, labels=labels, num_classes=2, length_steps=8)
+        bits[0, 0, 0] = 0xFF
+        labels[0] = 0
+        assert not ds.bits.any() and ds.labels[0] == 1
+        for arr in (ds.bits, ds.labels):
             with pytest.raises(ValueError):
-                tr.events[0] = 2
-        assert pickle.loads(pickle.dumps(trains)) == trains
+                arr[0] = 1
 
-    def test_dense_round_trip(self):
-        dense = np.zeros((3, 8), dtype=np.int64)
-        dense[0, 2] = 1
-        dense[2, 7] = 1
-        trains = dense_to_trains(dense)
-        assert np.array_equal(trains_to_dense(trains), dense)
+    def test_arrays_stay_read_only_through_pickling(self):
+        # a process pool that does not fork pickles the dataset
+        ds = synthetic_task(2, 3, 12, 1, 2, seed=4)
+        again = pickle.loads(pickle.dumps(ds))
+        assert again == ds
+        for arr in (again.bits, again.labels):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestPoissonEncode:
-    def test_zero_rate_gives_empty_train(self):
-        trains = poisson_encode([0.0, 0.0], 50, seed=3)
-        assert all(tr.spike_count == 0 for tr in trains)
+    def test_zero_rate_gives_empty_row(self):
+        row = poisson_encode([0.0, 0.0], 50, seed=3)
+        assert row.shape == (2, 50) and not row.any()
 
     def test_rate_one_fires_every_step(self):
-        (tr,) = poisson_encode([1.0], 10, seed=3)
-        assert np.array_equal(tr.events, np.arange(10))
+        assert poisson_encode([1.0], 10, seed=3).all()
 
     def test_counts_match_binomial_statistics(self):
         # rate 0.1 over 10000 steps: mean 1000, sigma 30; stay within 3 sigma
-        (tr,) = poisson_encode([0.1], 10000, seed=1234)
-        assert abs(tr.spike_count - 1000) <= 90
+        assert abs(int(poisson_encode([0.1], 10000, seed=1234).sum()) - 1000) <= 90
 
     def test_reproducible(self):
         a = poisson_encode([0.2, 0.7], 100, seed=9)
         b = poisson_encode([0.2, 0.7], 100, seed=9)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_rate_out_of_range(self):
         with pytest.raises(ValueError):
@@ -80,14 +96,14 @@ class TestSyntheticTask:
         ds = synthetic_task(2, 5, 50, jitter_steps=0, examples_per_class=4, seed=7,
                             deletion_prob=0.0, insertion_prob=0.0)
         for label in range(2):
-            same = [trains for trains, lab in ds.examples if lab == label]
-            for trains in same[1:]:
-                assert trains == same[0]
+            same = [ds.row(i) for i in np.flatnonzero(ds.labels == label)]
+            for row in same[1:]:
+                assert np.array_equal(row, same[0])
 
     def test_example_counting(self):
         ds = synthetic_task(5, 10, 40, 2, examples_per_class=20, seed=1)
         assert len(ds) == 100
-        labels = [lab for _, lab in ds.examples]
+        labels = ds.labels.tolist()
         assert all(labels.count(c) == 20 for c in range(5))
 
     def test_distinct_seeds_distinct_templates(self):
@@ -97,8 +113,7 @@ class TestSyntheticTask:
 
     def test_classes_differ_for_generic_seed(self):
         ds = synthetic_task(2, 8, 60, 0, 1, seed=5, deletion_prob=0.0, insertion_prob=0.0)
-        (t0, _), (t1, _) = ds.examples
-        assert t0 != t1
+        assert not np.array_equal(ds.row(0), ds.row(1))
 
     def test_jitter_bound_validated(self):
         with pytest.raises(ValueError):
@@ -122,59 +137,67 @@ class TestEventFile:
         # the channels interleaved, as a sensor emits them
         ds = synthetic_task(2, 78, 500, 4, 2, seed=3)
         lines = ["channels=78 classes=2 steps=500"]
-        for trains, label in ds.examples:
+        for i, label in enumerate(ds.labels):
             lines.append(f"example label={label}")
-            lines += [f"{ch} {t}" for t, ch in sorted((int(t), tr.channel_id) for tr in trains for t in tr.events)]
+            steps, channels = np.nonzero(ds.row(i).T)
+            lines += [f"{ch} {t}" for ch, t in zip(channels, steps)]
         path = tmp_path / "task.events"
         path.write_text("\n".join(lines) + "\n")
+        assert spike._parse_bulk(path.read_text()) == ds
         assert load_event_file(path) == ds
 
     def test_single_event(self, tmp_path):
         path = tmp_path / "one.events"
         path.write_text("channels=5 classes=2 steps=10\nexample label=1\n3 7\n")
         ds = load_event_file(path)
-        trains, label = ds.examples[0]
-        assert label == 1
-        assert trains[3].spike_count == 1 and trains[3].events[0] == 7
-        assert sum(tr.spike_count for tr in trains) == 1
+        assert ds.labels.tolist() == [1]
+        assert ds.row(0)[3, 7] and ds.row(0).sum() == 1
 
     def test_empty_example(self, tmp_path):
         path = tmp_path / "empty.events"
         path.write_text("channels=3 classes=2 steps=10\nexample label=0\n")
         ds = load_event_file(path)
-        trains, _ = ds.examples[0]
-        assert all(tr.spike_count == 0 for tr in trains)
+        assert ds.row(0).shape == (3, 10) and not ds.row(0).any()
 
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "c.events"
         path.write_text("# header next\nchannels=2 classes=2 steps=5\nexample label=0  # first\n0 1\n# done\n")
         ds = load_event_file(path)
-        assert ds.examples[0][0][0].spike_count == 1
+        assert ds.row(0)[0].sum() == 1
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_event_file("/nonexistent/file.events")
 
-    def test_dataset_invariants(self):
-        tr = BinarySpikeTrain(0, [1], 10)
-        with pytest.raises(ValueError):
-            SpikeDataset(examples=(((tr,), 5),), num_channels=1, num_classes=2, length_steps=10)
+
+# valid files the bulk parse leaves to the line reader: both events are on channel 1
+LINE_READER_ONLY = {
+    "header order": "steps=10 channels=3 classes=2\nexample label=1\n1 2\n1 5\n",
+    "header extra token": "channels=3 classes=2 steps=10 v2\nexample label=1\n1 2\n1 5\n",
+    "signed integers": "channels=3 classes=2 steps=10\nexample label=+1\n1 2\n+1 5\n",
+    "vertical tab": "channels=3 classes=2 steps=10\nexample label=1\n1\x0b2\n1 5\n",
+    "no final newline": "channels=3 classes=2 steps=10",
+}
+
+
+@pytest.mark.parametrize("name", LINE_READER_ONLY)
+def test_line_reader_takes_what_the_bulk_parse_declines(tmp_path, name):
+    path = tmp_path / "odd.events"
+    path.write_text(LINE_READER_ONLY[name])
+    assert spike._parse_bulk(path.read_text()) is None
+    events = np.zeros((0, 3, 10)) if name == "no final newline" else [[[0] * 10, [0, 0, 1, 0, 0, 1] + [0] * 4, [0] * 10]]
+    assert load_event_file(path) == dataset(events, [1] * len(events), 2)
 
 
 @st.composite
 def datasets(draw):
     channels, classes, steps = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
-    train = st.lists(st.integers(0, steps - 1), unique=True, max_size=steps).map(sorted)
-    example = st.tuples(st.lists(train, min_size=channels, max_size=channels), st.integers(0, classes - 1))
-    return SpikeDataset(
-        examples=tuple(
-            (tuple(BinarySpikeTrain(ch, events, steps) for ch, events in enumerate(trains)), label)
-            for trains, label in draw(st.lists(example, max_size=4))
-        ),
-        num_channels=channels,
-        num_classes=classes,
-        length_steps=steps,
-    )
+    spikes = st.lists(st.lists(st.booleans(), min_size=steps, max_size=steps), min_size=channels, max_size=channels)
+    examples = draw(st.lists(st.tuples(spikes, st.integers(0, classes - 1)), max_size=4))
+    rows = np.zeros((len(examples), channels, steps), dtype=bool)
+    for i, (row, _) in enumerate(examples):
+        rows[i] = row
+    return dataset(rows, [label for _, label in examples], classes)
 
 
 # how one written line is dressed: (lines before it, indent, token separator, tail)
@@ -185,29 +208,38 @@ DRESS = st.tuples(
     st.sampled_from(("", "  ", "\t", " # note")),
 )
 # an empty example and an empty channel, each line dressed with comments, blank lines and tabs
-EMPTY_PARTS = SpikeDataset(
-    examples=(
-        ((BinarySpikeTrain(0, [], 4), BinarySpikeTrain(1, [0, 3], 4)), 1),
-        ((BinarySpikeTrain(0, [], 4), BinarySpikeTrain(1, [], 4)), 0),
-    ),
-    num_channels=2,
-    num_classes=2,
-    length_steps=4,
-)
+EMPTY_PARTS = dataset([[[0, 0, 0, 0], [1, 0, 0, 1]], [[0, 0, 0, 0], [0, 0, 0, 0]]], [1, 0], 2)
 
 
-@given(ds=datasets(), dress=st.lists(DRESS, min_size=1, max_size=6))
-@example(ds=EMPTY_PARTS, dress=[("# c\n\n", "\t", "\t", " # tail"), ("\t\n", "", " ", "\t")])
-def test_save_then_load_round_trips(tmp_path_factory, ds, dress):
+def interleave(lines: list, delays: list) -> list:
+    """Each example's event lines ordered by timestep plus a per-channel delay:
+    the channels interleave, and each keeps its own order."""
+    out, block = [], []
+    for line in lines + ["example"]:
+        if line.startswith("example") or line.startswith("channels"):
+            out += sorted(block, key=lambda ev: int(ev.split()[1]) + delays[int(ev.split()[0]) % len(delays)])
+            out.append(line)
+            block = []
+        else:
+            block.append(line)
+    return out[:-1]
+
+
+@given(ds=datasets(), dress=st.lists(DRESS, min_size=1, max_size=6),
+       delays=st.lists(st.integers(0, 12), min_size=1, max_size=4))
+@example(ds=EMPTY_PARTS, dress=[("# c\n\n", "\t", "\t", " # tail"), ("\t\n", "", " ", "\t")], delays=[0])
+def test_save_then_load_round_trips(tmp_path_factory, ds, dress, delays):
+    # and the bulk parse of a dressed, interleaved file equals the line reader's
     path = tmp_path_factory.mktemp("events") / "task.events"
     save_event_file(ds, path)
     assert load_event_file(path) == ds
-    lines = path.read_text().splitlines()
+    lines = interleave(path.read_text().splitlines(), delays)
     dressed = []
     for i, line in enumerate(lines):
         before, indent, sep, tail = dress[i % len(dress)]
         dressed.append(before + indent + sep.join(line.split(" ")) + tail + "\n")
     path.write_text("".join(dressed))
+    assert spike._parse_bulk(path.read_text()) == spike._read_lines(path) == ds
     assert load_event_file(path) == ds
 
 

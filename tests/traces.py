@@ -1,15 +1,17 @@
-"""Helpers shared by the engine tests: Poisson input trains and trace comparison."""
+"""Helpers shared by the tests: Poisson example rows, trace comparison and
+fixed-point values read back as floats."""
 
 import numpy as np
 
-from tcsnn.spike import BinarySpikeTrain
+from tcsnn.fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 
 
-def poisson_encode(rates, length_steps: int, seed: int) -> list[BinarySpikeTrain]:
+def poisson_encode(rates, length_steps: int, seed: int) -> np.ndarray:
     """Encode per-channel rates as independent Bernoulli(rate) processes.
 
-    Rates are expected spikes per timestep, each in [0, 1]. The same
-    (rates, length_steps, seed) triple always produces identical trains.
+    Rates are expected spikes per timestep, each in [0, 1]. Returns an
+    example row, a boolean ``(channels, length_steps)`` array. The same
+    (rates, length_steps, seed) triple always produces the same row.
     """
     rates = np.asarray(rates, dtype=np.float64)
     if rates.ndim != 1:
@@ -20,11 +22,7 @@ def poisson_encode(rates, length_steps: int, seed: int) -> list[BinarySpikeTrain
         raise ValueError("length_steps must be >= 1")
     rng = np.random.default_rng(seed)
     draws = rng.random((rates.size, length_steps))
-    fired = draws < rates[:, None]
-    return [
-        BinarySpikeTrain(channel_id=ch, events=np.flatnonzero(fired[ch]), length_steps=length_steps)
-        for ch in range(rates.size)
-    ]
+    return draws < rates[:, None]
 
 
 def same_trace(a, b, check_potentials: bool = True) -> bool:
@@ -39,3 +37,10 @@ def same_trace(a, b, check_potentials: bool = True) -> bool:
             if not np.array_equal(a.potentials[key], b.potentials[key]):
                 return False
     return True
+
+
+def from_fixed(raw, fmt: FixedPointFormat = DEFAULT_FORMAT):
+    """Raw representation back to float."""
+    if np.ndim(raw) == 0:
+        return float(raw) / fmt.scale
+    return np.asarray(raw, dtype=np.float64) / fmt.scale
