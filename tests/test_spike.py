@@ -194,9 +194,7 @@ def datasets(draw):
     channels, classes, steps = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
     spikes = st.lists(st.lists(st.booleans(), min_size=steps, max_size=steps), min_size=channels, max_size=channels)
     examples = draw(st.lists(st.tuples(spikes, st.integers(0, classes - 1)), max_size=4))
-    rows = np.zeros((len(examples), channels, steps), dtype=bool)
-    for i, (row, _) in enumerate(examples):
-        rows[i] = row
+    rows = np.array([row for row, _ in examples], dtype=bool).reshape(len(examples), channels, steps)
     return dataset(rows, [label for _, label in examples], classes)
 
 
