@@ -116,6 +116,7 @@ def synthetic_task(
 
     rng = np.random.default_rng(seed)
     templates = rng.random((num_classes, num_channels, length_steps)) < template_rate
+    template_times = [[np.flatnonzero(row) for row in pattern] for pattern in templates]
 
     bits = np.empty((num_classes * examples_per_class, num_channels, -(-length_steps // 8)), dtype=np.uint8)
     dense = np.empty((num_channels, length_steps), dtype=bool)
@@ -123,13 +124,13 @@ def synthetic_task(
         label = index // examples_per_class
         dense[:] = False
         for ch in range(num_channels):
-            times = np.flatnonzero(templates[label, ch])
+            times = template_times[label][ch]
             if times.size:
                 keep = rng.random(times.size) >= deletion_prob
                 times = times[keep]
             if times.size and jitter_steps > 0:
                 offsets = rng.integers(-jitter_steps, jitter_steps + 1, size=times.size)
-                times = np.clip(times + offsets, 0, length_steps - 1)
+                times = np.minimum(np.maximum(times + offsets, 0), length_steps - 1)  # np.clip, without its overhead
             dense[ch, times] = True
             if insertion_prob > 0.0:
                 empty = np.flatnonzero(~dense[ch])
