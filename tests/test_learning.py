@@ -39,3 +39,22 @@ def test_silent_teacher_is_potentiated_through_the_delivered_spikes():
     assert np.array_equal(learner.trace, delivered << 16)
     assert np.array_equal(net.w_out[1], (to_fixed(params.eta) * (delivered << 16)) >> 16)
     assert not net.w_out[0].any()
+
+
+def test_a_touched_step_clips_the_whole_matrix():
+    # the clip bounds hold for every weight once the rule touches any row:
+    # weights starting below w_min are lifted in the rows it did not change too
+    net, _ = small_task()
+    params = LearningParams(eta=1.0, w_min=0.5)
+    learner = _ReadoutLearner(net, params, gamma=2, label=1)
+    learner.prepare(2)
+    silent = np.zeros(2, dtype=np.int64)
+    learner.on_step(0, np.zeros(27, dtype=np.int64), np.array([0, 1]))  # teacher fired: untouched
+    assert not net.w_out.any()
+    delivered = np.zeros(27, dtype=np.int64)
+    delivered[3] = 1
+    learner.on_step(1, delivered, silent)
+    w_min = to_fixed(params.w_min)
+    assert net.w_out[1, 3] == to_fixed(1.0)  # the one weight the rule moved, from 0 by eta times the trace
+    assert (net.w_out[0] == w_min).all()
+    assert (np.delete(net.w_out[1], 3) == w_min).all()
