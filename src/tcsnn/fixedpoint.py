@@ -1,6 +1,6 @@
 """Configurable fixed-point arithmetic shared by all neuron models.
 
-Values are carried as plain integers (or int64 numpy arrays) holding
+Values are carried as Python ints (one unit) or int64 numpy arrays holding
 ``value * 2**frac_bits``. Overflow never wraps: callers pass a
 :class:`SaturationCounter` and out-of-range results are clamped and counted.
 
@@ -64,7 +64,7 @@ class SaturationCounter:
         self.count = 0 if rows is None else np.zeros(rows, dtype=np.int64)
 
     def add(self, n: int):
-        if np.ndim(self.count):
+        if isinstance(self.count, np.ndarray):
             raise TypeError("a per-row counter counts masks, not totals")
         self.count += int(n)
 
@@ -113,35 +113,38 @@ def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = Non
     """
     if fits:
         return raw
-    if np.ndim(raw) == 0:
+    if not isinstance(raw, int):
+        if np.ndim(raw):
+            if raw.size == 0:
+                return raw
+            hi = int(raw.max())
+            lo = int(raw.min())
+            if hi <= fmt.raw_max and lo >= fmt.raw_min:
+                return raw
+            if counter is not None:
+                counter.add_mask((raw > fmt.raw_max) | (raw < fmt.raw_min))
+            return np.clip(raw, fmt.raw_min, fmt.raw_max)
         raw = int(raw)
-        if raw > fmt.raw_max:
-            if counter is not None:
-                counter.add(1)
-            return fmt.raw_max
-        if raw < fmt.raw_min:
-            if counter is not None:
-                counter.add(1)
-            return fmt.raw_min
-        return raw
-    if raw.size == 0:
-        return raw
-    hi = int(raw.max())
-    lo = int(raw.min())
-    if hi <= fmt.raw_max and lo >= fmt.raw_min:
-        return raw
-    if counter is not None:
-        counter.add_mask((raw > fmt.raw_max) | (raw < fmt.raw_min))
-    return np.clip(raw, fmt.raw_min, fmt.raw_max)
+    if raw > fmt.raw_max:
+        if counter is not None:
+            counter.add(1)
+        return fmt.raw_max
+    if raw < fmt.raw_min:
+        if counter is not None:
+            counter.add(1)
+        return fmt.raw_min
+    return raw
 
 
 def fixed_product(a, b, fmt: FixedPointFormat = DEFAULT_FORMAT):
     """Unclamped fixed-point product: (a*b) >> frac_bits, floor semantics."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or np.ndim(a) or np.ndim(b):
-        prod = np.multiply(a, b, dtype=np.int64)
-        prod >>= fmt.frac_bits
-        return prod
-    return (int(a) * int(b)) >> fmt.frac_bits
+    if type(a) is not int or type(b) is not int:
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or np.ndim(a) or np.ndim(b):
+            prod = np.multiply(a, b, dtype=np.int64)
+            prod >>= fmt.frac_bits
+            return prod
+        a, b = int(a), int(b)
+    return (a * b) >> fmt.frac_bits
 
 
 def fixed_mul(a, b, fmt: FixedPointFormat = DEFAULT_FORMAT, counter: SaturationCounter | None = None):

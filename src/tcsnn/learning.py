@@ -19,7 +19,7 @@ import numpy as np
 
 from .compress import plan_time_constant
 from .fixedpoint import to_fixed
-from .network import Network, ReadoutPass, SimulationTrace, run_readout, run_reservoir, simulate
+from .network import Network, ReadoutPass, SimulationTrace, _shifts_cached, run_readout, run_reservoir, simulate
 from .spike import SpikeDataset
 
 __all__ = [
@@ -97,37 +97,42 @@ class _ReadoutLearner:
         self.trace = np.zeros(cfg.reservoir_size, dtype=np.int64)
         self.k_seq = None
         self.plan = plan_time_constant(params.tau_trace_nom, gamma, max_shift=fmt.total_bits - 1)
-        self.cum = np.zeros(cfg.num_readout, dtype=np.int64)
-        self.others = np.arange(cfg.num_readout) != label
+        self.cum = [0] * cfg.num_readout  # output weight so far per readout neuron
 
     def prepare(self, steps: int):
-        self.k_seq = self.plan.shifts(steps)
+        self.k_seq = _shifts_cached(self.plan, steps)
 
-    def on_step(self, t: int, delivered: np.ndarray, readout_out: np.ndarray):
-        """``delivered`` holds each reservoir neuron's spike weight reaching the readout at step t."""
+    def on_step(self, t: int, delivered: np.ndarray, readout_out):
+        """``delivered`` holds each reservoir neuron's spike weight reaching the
+        readout at step t, ``readout_out`` each readout neuron's output weight."""
         trace = self.trace
         trace -= trace >> self.k_seq[t]  # one shifter decay, in place
         trace += delivered << self.fmt.frac_bits
 
-        self.cum += readout_out
-        teacher_cum = self.cum[self.label]
-        rival_cum = self.cum.max(where=self.others, initial=0)  # outputs are never negative
+        label, cum = self.label, self.cum
+        for j, out in enumerate(readout_out):
+            cum[j] += out
+        teacher_cum = cum[label]
+        rival_cum = max(cum[:label] + cum[label + 1:], default=0)  # outputs are never negative
         if teacher_cum - rival_cum >= self.margin:
             return  # teacher winning by the target margin: weights are fine
 
-        touched = False
-        step = (self.eta_fp * self.trace) >> self.fmt.frac_bits
-        if readout_out[self.label] == 0:
-            self.w[self.label] += step
-            touched = True
         # depress only competitive rivals; rows already far behind are
         # left alone so winners do not cycle
-        for j in np.flatnonzero(readout_out):
-            if j != self.label and self.cum[j] >= teacher_cum - self.margin:
-                self.w[j] -= step
-                touched = True
-        if touched:
-            np.clip(self.w, self.w_min_fp, self.w_max_fp, out=self.w)
+        depressed = [j for j, out in enumerate(readout_out)
+                     if out and j != label and cum[j] >= teacher_cum - self.margin]
+        potentiate = readout_out[label] == 0
+        if not (potentiate or depressed):
+            return
+        w = self.w
+        step = (self.eta_fp * trace) >> self.fmt.frac_bits
+        if potentiate:
+            w[label] += step
+        for j in depressed:
+            w[j] -= step
+        # the clip bounds hold for the whole matrix, not only the rows just changed
+        np.maximum(w, self.w_min_fp, out=w)
+        np.minimum(w, self.w_max_fp, out=w)
 
 
 def split_dataset(dataset: SpikeDataset, train_fraction: float, seed: int):

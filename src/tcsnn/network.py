@@ -26,8 +26,11 @@ engine runs reservoir pass -> readout pass -> trace:
 - :func:`run_readout` runs the readout over a batch of reservoir passes the
   same way, on ``(batch, readout)`` state, and returns one
   :class:`ReadoutPass` per pass. Frozen weights serve a whole test split in
-  one call; a learner, whose weights change between steps, runs a batch of
-  one.
+  one call. A learner, whose weights change between steps, runs a batch of
+  one, and its readout runs one neuron at a time on Python ints: at five
+  neurons, a numpy call costs more than the arithmetic it does. Each neuron
+  steps through the same :func:`~tcsnn.neuron.synapse_step` and step
+  function as the arrays do.
 - :func:`simulate` returns one example's :class:`SimulationTrace`, a view
   of its two passes, running whichever it was not given. Training replays
   a reservoir pass in every epoch; evaluation and the energy count replay
@@ -523,12 +526,12 @@ def run_readout(
 ) -> list[ReadoutPass]:
     """Run the readout over a batch of reservoir passes at ``gamma``, one run each.
 
-    The passes advance side by side on ``(batch, readout)`` state arrays, so
-    they must run equally long, and every run, its saturation count
-    included, equals the run of a batch of one. A learner updates
-    ``network.w_out`` between steps, so it needs a batch of one; its
-    ``on_step`` gets each step's delivered spike weights and outputs as rows,
-    and it keeps every weight it changes within ``[w_min_fp, w_max_fp]``.
+    Frozen weights: the passes advance side by side on ``(batch, readout)``
+    state arrays, so they must run equally long, and every run, its
+    saturation count included, equals the run of a batch of one. A learner
+    updates ``network.w_out`` between steps, so it needs a batch of one: its
+    readout runs one neuron at a time on Python ints (see
+    :func:`_learning_readout`).
     """
     passes = list(passes)
     for p in passes:
@@ -543,56 +546,34 @@ def run_readout(
         return []
     cfg = network.config
     comp = _compile(cfg, gamma)
+    if _learner is not None:
+        return [_learning_readout(network, passes[0], comp, record_potentials, _learner)]
 
     fmt = cfg.fmt
-    frac = fmt.frac_bits
-    batch, (steps, n_res) = len(passes), passes[0].spikes.shape
+    batch, steps = len(passes), lengths[0]
     n_read = cfg.num_readout
-    bursting = comp.spec.bursting
     step_fn = STEP_FUNCTIONS[cfg.model]
-    w_out = network.w_out  # plastic: a learner updates it in place between steps
+    w_out = network.w_out
 
     sat = SaturationCounter(rows=batch)
-    state = new_neuron_state((batch, n_read), fmt, bursting)
+    state = new_neuron_state((batch, n_read), fmt, comp.spec.bursting)
     k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
     outs = np.empty((batch, steps, n_read), dtype=np.int64)
     potentials = np.empty((batch, steps, n_read), dtype=np.int64) if record_potentials else None
-    # the reservoir's spikes of step t reach the readout at step t+1
-    drives = None
-    if bursting or _learner is not None:
+    deliver = _Projection(w_out, comp.n_max, 0)
+    fits = prove_ranges(comp, deliver.bound)
+    if comp.spec.bursting:  # fractional amplitudes: the drive step by step
         spikes = np.stack([p.spikes for p in passes])
-        delivered = np.zeros((batch, n_res), dtype=np.int64)
-        reach = np.abs(w_out)
-        if _learner is not None:  # a weight is its start value until the learner clips it
-            reach = np.maximum(reach, max(abs(_learner.w_min_fp), abs(_learner.w_max_fp)))
-        fits = prove_ranges(comp, _drive_bound(reach, comp.n_max))
-    else:  # frozen weights: every step's drive from one product per example, clamped elementwise
-        deliver = _Projection(w_out, comp.n_max, 0)
-        fits = prove_ranges(comp, deliver.bound)
+        drives = (saturate(drive, fmt, sat) for _, drive in _stepwise_drives(w_out, spikes, comp))
+    else:  # every step's drive from one product per example, clamped elementwise
         drives = np.zeros((batch, steps, n_read), dtype=np.int64)
         for b, p in enumerate(passes):
             drives[b, 1:] = deliver(p.spikes[:-1])
-        drives = saturate(drives, fmt, sat, fits.drive)
-    if bursting:  # the reservoir's burst gains, replayed from its spikes; the passes counted their clamps
-        gain = np.full((batch, n_res), fmt.scale, dtype=np.int64)
+        drives = saturate(drives, fmt, sat, fits.drive).swapaxes(0, 1)
 
-    for t in range(steps):
-        if drives is not None:
-            drive = drives[:, t]
-        else:
-            if t:
-                delivered = spikes[:, t - 1].astype(np.int64)
-            if bursting:  # fractional amplitudes, arbitrary plastic weights: floor each product
-                amp = gain * delivered
-                drive = saturate(((w_out * amp[:, None, :]) >> frac).sum(axis=2), fmt, sat)
-                gain = burst_gain_update(gain, delivered, comp)
-            else:
-                drive = saturate(delivered @ w_out.T, fmt, sat, fits.drive)
+    for t, drive in enumerate(drives):
         i_read = synapse_step(state, drive, comp, k_s1[t], k_s2[t], sat, fits)
-        out = step_fn(state, i_read, comp, k_m[t], sat, fits)
-        if _learner is not None:
-            _learner.on_step(t, delivered[0], out[0])
-        outs[:, t] = out
+        outs[:, t] = step_fn(state, i_read, comp, k_m[t], sat, fits)
         if record_potentials:
             potentials[:, t] = state.u
 
@@ -605,6 +586,75 @@ def run_readout(
         )
         for b in range(batch)
     ]
+
+
+def _stepwise_drives(w_out: np.ndarray, spikes: np.ndarray, comp: CompiledNeuron):
+    """Yield each step's delivered spike weights and unclamped readout drive.
+
+    ``spikes`` is a ``(..., steps, reservoir)`` array of reservoir passes,
+    widened to int64 here one step at a time unless it already is; the
+    spikes of step t reach the readout at step t+1. Each drive is
+    computed from ``w_out`` as it stands when the step is drawn, so a
+    learner may change it in between. Bursting amplitudes carry fractional
+    bits, so each product is floored on its own; the reservoir's burst
+    gains are replayed from its spikes (the passes counted their clamps).
+    """
+    frac = comp.fmt.frac_bits
+    delivered = np.zeros(spikes.shape[:-2] + spikes.shape[-1:], dtype=np.int64)
+    gain = np.full_like(delivered, comp.fmt.scale) if comp.spec.bursting else None
+    for t in range(spikes.shape[-2]):
+        if t:
+            delivered = spikes[..., t - 1, :].astype(np.int64, copy=False)
+        if gain is None:
+            yield delivered, w_out.dot(delivered.T).T  # delivered @ w_out.T, cheaper on one pass
+        else:
+            yield delivered, ((w_out * (gain * delivered)[..., None, :]) >> frac).sum(axis=-1)
+            gain = burst_gain_update(gain, delivered, comp)
+
+
+def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron, record_potentials: bool,
+                      learner) -> ReadoutPass:
+    """The readout's run on one pass while ``learner`` updates ``network.w_out`` between steps.
+
+    Each step's drive is one product over the readout; each readout neuron
+    then holds its state as Python ints and steps alone, through the same
+    :func:`~tcsnn.neuron.synapse_step` and step function as a frozen batch.
+    The learner's ``on_step`` gets the delivered spike weights as a row and
+    the outputs as a list, and it keeps every weight within
+    ``[w_min_fp, w_max_fp]`` once it changes any.
+    """
+    cfg = network.config
+    fmt = cfg.fmt
+    steps = res.spikes.shape[0]
+    step_fn = STEP_FUNCTIONS[cfg.model]
+    # a weight is its start value until the learner clips it
+    reach = np.maximum(np.abs(network.w_out), max(abs(learner.w_min_fp), abs(learner.w_max_fp)))
+    fits = prove_ranges(comp, _drive_bound(reach, comp.n_max))
+    sat = SaturationCounter()
+    states = [new_neuron_state(None, fmt, comp.spec.bursting) for _ in range(cfg.num_readout)]
+    k_m, k_s1, k_s2 = (k.tolist() for k in _plan_shifts(comp, steps))
+    outs = []
+    potentials = [] if record_potentials else None
+
+    spikes = res.spikes.astype(np.int64)  # widened once: the learner reads each step's row too
+    for t, (delivered, drive) in enumerate(_stepwise_drives(network.w_out, spikes, comp)):
+        out = [
+            step_fn(state, synapse_step(state, saturate(d, fmt, sat, fits.drive), comp, k_s1[t], k_s2[t], sat, fits),
+                    comp, k_m[t], sat, fits)
+            for state, d in zip(states, drive.tolist())
+        ]
+        learner.on_step(t, delivered, out)
+        outs.append(out)
+        if record_potentials:
+            potentials.append([state.u for state in states])
+
+    shape = (steps, cfg.num_readout)
+    return ReadoutPass(
+        gamma=comp.gamma,
+        outs=np.array(outs, dtype=np.int64).reshape(shape),
+        saturations=sat.count,
+        potentials=None if potentials is None else np.array(potentials, dtype=np.int64).reshape(shape),
+    )
 
 
 def simulate(

@@ -12,7 +12,10 @@ Every model is a row of :data:`MODELS`, three switches on one datapath:
   step (``burst-lif``, ``iow-burst-lif``).
 
 :func:`integrate_fire` is that core for a whole population (int64 arrays of
-raw fixed-point values), a pure transition: state in, state out, no globals.
+raw fixed-point values) or for one unit (Python ints), a pure transition:
+state in, state out, no globals. :func:`synapse_step` and
+:func:`burst_gain_update` take either form as well, so the formulas are
+written once for both.
 Membrane and synapse decays are shifter steps driven by per-step shift
 amounts taken from a :class:`~tcsnn.compress.TimeConstantPlan`.
 
@@ -150,7 +153,7 @@ class BurstParams:
 
 @dataclass
 class NeuronState:
-    """Per-population state arrays (raw fixed-point int64).
+    """Per-population state arrays (raw fixed-point int64), or one unit's Python ints.
 
     ``g`` holds each unit's own burst value; it doubles as the
     per-presynaptic-channel value seen by downstream neurons because the
@@ -166,7 +169,12 @@ class NeuronState:
     prev_out: np.ndarray | None = None
 
 
-def new_neuron_state(n: int | tuple, fmt: FixedPointFormat = DEFAULT_FORMAT, bursting: bool = False) -> NeuronState:
+def new_neuron_state(
+    n: int | tuple | None, fmt: FixedPointFormat = DEFAULT_FORMAT, bursting: bool = False
+) -> NeuronState:
+    """The resting state of ``n`` units as arrays, or of one unit as Python ints when ``n`` is None."""
+    if n is None:
+        return NeuronState(u=0, s1=0, s2=0, g=fmt.scale if bursting else None, prev_out=0 if bursting else None)
     zeros = lambda: np.zeros(n, dtype=np.int64)  # noqa: E731
     return NeuronState(
         u=zeros(),
@@ -405,6 +413,8 @@ def burst_gain_update(
     multiply, so a gain past the register range is clamped and counted.
     """
     lut = comp.beta_pow_fp
+    if isinstance(prev_out, int):  # one source; its table entry as a Python int
+        return fixed_mul(g, int(lut[min(prev_out, len(lut) - 1)]), comp.fmt, sat) if prev_out > 0 else comp.fmt.scale
     scaled = fixed_mul(g, lut[np.minimum(prev_out, len(lut) - 1)], comp.fmt, sat)
     return np.where(prev_out > 0, scaled, np.int64(comp.fmt.scale))
 
@@ -431,12 +441,14 @@ def integrate_fire(
     bursting = comp.spec.bursting
     if bursting:
         state.g = burst_gain_update(state.g, state.prev_out, comp, sat)
-        thr = np.maximum(fixed_mul(comp.u_th_fp, state.g, fmt, sat), 1)
-    decayed = state.u if comp.lif.leakless else decay_step(state.u, k_m)
+        thr = fixed_mul(comp.u_th_fp, state.g, fmt, sat)
+        thr = max(thr, 1) if isinstance(thr, int) else np.maximum(thr, 1)
+    decayed = state.u if comp.tau_m_plan is None else decay_step(state.u, k_m)
     drive = saturate(fixed_product(comp.gain_fp, i_fp, fmt), fmt, sat, fits.gain)
-    state.u = saturate(decayed + drive, fmt, sat, fits.u)
-    out = np.minimum(np.maximum(state.u // thr, 0), comp.n_max)
-    state.u -= out * thr
+    u = saturate(decayed + drive, fmt, sat, fits.u)
+    fired = u // thr
+    out = min(max(fired, 0), comp.n_max) if isinstance(fired, int) else np.minimum(np.maximum(fired, 0), comp.n_max)
+    state.u = u - out * thr
     if bursting:
         state.prev_out = out
     return out

@@ -171,7 +171,7 @@ def load_event_file(path) -> SpikeDataset:
 
 
 _COMMENT = re.compile(r"#[^\n]*")
-_HEADER = re.compile(r"channels=([1-9]\d*)[ \t]+classes=([1-9]\d*)[ \t]+steps=([1-9]\d*)")
+_HEADER_FIELD = re.compile(r"(channels|classes|steps)=([1-9]\d*)")
 _LABEL = re.compile(r"[ \t]+label=(\d+)[ \t]*")
 _EVENT_CHARS = b"0123456789 \t\n"
 
@@ -179,8 +179,8 @@ _EVENT_CHARS = b"0123456789 \t\n"
 def _parse_bulk(text: str) -> SpikeDataset | None:
     """The dataset ``text`` holds, or None unless every line of it is plainly valid.
 
-    Plainly valid takes the header's keys in their written order, unsigned
-    decimals without leading zeros in the header, decimal digits only in the
+    Plainly valid takes the header's three keys once each, in any order,
+    with unsigned decimals without leading zeros, decimal digits only in the
     events and spaces or tabs between tokens; anything else, valid or not,
     is left to the line reader.
     """
@@ -190,10 +190,11 @@ def _parse_bulk(text: str) -> SpikeDataset | None:
     # "example" must open a line: every piece before one ends a line
     if any(not piece.rstrip(" \t").endswith("\n") for piece in [head] + blocks[:-1]):
         return None
-    header = _HEADER.fullmatch(head.strip(" \t\n"))
-    if header is None:
+    fields = [_HEADER_FIELD.fullmatch(tok) for tok in re.split(r"[ \t]+", head.strip(" \t\n"))]
+    header = dict(field.groups() for field in fields if field is not None)
+    if len(header) != 3 or len(fields) != 3:
         return None
-    channels, classes, steps = map(int, header.groups())
+    channels, classes, steps = (int(header[key]) for key in ("channels", "classes", "steps"))
 
     bits = np.empty((len(blocks), channels, -(-steps // 8)), dtype=np.uint8)
     labels = np.empty(len(blocks), dtype=np.int64)

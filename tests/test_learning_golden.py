@@ -57,8 +57,8 @@ GOLDEN = {
 def _cases():
     cases = [("iow-lif", order, gamma) for order in ("zeroth", "first", "second") for gamma in (1, 4, 16)]
     cases += [("iow-burst-lif", "zeroth", 4)]
-    cases += [(model, order, gamma) for model, order in (("lif", "second"), ("iw-lif", "second"), ("burst-lif", "zeroth"))
-              for gamma in (1, 4)]
+    others = (("lif", "second"), ("iw-lif", "second"), ("burst-lif", "zeroth"))
+    cases += [(model, order, gamma) for model, order in others for gamma in (1, 4)]
     return cases + [("iow-lif", "second", 4, variant) for variant in VARIANTS]
 
 

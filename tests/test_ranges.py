@@ -6,8 +6,13 @@ lets each site whose interval fits the register skip its check. From any
 state inside the intervals and any drive within the bound, one synapse step
 and one integrate-fire step must keep every site inside its interval, and a
 site that skips its check must have nothing to clamp.
+
+The same step functions run a learning readout one unit at a time on
+Python ints: one unit stepped on ints must equal its column of an array
+step, proven or fully checked, in every model and synapse order.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -15,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import _example, _network
+from test_golden import ORDERS, _example, _network
 
 import tcsnn.network as network
 import tcsnn.neuron as neuron
@@ -25,12 +30,16 @@ from tcsnn.network import _Projection, _compile, run_readout, run_reservoir, sim
 from tcsnn.neuron import (
     MODELS,
     NO_PROOF,
+    BurstParams,
     LIFParams,
+    NeuronState,
     SynapseParams,
     compile_neuron,
+    integrate_fire,
     new_neuron_state,
     prove_ranges,
     site_ranges,
+    synapse_step,
 )
 
 NON_BURSTING = sorted(m for m, spec in MODELS.items() if not spec.bursting)
@@ -161,3 +170,52 @@ def test_proofs_change_no_output(order, loud):
             assert np.array_equal(a, b)
         if loud and gamma == 1:
             assert proven[5] > 0 and proven[8] > 0  # the readouts clamped
+
+
+INT_CASES = [(model, order, gamma) for model, orders in ORDERS.items() for order in orders
+             for gamma in (1, 2, 4, 8, 16)]
+
+
+@pytest.mark.parametrize("model, order, gamma", INT_CASES)
+@settings(max_examples=8)
+@given(data=st.data(), proven=st.booleans(), leakless=st.booleans(), drive_bound=drive_bounds)
+def test_a_unit_on_ints_steps_as_its_array_column(model, order, gamma, data, proven, leakless, drive_bound):
+    lif = LIFParams(tau_m_nom=math.inf if leakless else 32.0, synapse=SynapseParams(order=order))
+    bursting = MODELS[model].bursting
+    comp = compile_neuron(model, lif, gamma, burst=BurstParams() if bursting else None)
+    fmt = comp.fmt
+    fits = prove_ranges(comp, drive_bound) if proven else NO_PROOF
+    ranges = site_ranges(comp, drive_bound) if proven else {}
+
+    n = 5
+    # a (1, n) state inside the proven intervals, or anywhere in the register
+    state = new_neuron_state((1, n), fmt, bursting)
+    for name in ("s1", "s2", "u"):
+        setattr(state, name, _values(data, _held(ranges.get(name), fmt), n)[None])
+    if bursting:
+        state.g = _values(data, (0, fmt.raw_max), n)[None]
+        state.prev_out = _values(data, (0, comp.n_max), n)[None]
+    drive = _values(data, (-drive_bound, drive_bound), n)[None]
+    shifts = [_shift(data, plan) for plan in (comp.tau_m_plan, comp.tau_s1_plan, comp.tau_s2_plan)]
+    fields = [f.name for f in dataclasses.fields(NeuronState)]
+    units = [NeuronState(*(None if getattr(state, f) is None else int(getattr(state, f)[0, j]) for f in fields))
+             for j in range(n)]
+
+    def step(state, drive, k_m, k_s1, k_s2, sat):
+        current = synapse_step(state, saturate(drive, fmt, sat, fits.drive), comp, k_s1, k_s2, sat, fits)
+        return integrate_fire(state, current, comp, k_m, sat, fits)
+
+    on_arrays = SaturationCounter(rows=1)
+    outs = step(state, drive, *map(np.int64, shifts), on_arrays)
+    on_ints = SaturationCounter()
+    unit_outs = [step(unit, int(d), *shifts, on_ints) for unit, d in zip(units, drive[0])]
+
+    assert unit_outs == outs[0].tolist()
+    for f in fields:
+        column = getattr(state, f)
+        values = [getattr(unit, f) for unit in units]
+        assert values == ([None] * n if column is None else column[0].tolist()), f
+    assert on_ints.count == on_arrays.count[0]
+    # Python ints stay Python ints: no numpy scalar leaks into a unit's state
+    assert all(type(v) is int for v in unit_outs + [getattr(u, f) for u in units for f in fields]
+               if v is not None)

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import numpy as np
@@ -172,7 +173,6 @@ class TestEventFile:
 
 # valid files the bulk parse leaves to the line reader: both events are on channel 1
 LINE_READER_ONLY = {
-    "header order": "steps=10 channels=3 classes=2\nexample label=1\n1 2\n1 5\n",
     "header extra token": "channels=3 classes=2 steps=10 v2\nexample label=1\n1 2\n1 5\n",
     "signed integers": "channels=3 classes=2 steps=10\nexample label=+1\n1 2\n+1 5\n",
     "vertical tab": "channels=3 classes=2 steps=10\nexample label=1\n1\x0b2\n1 5\n",
@@ -187,6 +187,15 @@ def test_line_reader_takes_what_the_bulk_parse_declines(tmp_path, name):
     assert spike._parse_bulk(path.read_text()) is None
     events = np.zeros((0, 3, 10)) if name == "no final newline" else [[[0] * 10, [0, 0, 1, 0, 0, 1] + [0] * 4, [0] * 10]]
     assert load_event_file(path) == dataset(events, [1] * len(events), 2)
+
+
+@pytest.mark.parametrize("keys", list(itertools.permutations(("channels=3", "classes=2", "steps=10"))))
+def test_bulk_parse_takes_the_header_keys_in_any_order(tmp_path, keys):
+    path = tmp_path / "reordered.events"
+    path.write_text(" ".join(keys) + "\nexample label=1\n1 2\n1 5\n")
+    parsed = spike._parse_bulk(path.read_text())
+    assert parsed is not None
+    assert parsed == spike._read_lines(path) == dataset([[[0] * 10, [0, 0, 1, 0, 0, 1] + [0] * 4, [0] * 10]], [1], 2)
 
 
 @st.composite
