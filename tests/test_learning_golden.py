@@ -3,7 +3,9 @@
 ``train_readout`` runs on a small synthetic task (3 classes, 20 channels,
 40 steps, a 27-neuron 3x3x3 reservoir, 3 epochs) for ``iow-lif`` in every
 synapse order at three ratios, for ``lif``, ``iw-lif`` and ``burst-lif`` at
-gamma 1 and 4 and for ``iow-burst-lif`` at gamma 4. Two variants of
+gamma 1 and 4 and for ``iow-burst-lif`` at gamma 4. ``iow-lif`` and
+``iw-lif`` with second-order synapses also run at gamma 8, the higher ratio
+of the ``train`` benchmark workload. Two variants of
 ``iow-lif`` close the table: a leakless membrane, and a learner loud enough
 (eta 1000, weights up to +/- 2**14) that its readout clamps. Each case is
 pinned by a hash of the final readout weights, the epoch curve, the test
@@ -49,6 +51,8 @@ GOLDEN = {
     ('iw-lif', 'second', 4): 'cc498f7ee840d517',
     ('burst-lif', 'zeroth', 1): '2bf88ec44eefdd5c',
     ('burst-lif', 'zeroth', 4): '5ed09c88360c6bb4',
+    ('iow-lif', 'second', 8): 'e35c9057dcdbe2f5',
+    ('iw-lif', 'second', 8): '88f7b519cfe6e07f',
     ('iow-lif', 'second', 4, 'leakless'): 'f43b7e5ac1d905f8',
     ('iow-lif', 'second', 4, 'clamping'): '82e4685fa6a6d5e1',
 }
@@ -59,6 +63,7 @@ def _cases():
     cases += [("iow-burst-lif", "zeroth", 4)]
     others = (("lif", "second"), ("iw-lif", "second"), ("burst-lif", "zeroth"))
     cases += [(model, order, gamma) for model, order in others for gamma in (1, 4)]
+    cases += [("iow-lif", "second", 8), ("iw-lif", "second", 8)]
     return cases + [("iow-lif", "second", 4, variant) for variant in VARIANTS]
 
 
