@@ -48,10 +48,10 @@ def _run_single(config: ExperimentConfig, gamma: int, dataset: SpikeDataset) -> 
     """
     net = build_lsm(config.make_lsm_config(dataset))
     train_idx, test_idx = split_dataset(dataset, config.train_fraction, config.seed)
-    # each test example's reservoir runs once, and the trained readout once
-    # over them all: both serve the evaluation and the energy count below;
-    # training runs its own examples' reservoirs once per ratio
-    passes = reservoir_passes(net, dataset, test_idx, gamma)
+    # every example's reservoir runs once, in one batch: its pass serves each
+    # training epoch, and the trained readout runs once over the test passes
+    # for both the evaluation and the energy count below
+    passes = reservoir_passes(net, dataset, [*train_idx, *test_idx] if config.learning.epochs else test_idx, gamma)
     report = train_readout(net, dataset, (train_idx, test_idx), config.learning, gamma, passes=passes)
 
     energy = 0.0

@@ -21,7 +21,6 @@ __all__ = [
     "scale_time_constant",
     "make_schedule",
     "plan_time_constant",
-    "decay_step",
 ]
 
 
@@ -66,19 +65,6 @@ def scale_time_constant(tau_nom: float, gamma: int) -> float:
     if decay == 1.0:
         raise ValueError(f"time constant {tau_nom:g} is too long to scale by gamma {gamma}: its decay rounds to 1")
     return 1.0 / (1.0 - decay)
-
-
-def decay_step(x, k: int):
-    """One shifter decay: x - (x >> k), i.e. x*(1 - 2**-k) with truncation.
-
-    Works on Python ints and int64 arrays (arithmetic shift either way).
-    k = 0 decays to zero in one step (tau = 1). Positive values stall once
-    x >> k truncates to zero, so homogeneous decay bottoms out within
-    2**k - 1 raw units of zero rather than at exactly zero.
-    """
-    if k < 0:
-        raise ValueError("shift amount must be >= 0")
-    return x - (x >> k)
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,9 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import get_args, get_origin, get_type_hints
 
 from .fixedpoint import fixed_constant
-from .learning import LearningParams
+from .learning import LearningParams, trace_plan
 from .metrics import EnergyModel
 from .network import LsmConfig
-from .compress import plan_time_constant
 from .neuron import MODELS, BurstParams, compile_neuron
 from .spike import SpikeDataset, load_event_file, synthetic_task
 
@@ -142,8 +141,8 @@ class ExperimentConfig:
             for name in ("eta", "w_min", "w_max"):
                 fixed_constant(name, getattr(self.learning, name), fmt)
             for gamma in self.gammas:
-                compile_neuron(self.lsm.model, self.lsm.lif, gamma, fmt, self.lsm.burst)
-                plan_time_constant(self.learning.tau_trace_nom, gamma, max_shift=fmt.total_bits - 1)
+                comp = compile_neuron(self.lsm.model, self.lsm.lif, gamma, fmt, self.lsm.burst)
+                trace_plan(self.learning, gamma, comp.n_max, fmt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

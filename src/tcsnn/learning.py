@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .compress import plan_time_constant
-from .fixedpoint import to_fixed
-from .network import Network, ReadoutPass, SimulationTrace, _shifts_cached, run_readout, run_reservoir, simulate
+from .fixedpoint import FixedPointFormat, to_fixed
+from .network import Network, ReadoutPass, SimulationTrace, _compile, run_readout, run_reservoir, simulate
 from .spike import SpikeDataset
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "evaluate",
     "reservoir_passes",
     "split_dataset",
+    "trace_plan",
 ]
 
 
@@ -81,40 +82,71 @@ def classify(trace: SimulationTrace) -> Classification:
     return Classification(label=label, no_spike=bool(totals.max() <= 0))
 
 
-class _ReadoutLearner:
-    """Online trace-based teacher rule, applied while an example runs."""
+def trace_plan(params: LearningParams, gamma: int, n_max: int, fmt: FixedPointFormat):
+    """The shifter plan of the learner's eligibility trace at ``gamma``.
 
-    def __init__(self, network: Network, params: LearningParams, gamma: int, label: int):
+    A weight-w spike adds ``w << frac_bits`` to its trace, so with spike
+    weights up to ``n_max`` every trace stays within
+    ``n_max * 2**(frac_bits + k_high)``, the decay invariant of
+    :func:`~tcsnn.neuron.site_ranges`. The learner's step ``eta * trace`` is
+    an int64 product, so a rate that could carry it past 64 bits is rejected.
+    """
+    plan = plan_time_constant(params.tau_trace_nom, gamma, max_shift=fmt.total_bits - 1)
+    peak = n_max << (fmt.frac_bits + plan.k_high)
+    if to_fixed(params.eta, fmt) * peak > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"eta {params.eta:g} times a trace of up to {peak} raw (tau_trace {params.tau_trace_nom:g} at gamma "
+            f"{gamma}) does not fit 64 bits"
+        )
+    return plan
+
+
+class _ReadoutLearner:
+    """Online trace-based teacher rule, applied while an example runs.
+
+    One learner serves every example of a training run at one ratio: its
+    rate, clip bounds and trace schedule are fixed at construction, and
+    :meth:`start` resets the trace and the output tallies for each example.
+    """
+
+    def __init__(self, network: Network, params: LearningParams, gamma: int, steps: int):
         cfg = network.config
         fmt = cfg.fmt
         self.w = network.w_out  # mutated in place
-        self.fmt = fmt
+        self.frac = fmt.frac_bits
         self.eta_fp = to_fixed(params.eta, fmt)
         self.w_min_fp = to_fixed(params.w_min, fmt)
         self.w_max_fp = to_fixed(params.w_max, fmt)
         self.margin = params.teacher_margin
-        self.label = label
+        # each step's trace shift as a 0-d array, which a ufunc takes faster than a Python int
+        self.k_seq = [np.array(k) for k in trace_plan(params, gamma, _compile(cfg, gamma).n_max, fmt).shifts(steps)]
         self.trace = np.zeros(cfg.reservoir_size, dtype=np.int64)
-        self.k_seq = None
-        self.plan = plan_time_constant(params.tau_trace_nom, gamma, max_shift=fmt.total_bits - 1)
-        self.cum = [0] * cfg.num_readout  # output weight so far per readout neuron
+        self._scratch = np.empty_like(self.trace)
+        self.label = 0
+        self.teacher_cum = 0  # the teacher's output weight so far
+        self.cum = [0] * cfg.num_readout  # each rival's output weight so far; the teacher's entry stays 0
 
-    def prepare(self, steps: int):
-        self.k_seq = _shifts_cached(self.plan, steps)
+    def start(self, label: int):
+        """Begin an example of class ``label``: an empty trace and no outputs yet."""
+        self.label = label
+        self.trace.fill(0)
+        self.teacher_cum = 0
+        self.cum = [0] * len(self.cum)
 
-    def on_step(self, t: int, delivered: np.ndarray, readout_out):
-        """``delivered`` holds each reservoir neuron's spike weight reaching the
-        readout at step t, ``readout_out`` each readout neuron's output weight."""
+    def on_step(self, t: int, delivered_fp: np.ndarray, readout_out):
+        """``delivered_fp`` holds each reservoir neuron's spike weight reaching
+        the readout at step t, shifted up by ``frac_bits``; ``readout_out``
+        holds each readout neuron's output weight."""
         trace = self.trace
-        trace -= trace >> self.k_seq[t]  # one shifter decay, in place
-        trace += delivered << self.fmt.frac_bits
+        trace -= np.right_shift(trace, self.k_seq[t], self._scratch)  # one shifter decay, in place
+        trace += delivered_fp
 
         label, cum = self.label, self.cum
         for j, out in enumerate(readout_out):
-            cum[j] += out
-        teacher_cum = cum[label]
-        rival_cum = max(cum[:label] + cum[label + 1:], default=0)  # outputs are never negative
-        if teacher_cum - rival_cum >= self.margin:
+            if out and j != label:
+                cum[j] += out
+        teacher_cum = self.teacher_cum = self.teacher_cum + readout_out[label]
+        if teacher_cum - max(cum) >= self.margin:  # outputs are never negative, so the 0 stands for no rival
             return  # teacher winning by the target margin: weights are fine
 
         # depress only competitive rivals; rows already far behind are
@@ -125,7 +157,8 @@ class _ReadoutLearner:
         if not (potentiate or depressed):
             return
         w = self.w
-        step = (self.eta_fp * trace) >> self.fmt.frac_bits
+        step = np.multiply(trace, self.eta_fp, out=self._scratch)
+        step >>= self.frac
         if potentiate:
             w[label] += step
         for j in depressed:
@@ -152,7 +185,7 @@ def reservoir_passes(network: Network, dataset: SpikeDataset, indices, gamma: in
     passes = dict(passes or {})
     todo = [i for i in dict.fromkeys(int(i) for i in indices) if i not in passes]
     if todo:
-        runs = run_reservoir(network, [dataset.row(i) for i in todo], gamma)
+        runs = run_reservoir(network, map(dataset.row, todo), gamma)
         passes.update(zip(todo, runs))
     return passes
 
@@ -185,13 +218,12 @@ def train_readout(
     if params.epochs:
         passes = reservoir_passes(network, dataset, train_idx, gamma, passes)
     epoch_acc = []
+    learner = _ReadoutLearner(network, params, gamma, -(-dataset.length_steps // gamma)) if params.epochs else None
     for _ in range(params.epochs):
         correct = 0
         for i in train_idx:
             label = int(dataset.labels[i])
-            learner = _ReadoutLearner(network, params, gamma, label)
-            steps = -(-dataset.length_steps // gamma)
-            learner.prepare(steps)
+            learner.start(label)
             trace = simulate(network, dataset.row(i), gamma=gamma, reservoir=passes[int(i)], _learner=learner)
             if classify(trace).label == label:
                 correct += 1

@@ -27,10 +27,11 @@ engine runs reservoir pass -> readout pass -> trace:
   same way, on ``(batch, readout)`` state, and returns one
   :class:`ReadoutPass` per pass. Frozen weights serve a whole test split in
   one call. A learner, whose weights change between steps, runs a batch of
-  one, and its readout runs one neuron at a time on Python ints: at five
-  neurons, a numpy call costs more than the arithmetic it does. Each neuron
-  steps through the same :func:`~tcsnn.neuron.synapse_step` and step
-  function as the arrays do.
+  one, and its loop keeps only the work that depends on the weights: the
+  drive and the readout's step. Its readout runs one neuron at a time on
+  Python ints: at five neurons, a numpy call costs more than the arithmetic
+  it does. Each neuron steps through the same
+  :func:`~tcsnn.neuron.synapse_step` and step function as the arrays do.
 - :func:`simulate` returns one example's :class:`SimulationTrace`, a view
   of its two passes, running whichever it was not given. Training replays
   a reservoir pass in every epoch; evaluation and the energy count replay
@@ -42,9 +43,9 @@ A fixed layer's drive is ``(amplitudes @ w.T) >> frac_bits``, exact for the
 fixed +/- 2**(e + frac_bits) weights: a float64 matmul while every partial
 sum provably stays below 2**53, an integer one otherwise (bursting). The
 plastic readout multiplies the integer spike weights instead: a frozen one
-for all steps in one product per example, a learning one step by step. When
-amplitudes carry fractional bits (bursting), it floors each product on its
-own.
+for all steps in one product per example, a learning one in one product per
+step. When amplitudes carry fractional bits (bursting), it floors each
+product on its own, step by step (:func:`_stepwise_drives`).
 
 Spikes emitted at step t are delivered at step t+1; external input spikes
 are delivered at their own step. All arithmetic is integer fixed point, so
@@ -424,37 +425,37 @@ def run_reservoir(
 
     The examples advance side by side on ``(batch, neuron)`` state arrays, so
     they must run for the same number of steps. Every pass, its saturation
-    count included, equals the pass of a batch of one.
+    count included, equals the pass of a batch of one. ``examples`` is read
+    once, in order, so a generator of rows never holds them all at once.
     """
     cfg = network.config
     comp = _compile(cfg, gamma)
-    examples = list(examples)
-    if not examples:
-        return []
-    # input spike weights per (example, step, channel): at most gamma, and 1 unless weighted in
-    weighted_in = comp.spec.weighted_in
-    w_max = gamma if weighted_in else 1
-    in_weights = None
+    steps = None
     inputs = []  # (input events, input length) per example
-    for b, row in enumerate(examples):
+    for row in examples:
         dense = trains_to_dense(row)
         if dense.ndim != 2 or dense.shape[0] != cfg.num_inputs:
             raise ValueError(f"expected a ({cfg.num_inputs}, steps) example row, got shape {dense.shape}")
         counts = compress_train(dense, gamma).T  # (steps, channels)
-        if in_weights is None:
-            in_weights = np.zeros((len(examples),) + counts.shape, dtype=np.min_scalar_type(w_max))
-        elif counts.shape[0] != in_weights.shape[1]:
-            raise ValueError(
-                f"examples of one batch must run equally long: {in_weights.shape[1]} and {counts.shape[0]} steps"
-            )
-        in_weights[b] = counts if weighted_in else counts > 0
+        if steps is None:
+            steps = counts.shape[0]
+        elif counts.shape[0] != steps:
+            raise ValueError(f"examples of one batch must run equally long: {steps} and {counts.shape[0]} steps")
         inputs.append((_events(counts), dense.shape[1]))
+    if not inputs:
+        return []
+    # input spike weights per (example, step, channel): at most gamma, and 1 unless weighted in
+    weighted_in = comp.spec.weighted_in
+    w_max = gamma if weighted_in else 1
+    batch, n_res = len(inputs), cfg.reservoir_size
+    in_weights = np.zeros((batch, steps, cfg.num_inputs), dtype=np.min_scalar_type(w_max))
+    for b, (events, _) in enumerate(inputs):
+        in_weights[b, events[:, 1], events[:, 0]] = events[:, 2] if weighted_in else 1
 
     fmt = cfg.fmt
     frac = fmt.frac_bits
     bursting = comp.spec.bursting
     step_fn = STEP_FUNCTIONS[cfg.model]
-    batch, steps, n_res = len(inputs), in_weights.shape[1], cfg.reservoir_size
 
     amp_unit = fmt.raw_max if bursting else fmt.scale  # largest amplitude of a weight-1 spike
     deliver_in = _Projection(network.w_in, w_max * amp_unit, frac)
@@ -589,46 +590,49 @@ def run_readout(
 
 
 def _stepwise_drives(w_out: np.ndarray, spikes: np.ndarray, comp: CompiledNeuron):
-    """Yield each step's delivered spike weights and unclamped readout drive.
+    """Yield each step's delivered spike weights and unclamped bursting readout drive.
 
-    ``spikes`` is a ``(..., steps, reservoir)`` array of reservoir passes,
-    widened to int64 here one step at a time unless it already is; the
-    spikes of step t reach the readout at step t+1. Each drive is
-    computed from ``w_out`` as it stands when the step is drawn, so a
-    learner may change it in between. Bursting amplitudes carry fractional
-    bits, so each product is floored on its own; the reservoir's burst
-    gains are replayed from its spikes (the passes counted their clamps).
+    Bursting amplitudes carry fractional bits, so each product is floored
+    on its own, one step at a time; the reservoir's burst gains are replayed
+    from its spikes (the passes counted their clamps). ``spikes`` is a
+    ``(..., steps, reservoir)`` array of reservoir passes, widened to int64
+    here one step at a time unless it already is; the spikes of step t
+    reach the readout at step t+1. Each drive is computed from ``w_out`` as
+    it stands when the step is drawn, so a learner may change it in between.
     """
     frac = comp.fmt.frac_bits
     delivered = np.zeros(spikes.shape[:-2] + spikes.shape[-1:], dtype=np.int64)
-    gain = np.full_like(delivered, comp.fmt.scale) if comp.spec.bursting else None
+    gain = np.full_like(delivered, comp.fmt.scale)
     for t in range(spikes.shape[-2]):
         if t:
             delivered = spikes[..., t - 1, :].astype(np.int64, copy=False)
-        if gain is None:
-            yield delivered, w_out.dot(delivered.T).T  # delivered @ w_out.T, cheaper on one pass
-        else:
-            yield delivered, ((w_out * (gain * delivered)[..., None, :]) >> frac).sum(axis=-1)
-            gain = burst_gain_update(gain, delivered, comp)
+        yield delivered, ((w_out * (gain * delivered)[..., None, :]) >> frac).sum(axis=-1)
+        gain = burst_gain_update(gain, delivered, comp)
 
 
 def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron, record_potentials: bool,
                       learner) -> ReadoutPass:
     """The readout's run on one pass while ``learner`` updates ``network.w_out`` between steps.
 
-    Each step's drive is one product over the readout; each readout neuron
-    then holds its state as Python ints and steps alone, through the same
-    :func:`~tcsnn.neuron.synapse_step` and step function as a frozen batch.
-    The learner's ``on_step`` gets the delivered spike weights as a row and
-    the outputs as a list, and it keeps every weight within
+    Only the work that depends on ``w_out`` stays in the loop. The pass's
+    spikes are widened to int64 once, one step later (the spikes of step t
+    reach the readout at step t+1), and shifted up by ``frac_bits`` once for
+    the learner's trace. Each step's drive is then one product over the
+    readout, or, when bursting, a step of :func:`_stepwise_drives`. Each
+    readout neuron holds its state as Python ints and steps alone, through
+    the same :func:`~tcsnn.neuron.synapse_step` and step function as a
+    frozen batch. The learner's ``on_step`` gets the shifted spike weights
+    as a row and the outputs as a list, and it keeps every weight within
     ``[w_min_fp, w_max_fp]`` once it changes any.
     """
     cfg = network.config
     fmt = cfg.fmt
     steps = res.spikes.shape[0]
     step_fn = STEP_FUNCTIONS[cfg.model]
+    on_step = learner.on_step
+    w_out = network.w_out
     # a weight is its start value until the learner clips it
-    reach = np.maximum(np.abs(network.w_out), max(abs(learner.w_min_fp), abs(learner.w_max_fp)))
+    reach = np.maximum(np.abs(w_out), max(abs(learner.w_min_fp), abs(learner.w_max_fp)))
     fits = prove_ranges(comp, _drive_bound(reach, comp.n_max))
     sat = SaturationCounter()
     states = [new_neuron_state(None, fmt, comp.spec.bursting) for _ in range(cfg.num_readout)]
@@ -636,14 +640,21 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
     outs = []
     potentials = [] if record_potentials else None
 
-    spikes = res.spikes.astype(np.int64)  # widened once: the learner reads each step's row too
-    for t, (delivered, drive) in enumerate(_stepwise_drives(network.w_out, spikes, comp)):
-        out = [
-            step_fn(state, synapse_step(state, saturate(d, fmt, sat, fits.drive), comp, k_s1[t], k_s2[t], sat, fits),
-                    comp, k_m[t], sat, fits)
-            for state, d in zip(states, drive.tolist())
-        ]
-        learner.on_step(t, delivered, out)
+    frac = fmt.frac_bits
+    if comp.spec.bursting:  # fractional amplitudes: each product floored on its own
+        drives = ((row << frac, drive) for row, drive in _stepwise_drives(w_out, res.spikes.astype(np.int64), comp))
+    else:  # the spikes of step t reach the readout at step t+1
+        delivered = np.zeros(res.spikes.shape, dtype=np.int64)
+        delivered[1:] = res.spikes[:-1]
+        drives = zip(delivered << frac, map(w_out.dot, delivered))  # each product taken as its step begins
+    for t, (row_fp, drive) in enumerate(drives):
+        drive = drive.tolist()
+        if not fits.drive:
+            drive = [saturate(d, fmt, sat) for d in drive]
+        km, ks1, ks2 = k_m[t], k_s1[t], k_s2[t]
+        out = [step_fn(state, synapse_step(state, d, comp, ks1, ks2, sat, fits), comp, km, sat, fits)
+               for state, d in zip(states, drive)]
+        on_step(t, row_fp, out)
         outs.append(out)
         if record_potentials:
             potentials.append([state.u for state in states])

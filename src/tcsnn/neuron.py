@@ -16,8 +16,11 @@ raw fixed-point values) or for one unit (Python ints), a pure transition:
 state in, state out, no globals. :func:`synapse_step` and
 :func:`burst_gain_update` take either form as well, so the formulas are
 written once for both.
-Membrane and synapse decays are shifter steps driven by per-step shift
-amounts taken from a :class:`~tcsnn.compress.TimeConstantPlan`.
+Membrane and synapse decays are shifter steps ``x - (x >> k)`` driven by
+per-step shift amounts taken from a :class:`~tcsnn.compress.TimeConstantPlan`.
+The decays and the fixed-point products ``(a * b) >> frac_bits`` are written
+inline, since on one unit's Python ints a call costs as much as the
+arithmetic; on arrays, a product is shifted in place.
 
 Every register of the datapath saturates. :func:`site_ranges` bounds the
 values at each clamp site of a non-bursting run, from the compiled
@@ -44,14 +47,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compress import TimeConstantPlan, decay_step, plan_time_constant
+from .compress import TimeConstantPlan, plan_time_constant
 from .fixedpoint import (
     DEFAULT_FORMAT,
     FixedPointFormat,
     SaturationCounter,
     fixed_constant,
     fixed_mul,
-    fixed_product,
     saturate,
 )
 
@@ -391,16 +393,21 @@ def synapse_step(
     names the sites proven never to clamp (:func:`prove_ranges`).
     """
     order = comp.lif.synapse.order
-    fmt = comp.fmt
     if order == "zeroth":
         return drive_fp
+    fmt = comp.fmt
+    s1 = state.s1
     if order == "first":
-        scaled = saturate(fixed_product(comp.q_fp, drive_fp, fmt), fmt, sat, fits.syn)
-        state.s1 = saturate(decay_step(state.s1, k_s1) + scaled, fmt, sat, fits.s1)
-        return state.s1
-    state.s1 = saturate(decay_step(state.s1, k_s1) + drive_fp, fmt, sat, fits.s1)
-    state.s2 = saturate(decay_step(state.s2, k_s2) + drive_fp, fmt, sat, fits.s2)
-    return saturate(fixed_product(comp.syn_gain_fp, state.s2 - state.s1, fmt), fmt, sat, fits.syn)
+        scaled = comp.q_fp * drive_fp
+        scaled >>= fmt.frac_bits
+        state.s1 = s1 = saturate(s1 - (s1 >> k_s1) + saturate(scaled, fmt, sat, fits.syn), fmt, sat, fits.s1)
+        return s1
+    s2 = state.s2
+    state.s1 = s1 = saturate(s1 - (s1 >> k_s1) + drive_fp, fmt, sat, fits.s1)
+    state.s2 = s2 = saturate(s2 - (s2 >> k_s2) + drive_fp, fmt, sat, fits.s2)
+    current = comp.syn_gain_fp * (s2 - s1)
+    current >>= fmt.frac_bits
+    return saturate(current, fmt, sat, fits.syn)
 
 
 def burst_gain_update(
@@ -443,11 +450,17 @@ def integrate_fire(
         state.g = burst_gain_update(state.g, state.prev_out, comp, sat)
         thr = fixed_mul(comp.u_th_fp, state.g, fmt, sat)
         thr = max(thr, 1) if isinstance(thr, int) else np.maximum(thr, 1)
-    decayed = state.u if comp.tau_m_plan is None else decay_step(state.u, k_m)
-    drive = saturate(fixed_product(comp.gain_fp, i_fp, fmt), fmt, sat, fits.gain)
-    u = saturate(decayed + drive, fmt, sat, fits.u)
+    u = state.u
+    if comp.tau_m_plan is not None:
+        u = u - (u >> k_m)
+    drive = comp.gain_fp * i_fp
+    drive >>= fmt.frac_bits
+    u = saturate(u + saturate(drive, fmt, sat, fits.gain), fmt, sat, fits.u)
     fired = u // thr
-    out = min(max(fired, 0), comp.n_max) if isinstance(fired, int) else np.minimum(np.maximum(fired, 0), comp.n_max)
+    if isinstance(fired, int):
+        out = 0 if fired <= 0 else min(fired, comp.n_max)
+    else:
+        out = np.minimum(np.maximum(fired, 0), comp.n_max)
     state.u = u - out * thr
     if bursting:
         state.prev_out = out

@@ -78,7 +78,8 @@ def test_perfect_baseline_leaves_the_atel_cells_empty(tmp_path, monkeypatch, bas
         assert (report["atel_percent"] is None) == (cell == "")
 
 
-# CONFIG has 3 classes x 5 examples, split 12 train / 3 test, and two ratios
+# CONFIG has 3 classes x 5 examples, split 12 train / 3 test, and two ratios;
+# the training and test examples of a ratio run in one batch
 @pytest.mark.parametrize("epochs, examples_per_ratio", [(3, 12 + 3), (0, 3)])
 def test_reservoir_runs_once_per_example_and_ratio(tmp_path, monkeypatch, epochs, examples_per_ratio):
     real = tcsnn.network.run_reservoir
@@ -93,6 +94,7 @@ def test_reservoir_runs_once_per_example_and_ratio(tmp_path, monkeypatch, epochs
         monkeypatch.setattr(module, "run_reservoir", counting)
     assert run(tmp_path, CONFIG.replace("epochs = 1", f"epochs = {epochs}"), "out") == 0
     assert sum(runs) == examples_per_ratio * 2
+    assert len(runs) == 2  # one batch per ratio
 
 
 # per ratio: one learning run per epoch and training example, alone, then

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from traces import from_fixed
+from traces import decay_step, from_fixed
 
 from tcsnn.compress import (
     compress_train,
-    decay_step,
     make_schedule,
     plan_time_constant,
     scale_time_constant,

@@ -144,6 +144,9 @@ INVALID = {
     "infinite trace time constant": ("learning.tau_trace = inf\n", 2, "tau_trace_nom must exceed 1 and be finite"),
     "time constant past the shifter": ("neuron.tau_m = 1e12\n", 2, "needs a 40-bit shift at gamma 1, past 31 bits"),
     "trace past the shifter": ("learning.tau_trace = 1e20\n", 2, "needs a 67-bit shift at gamma 1"),
+    # either key clears it; the first one in the file is named
+    "rate times trace past int64": ("learning.tau_trace = 1e5\nlearning.eta = 32767\n", 2,
+                                    "learning.tau_trace: eta 32767 times a trace of up to 60129542144 raw"),
     "time constant that cannot scale": ("gammas = 4\nneuron.tau_s2 = 1e20\n", 3, "too long to scale by gamma 4"),
     "zero threshold": ("neuron.u_th = 1e-9\n", 2, "u_th 1e-09 rounds to a zero threshold"),
     "threshold past the format": ("neuron.u_th = 1e10\n", 2, "u_th 1e+10 does not fit"),

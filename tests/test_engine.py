@@ -118,8 +118,8 @@ def test_learn_mode_at_rate_zero_equals_frozen_run(case, loud):
     (res,) = run_reservoir(net, [example], gamma, record_potentials=True)
     frozen = simulate(net, example, gamma, record_potentials=True, reservoir=res)
     weights = net.w_out.copy()
-    learner = _ReadoutLearner(net, LearningParams(eta=0.0, w_min=-bound, w_max=bound), gamma, label=0)
-    learner.prepare(frozen.timestep_count)
+    learner = _ReadoutLearner(net, LearningParams(eta=0.0, w_min=-bound, w_max=bound), gamma, frozen.timestep_count)
+    learner.start(label=0)
     learned = simulate(net, example, gamma, record_potentials=True, reservoir=res, _learner=learner)
     assert np.array_equal(net.w_out, weights)
     assert_same_trace(learned, frozen)
@@ -179,7 +179,7 @@ def test_readout_pass_that_does_not_fit_is_rejected():
         simulate(net, example, 4, reservoir=at_4, readout=run_readout(net, [short_4], 4)[0])
     with pytest.raises(ValueError, match="readout pass has no potentials"):
         simulate(net, example, 4, record_potentials=True, reservoir=with_potentials, readout=run_4)
-    learner = _ReadoutLearner(net, LearningParams(), 4, label=0)
+    learner = _ReadoutLearner(net, LearningParams(), 4, steps=at_4.spikes.shape[0])
     with pytest.raises(ValueError, match="a learner needs the readout to run here"):
         simulate(net, example, 4, reservoir=at_4, readout=run_4, _learner=learner)
     with pytest.raises(ValueError, match="batch of one pass, got 2"):

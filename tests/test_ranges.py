@@ -145,8 +145,8 @@ def _runs(net, gamma):
     (res,) = run_reservoir(net, [_example()], gamma, record_potentials=True)
     (frozen,) = run_readout(net, [res], gamma, record_potentials=True)
     weights = net.w_out.copy()
-    learner = _ReadoutLearner(net, LearningParams(eta=1000.0, w_min=-2.0**14, w_max=2.0**14), gamma, label=1)
-    learner.prepare(res.spikes.shape[0])
+    learner = _ReadoutLearner(net, LearningParams(eta=1000.0, w_min=-2.0**14, w_max=2.0**14), gamma, res.spikes.shape[0])
+    learner.start(label=1)
     learned = simulate(net, _example(), gamma, record_potentials=True, reservoir=res, _learner=learner).readout
     trained, net.w_out[:] = net.w_out.copy(), weights
     return [res.spikes, res.potentials, res.saturations, frozen.outs, frozen.potentials, frozen.saturations,

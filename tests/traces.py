@@ -1,5 +1,5 @@
-"""Helpers shared by the tests: Poisson example rows, trace comparison and
-fixed-point values read back as floats."""
+"""Helpers shared by the tests: Poisson example rows, trace comparison,
+fixed-point values read back as floats and the reference shifter decay."""
 
 import numpy as np
 
@@ -44,3 +44,17 @@ def from_fixed(raw, fmt: FixedPointFormat = DEFAULT_FORMAT):
     if np.ndim(raw) == 0:
         return float(raw) / fmt.scale
     return np.asarray(raw, dtype=np.float64) / fmt.scale
+
+
+def decay_step(x, k: int):
+    """One shifter decay: x - (x >> k), i.e. x*(1 - 2**-k) with truncation.
+
+    Works on Python ints and int64 arrays (arithmetic shift either way).
+    k = 0 decays to zero in one step (tau = 1). Positive values stall once
+    x >> k truncates to zero, so homogeneous decay bottoms out within
+    2**k - 1 raw units of zero rather than at exactly zero. The engine
+    writes this decay inline in its step functions.
+    """
+    if k < 0:
+        raise ValueError("shift amount must be >= 0")
+    return x - (x >> k)
