@@ -614,11 +614,13 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
                       learner) -> ReadoutPass:
     """The readout's run on one pass while ``learner`` updates ``network.w_out`` between steps.
 
-    Only the work that depends on ``w_out`` stays in the loop. The pass's
-    spikes are widened to int64 once, one step later (the spikes of step t
-    reach the readout at step t+1), and shifted up by ``frac_bits`` once for
-    the learner's trace. Each step's drive is then one product over the
-    readout, or, when bursting, a step of :func:`_stepwise_drives`. Each
+    Only the work that depends on ``w_out`` stays in the loop. Without
+    bursting, the pass's spikes are widened to int64 once, one step later
+    (the spikes of step t reach the readout at step t+1), and shifted up by
+    ``frac_bits`` once for the learner's trace; each step's drive is then
+    one product over the readout. When bursting, :func:`_stepwise_drives`
+    gives each step's spike weights and drive, and the weights are shifted
+    step by step. Each
     readout neuron holds its state as Python ints and steps alone, through
     the same :func:`~tcsnn.neuron.synapse_step` and step function as a
     frozen batch. The learner's ``on_step`` gets the shifted spike weights
@@ -642,7 +644,7 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
 
     frac = fmt.frac_bits
     if comp.spec.bursting:  # fractional amplitudes: each product floored on its own
-        drives = ((row << frac, drive) for row, drive in _stepwise_drives(w_out, res.spikes.astype(np.int64), comp))
+        drives = ((row << frac, drive) for row, drive in _stepwise_drives(w_out, res.spikes, comp))
     else:  # the spikes of step t reach the readout at step t+1
         delivered = np.zeros(res.spikes.shape, dtype=np.int64)
         delivered[1:] = res.spikes[:-1]
