@@ -136,13 +136,12 @@ class ExperimentConfig:
             raise ConfigError("dataset.kind = event_file requires dataset.path")
         if any(count < 0 for pair in self.resources.values() for count in pair):
             raise ConfigError("resource counts must be >= 0")
-        fmt = self.lsm.fmt
         try:  # every constant the datapath holds, at every ratio a run uses
             for name in ("eta", "w_min", "w_max"):
-                fixed_constant(name, getattr(self.learning, name), fmt)
+                fixed_constant(name, getattr(self.learning, name))
             for gamma in self.gammas:
-                comp = compile_neuron(self.lsm.model, self.lsm.lif, gamma, fmt, self.lsm.burst)
-                trace_plan(self.learning, gamma, comp.n_max, fmt)
+                comp = compile_neuron(self.lsm.model, self.lsm.lif, gamma, self.lsm.burst)
+                trace_plan(self.learning, gamma, comp.n_max)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -1,8 +1,10 @@
-"""Configurable fixed-point arithmetic shared by all neuron models.
+"""Fixed-point arithmetic shared by all neuron models.
 
-Values are carried as Python ints (one unit) or int64 numpy arrays holding
-``value * 2**frac_bits``. Overflow never wraps: callers pass a
-:class:`SaturationCounter` and out-of-range results are clamped and counted.
+Every register of the datapath has one format: 32 signed bits, of which
+:data:`FRAC_BITS` (16) are fractional. Values are carried as Python ints
+(one unit) or int64 numpy arrays holding ``value * 2**FRAC_BITS``.
+Overflow never wraps: callers pass a :class:`SaturationCounter` and
+out-of-range results are clamped and counted.
 
 A clamp site whose values are proven to stay inside the register needs no
 check. :func:`saturate` takes that proof as ``fits`` and then returns its
@@ -14,40 +16,16 @@ datapath sizes each register from the value range it must hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class FixedPointFormat:
-    """Bit layout of a fixed-point register.
-
-    Register values fit in 32 signed bits (31 bits when unsigned), so the
-    product of two of them never wraps int64.
-    """
-
-    total_bits: int = 32
-    frac_bits: int = 16
-    signed: bool = True
-
-    def __post_init__(self):
-        max_bits = 32 if self.signed else 31
-        if not (0 <= self.frac_bits < self.total_bits <= max_bits):
-            raise ValueError(
-                f"need 0 <= frac_bits < total_bits <= {max_bits}, got "
-                f"{self.frac_bits}/{self.total_bits}"
-            )
-        object.__setattr__(self, "scale", 1 << self.frac_bits)
-        if self.signed:
-            object.__setattr__(self, "raw_max", (1 << (self.total_bits - 1)) - 1)
-            object.__setattr__(self, "raw_min", -(1 << (self.total_bits - 1)))
-        else:
-            object.__setattr__(self, "raw_max", (1 << self.total_bits) - 1)
-            object.__setattr__(self, "raw_min", 0)
-
-
-DEFAULT_FORMAT = FixedPointFormat(total_bits=32, frac_bits=16, signed=True)
+# The register: 32 signed bits, 16 of them fractional. At 32 signed bits the
+# product of two register values stays inside int64, which the engine's int64
+# products and its range analysis rely on.
+TOTAL_BITS = 32
+FRAC_BITS = 16
+SCALE = 1 << FRAC_BITS
+RAW_MAX = (1 << (TOTAL_BITS - 1)) - 1
+RAW_MIN = -(1 << (TOTAL_BITS - 1))
 
 
 class SaturationCounter:
@@ -79,34 +57,34 @@ class SaturationCounter:
         return f"SaturationCounter(count={self.count})"
 
 
-def to_fixed(value, fmt: FixedPointFormat = DEFAULT_FORMAT, counter: SaturationCounter | None = None):
+def to_fixed(value, counter: SaturationCounter | None = None):
     """Round a real value (or array) to raw fixed-point representation.
 
     Out-of-range values are clamped, and counted, before the integer cast,
     so no value reaches numpy's undefined float-to-int conversion.
     """
     with np.errstate(over="ignore"):  # a product past float range is inf, clamped below
-        scaled = np.rint(np.asarray(value, dtype=np.float64) * fmt.scale)
-    clamped = (scaled > fmt.raw_max) | (scaled < fmt.raw_min)
+        scaled = np.rint(np.asarray(value, dtype=np.float64) * SCALE)
+    clamped = (scaled > RAW_MAX) | (scaled < RAW_MIN)
     if counter is not None and clamped.any():
         counter.add_mask(clamped)
-    raw = np.clip(scaled, fmt.raw_min, fmt.raw_max).astype(np.int64)
+    raw = np.clip(scaled, RAW_MIN, RAW_MAX).astype(np.int64)
     if np.ndim(value) == 0:
         return int(raw)
     return raw
 
 
-def fixed_constant(name: str, value: float, fmt: FixedPointFormat = DEFAULT_FORMAT, where: str = "") -> int:
+def fixed_constant(name: str, value: float, where: str = "") -> int:
     """A constant of the datapath in raw fixed point; one past the format is an error, not a clamp."""
     clamped = SaturationCounter()
-    raw = to_fixed(value, fmt, clamped)
+    raw = to_fixed(value, clamped)
     if clamped.count:
-        raise ValueError(f"{name} {value:g}{where} does not fit the {fmt.total_bits}-bit fixed-point format")
+        raise ValueError(f"{name} {value:g}{where} does not fit the {TOTAL_BITS}-bit fixed-point format")
     return raw
 
 
-def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = None, fits: bool = False):
-    """Clamp raw values into the format's range, counting every clamp.
+def saturate(raw, counter: SaturationCounter | None = None, fits: bool = False):
+    """Clamp raw values into the register's range, counting every clamp.
 
     ``fits`` says the caller has proven every value inside the range: the
     values come back unchecked, and there is nothing to count.
@@ -119,34 +97,23 @@ def saturate(raw, fmt: FixedPointFormat, counter: SaturationCounter | None = Non
                 return raw
             hi = int(raw.max())
             lo = int(raw.min())
-            if hi <= fmt.raw_max and lo >= fmt.raw_min:
+            if hi <= RAW_MAX and lo >= RAW_MIN:
                 return raw
             if counter is not None:
-                counter.add_mask((raw > fmt.raw_max) | (raw < fmt.raw_min))
-            return np.clip(raw, fmt.raw_min, fmt.raw_max)
+                counter.add_mask((raw > RAW_MAX) | (raw < RAW_MIN))
+            return np.clip(raw, RAW_MIN, RAW_MAX)
         raw = int(raw)
-    if raw > fmt.raw_max:
+    if raw > RAW_MAX:
         if counter is not None:
             counter.add(1)
-        return fmt.raw_max
-    if raw < fmt.raw_min:
+        return RAW_MAX
+    if raw < RAW_MIN:
         if counter is not None:
             counter.add(1)
-        return fmt.raw_min
+        return RAW_MIN
     return raw
 
 
-def fixed_product(a, b, fmt: FixedPointFormat = DEFAULT_FORMAT):
-    """Unclamped fixed-point product: (a*b) >> frac_bits, floor semantics."""
-    if type(a) is not int or type(b) is not int:
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or np.ndim(a) or np.ndim(b):
-            prod = np.multiply(a, b, dtype=np.int64)
-            prod >>= fmt.frac_bits
-            return prod
-        a, b = int(a), int(b)
-    return (a * b) >> fmt.frac_bits
-
-
-def fixed_mul(a, b, fmt: FixedPointFormat = DEFAULT_FORMAT, counter: SaturationCounter | None = None):
-    """Fixed-point product: (a*b) >> frac_bits, floor semantics, then clamp."""
-    return saturate(fixed_product(a, b, fmt), fmt, counter)
+def fixed_mul(a, b, counter: SaturationCounter | None = None):
+    """Fixed-point product: (a*b) >> FRAC_BITS, floor semantics, then clamp."""
+    return saturate((a * b) >> FRAC_BITS, counter)

@@ -18,8 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .compress import plan_time_constant
-from .fixedpoint import FixedPointFormat, to_fixed
-from .network import Network, ReadoutPass, SimulationTrace, _compile, run_readout, run_reservoir, simulate
+from .fixedpoint import FRAC_BITS, TOTAL_BITS, to_fixed
+from .network import (Network, ReadoutPass, ReservoirPass, _compile, _drive_bound, _learning_readout, run_readout,
+                      run_reservoir, simulate)
+from .neuron import prove_ranges
 from .spike import SpikeDataset
 
 __all__ = [
@@ -72,28 +74,28 @@ class Classification(NamedTuple):
     no_spike: bool
 
 
-def classify(trace: SimulationTrace) -> Classification:
+def classify(readout: ReadoutPass) -> Classification:
     """Argmax of total readout spike weight; ties break to the lowest index.
 
     An all-zero readout yields label 0 with the no_spike flag set.
     """
-    totals = trace.readout_totals()
+    totals = readout.outs.sum(axis=0)
     label = int(np.argmax(totals))
     return Classification(label=label, no_spike=bool(totals.max() <= 0))
 
 
-def trace_plan(params: LearningParams, gamma: int, n_max: int, fmt: FixedPointFormat):
+def trace_plan(params: LearningParams, gamma: int, n_max: int):
     """The shifter plan of the learner's eligibility trace at ``gamma``.
 
-    A weight-w spike adds ``w << frac_bits`` to its trace, so with spike
+    A weight-w spike adds ``w << FRAC_BITS`` to its trace, so with spike
     weights up to ``n_max`` every trace stays within
-    ``n_max * 2**(frac_bits + k_high)``, the decay invariant of
+    ``n_max * 2**(FRAC_BITS + k_high)``, the decay invariant of
     :func:`~tcsnn.neuron.site_ranges`. The learner's step ``eta * trace`` is
     an int64 product, so a rate that could carry it past 64 bits is rejected.
     """
-    plan = plan_time_constant(params.tau_trace_nom, gamma, max_shift=fmt.total_bits - 1)
-    peak = n_max << (fmt.frac_bits + plan.k_high)
-    if to_fixed(params.eta, fmt) * peak > np.iinfo(np.int64).max:
+    plan = plan_time_constant(params.tau_trace_nom, gamma, max_shift=TOTAL_BITS - 1)
+    peak = n_max << (FRAC_BITS + plan.k_high)
+    if to_fixed(params.eta) * peak > np.iinfo(np.int64).max:
         raise ValueError(
             f"eta {params.eta:g} times a trace of up to {peak} raw (tau_trace {params.tau_trace_nom:g} at gamma "
             f"{gamma}) does not fit 64 bits"
@@ -105,21 +107,25 @@ class _ReadoutLearner:
     """Online trace-based teacher rule, applied while an example runs.
 
     One learner serves every example of a training run at one ratio: its
-    rate, clip bounds and trace schedule are fixed at construction, and
-    :meth:`start` resets the trace and the output tallies for each example.
+    rate, clip bounds, trace schedule, compiled neuron and proven sites are
+    fixed at construction, and :meth:`run` runs the readout on one example's
+    pass, after :meth:`start` resets the trace and the output tallies.
     """
 
     def __init__(self, network: Network, params: LearningParams, gamma: int, steps: int):
         cfg = network.config
-        fmt = cfg.fmt
+        self.network = network
         self.w = network.w_out  # mutated in place
-        self.frac = fmt.frac_bits
-        self.eta_fp = to_fixed(params.eta, fmt)
-        self.w_min_fp = to_fixed(params.w_min, fmt)
-        self.w_max_fp = to_fixed(params.w_max, fmt)
+        self.eta_fp = to_fixed(params.eta)
+        self.w_min_fp = to_fixed(params.w_min)
+        self.w_max_fp = to_fixed(params.w_max)
         self.margin = params.teacher_margin
+        self.comp = comp = _compile(cfg, gamma)
+        # a weight is its start value until the learner clips the whole matrix
+        reach = np.maximum(np.abs(self.w), max(abs(self.w_min_fp), abs(self.w_max_fp)))
+        self.fits = prove_ranges(comp, _drive_bound(reach, comp.n_max))
         # each step's trace shift as a 0-d array, which a ufunc takes faster than a Python int
-        self.k_seq = [np.array(k) for k in trace_plan(params, gamma, _compile(cfg, gamma).n_max, fmt).shifts(steps)]
+        self.k_seq = [np.array(k) for k in trace_plan(params, gamma, comp.n_max).shifts(steps)]
         self.trace = np.zeros(cfg.reservoir_size, dtype=np.int64)
         self._scratch = np.empty_like(self.trace)
         self.label = 0
@@ -133,9 +139,16 @@ class _ReadoutLearner:
         self.teacher_cum = 0
         self.cum = [0] * len(self.cum)
 
+    def run(self, res: ReservoirPass, label: int, record_potentials: bool = False) -> ReadoutPass:
+        """The readout's run on ``res``, an example of class ``label``, learning as it goes."""
+        if res.gamma != self.comp.gamma:
+            raise ValueError(f"reservoir pass ran at gamma {res.gamma}, not {self.comp.gamma}")
+        self.start(label)
+        return _learning_readout(self.network, res, self.comp, self.fits, self.on_step, record_potentials)
+
     def on_step(self, t: int, delivered_fp: np.ndarray, readout_out):
         """``delivered_fp`` holds each reservoir neuron's spike weight reaching
-        the readout at step t, shifted up by ``frac_bits``; ``readout_out``
+        the readout at step t, shifted up by ``FRAC_BITS``; ``readout_out``
         holds each readout neuron's output weight."""
         trace = self.trace
         trace -= np.right_shift(trace, self.k_seq[t], self._scratch)  # one shifter decay, in place
@@ -158,7 +171,7 @@ class _ReadoutLearner:
             return
         w = self.w
         step = np.multiply(trace, self.eta_fp, out=self._scratch)
-        step >>= self.frac
+        step >>= FRAC_BITS
         if potentiate:
             w[label] += step
         for j in depressed:
@@ -223,9 +236,7 @@ def train_readout(
         correct = 0
         for i in train_idx:
             label = int(dataset.labels[i])
-            learner.start(label)
-            trace = simulate(network, dataset.row(i), gamma=gamma, reservoir=passes[int(i)], _learner=learner)
-            if classify(trace).label == label:
+            if classify(learner.run(passes[int(i)], label)).label == label:
                 correct += 1
         epoch_acc.append(100.0 * correct / len(train_idx) if len(train_idx) else 0.0)
 
@@ -248,8 +259,7 @@ def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int, passe
     correct = 0
     no_spike = 0
     for i, run in zip(indices, runs):
-        trace = simulate(network, dataset.row(i), gamma=gamma, reservoir=passes[int(i)], readout=run)
-        result = classify(trace)
+        result = classify(simulate(network, dataset.row(i), gamma=gamma, reservoir=passes[int(i)], readout=run).readout)
         correct += int(result.label == dataset.labels[i])
         no_spike += int(result.no_spike)
     return 100.0 * correct / len(indices), no_spike, runs

@@ -26,12 +26,14 @@ engine runs reservoir pass -> readout pass -> trace:
 - :func:`run_readout` runs the readout over a batch of reservoir passes the
   same way, on ``(batch, readout)`` state, and returns one
   :class:`ReadoutPass` per pass. Frozen weights serve a whole test split in
-  one call. A learner, whose weights change between steps, runs a batch of
-  one, and its loop keeps only the work that depends on the weights: the
-  drive and the readout's step. Its readout runs one neuron at a time on
-  Python ints: at five neurons, a numpy call costs more than the arithmetic
-  it does. Each neuron steps through the same
-  :func:`~tcsnn.neuron.synapse_step` and step function as the arrays do.
+  one call.
+- A learner, whose weights change between steps, runs the readout on one
+  pass at a time through :func:`_learning_readout`, whose loop keeps only
+  the work that depends on the weights: the drive and the readout's step.
+  Its readout runs one neuron at a time on Python ints: at five neurons, a
+  numpy call costs more than the arithmetic it does. Each neuron steps
+  through the same :func:`~tcsnn.neuron.synapse_step` and step function as
+  the arrays do.
 - :func:`simulate` returns one example's :class:`SimulationTrace`, a view
   of its two passes, running whichever it was not given. Training replays
   a reservoir pass in every epoch; evaluation and the energy count replay
@@ -39,8 +41,8 @@ engine runs reservoir pass -> readout pass -> trace:
 
 Every spike is delivered as a fixed-point amplitude: its weight (1 for
 binary-input models) times its source's burst gain (1.0 unless bursting).
-A fixed layer's drive is ``(amplitudes @ w.T) >> frac_bits``, exact for the
-fixed +/- 2**(e + frac_bits) weights: a float64 matmul while every partial
+A fixed layer's drive is ``(amplitudes @ w.T) >> FRAC_BITS``, exact for the
+fixed +/- 2**(e + FRAC_BITS) weights: a float64 matmul while every partial
 sum provably stays below 2**53, an integer one otherwise (bursting). The
 plastic readout multiplies the integer spike weights instead: a frozen one
 for all steps in one product per example, a learning one in one product per
@@ -68,12 +70,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .compress import compress_train
-from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat, SaturationCounter, saturate
+from .fixedpoint import FRAC_BITS, RAW_MAX, SCALE, SaturationCounter, saturate
 from .neuron import (
     MODELS,
     STEP_FUNCTIONS,
     BurstParams,
     CompiledNeuron,
+    Fits,
     LIFParams,
     burst_gain_update,
     compile_neuron,
@@ -119,7 +122,6 @@ class LsmConfig:
     seed: int = 0
     lif: LIFParams = field(default_factory=LIFParams)
     burst: BurstParams | None = None
-    fmt: FixedPointFormat = DEFAULT_FORMAT
 
     def __post_init__(self):
         if len(self.reservoir_grid) != 3 or min(self.reservoir_grid) < 1:
@@ -149,7 +151,7 @@ class LsmConfig:
 class Network:
     """Built network: weight matrices are raw fixed-point multipliers.
 
-    Fixed synapses hold +/- 2**(exponent + frac_bits) exactly (signed
+    Fixed synapses hold +/- 2**(exponent + FRAC_BITS) exactly (signed
     power-of-two weights realized by shifts); absent synapses are zero.
     Readout weights are plastic fixed-point values.
     """
@@ -174,7 +176,7 @@ class Network:
 @functools.lru_cache(maxsize=64)
 def _compile(config: LsmConfig, gamma: int) -> CompiledNeuron:
     """The neuron of a run at ``gamma``, shared by reservoir and readout."""
-    return compile_neuron(config.model, config.lif, gamma, fmt=config.fmt, burst=config.burst)
+    return compile_neuron(config.model, config.lif, gamma, burst=config.burst)
 
 
 def build_lsm(config: LsmConfig) -> Network:
@@ -188,7 +190,6 @@ def build_lsm(config: LsmConfig) -> Network:
     """
     rng = np.random.default_rng(config.seed)
     n = config.reservoir_size
-    frac = config.fmt.frac_bits
 
     # excitatory/inhibitory split with an exact neuron count
     n_exc = int(round(config.excitatory_fraction * n))
@@ -212,7 +213,7 @@ def build_lsm(config: LsmConfig) -> Network:
     r_lo, r_hi = config.res_exp_range
     exponents = rng.integers(r_lo, r_hi + 1, size=(n, n))
     sign = np.where(excitatory[None, :], 1, -1)
-    w_res = np.where(mask, sign * (np.int64(1) << (exponents + frac)), 0).astype(np.int64)
+    w_res = np.where(mask, sign * (np.int64(1) << (exponents + FRAC_BITS)), 0).astype(np.int64)
 
     i_lo, i_hi = config.in_exp_range
     w_in = np.zeros((n, config.num_inputs), dtype=np.int64)
@@ -220,7 +221,7 @@ def build_lsm(config: LsmConfig) -> Network:
         targets = rng.choice(n, size=config.input_fanout, replace=False)
         exps = rng.integers(i_lo, i_hi + 1, size=config.input_fanout)
         signs = np.where(rng.random(config.input_fanout) < config.in_positive_prob, 1, -1)
-        w_in[targets, ch] = signs * (np.int64(1) << (exps + frac))
+        w_in[targets, ch] = signs * (np.int64(1) << (exps + FRAC_BITS))
 
     w_out = np.zeros((config.num_readout, n), dtype=np.int64)
 
@@ -322,10 +323,6 @@ class SimulationTrace:
             "readout": self.num_readout,
         }[layer]
 
-    def readout_totals(self) -> np.ndarray:
-        """Total output spike weight per readout neuron."""
-        return self.readout.outs.sum(axis=0)
-
 
 @functools.lru_cache(maxsize=512)
 def _shifts_cached(plan, steps: int) -> np.ndarray:
@@ -372,7 +369,7 @@ def _drive_bound(w: np.ndarray, amp_max: float) -> float:
 
 class _Projection:
     """Weights ``w`` (post, pre), fixed while it lives, delivering a batch of
-    presynaptic amplitudes: ``(amp @ w.T) >> frac_bits``, exact in integers.
+    presynaptic amplitudes: ``(amp @ w.T) >> frac``, exact in integers.
     ``bound`` bounds the |value| of every delivery."""
 
     def __init__(self, w: np.ndarray, amp_max: int, frac: int):
@@ -452,23 +449,21 @@ def run_reservoir(
     for b, (events, _) in enumerate(inputs):
         in_weights[b, events[:, 1], events[:, 0]] = events[:, 2] if weighted_in else 1
 
-    fmt = cfg.fmt
-    frac = fmt.frac_bits
     bursting = comp.spec.bursting
     step_fn = STEP_FUNCTIONS[cfg.model]
 
-    amp_unit = fmt.raw_max if bursting else fmt.scale  # largest amplitude of a weight-1 spike
-    deliver_in = _Projection(network.w_in, w_max * amp_unit, frac)
-    deliver_res = _Projection(network.w_res, comp.n_max * amp_unit, frac)
+    amp_unit = RAW_MAX if bursting else SCALE  # largest amplitude of a weight-1 spike
+    deliver_in = _Projection(network.w_in, w_max * amp_unit, FRAC_BITS)
+    deliver_res = _Projection(network.w_res, comp.n_max * amp_unit, FRAC_BITS)
     fits = prove_ranges(comp, deliver_in.bound + deliver_res.bound)
 
     sat = SaturationCounter(rows=batch)
-    state = new_neuron_state((batch, n_res), fmt, bursting)
+    state = new_neuron_state((batch, n_res), bursting)
     k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
     spikes = np.zeros((batch, steps, n_res), dtype=np.min_scalar_type(comp.n_max))
     potentials = np.empty((batch, steps, n_res), dtype=np.int64) if record_potentials else None
     if bursting:  # input channels carry a burst gain of their own
-        in_gain = np.full((batch, cfg.num_inputs), fmt.scale, dtype=np.int64)
+        in_gain = np.full((batch, cfg.num_inputs), SCALE, dtype=np.int64)
         in_prev = np.zeros_like(in_gain)
     amp_res = None  # reservoir spikes of the previous step, delivered at this one
 
@@ -479,14 +474,14 @@ def run_reservoir(
             in_prev = w
             drive = deliver_in(in_gain * w)
         else:
-            drive = deliver_in(w << frac)
+            drive = deliver_in(w << FRAC_BITS)
         if amp_res is not None:
             drive += deliver_res(amp_res)
-        drive = saturate(drive, fmt, sat, fits.drive)
+        drive = saturate(drive, sat, fits.drive)
         i_res = synapse_step(state, drive, comp, k_s1[t], k_s2[t], sat, fits)
         out = step_fn(state, i_res, comp, k_m[t], sat, fits)
         spikes[:, t] = out
-        amp_res = state.g * out if bursting else out << frac
+        amp_res = state.g * out if bursting else out << FRAC_BITS
         if record_potentials:
             potentials[:, t] = state.u
 
@@ -523,16 +518,12 @@ def run_readout(
     passes,
     gamma: int,
     record_potentials: bool = False,
-    _learner=None,
 ) -> list[ReadoutPass]:
-    """Run the readout over a batch of reservoir passes at ``gamma``, one run each.
+    """Run the frozen readout over a batch of reservoir passes at ``gamma``, one run each.
 
-    Frozen weights: the passes advance side by side on ``(batch, readout)``
-    state arrays, so they must run equally long, and every run, its
-    saturation count included, equals the run of a batch of one. A learner
-    updates ``network.w_out`` between steps, so it needs a batch of one: its
-    readout runs one neuron at a time on Python ints (see
-    :func:`_learning_readout`).
+    The passes advance side by side on ``(batch, readout)`` state arrays, so
+    they must run equally long, and every run, its saturation count
+    included, equals the run of a batch of one.
     """
     passes = list(passes)
     for p in passes:
@@ -541,23 +532,17 @@ def run_readout(
     lengths = sorted({p.spikes.shape[0] for p in passes})
     if len(lengths) > 1:
         raise ValueError(f"passes of one batch must run equally long, got {lengths} steps")
-    if _learner is not None and len(passes) != 1:
-        raise ValueError(f"a learner runs on a batch of one pass, got {len(passes)}")
     if not passes:
         return []
     cfg = network.config
     comp = _compile(cfg, gamma)
-    if _learner is not None:
-        return [_learning_readout(network, passes[0], comp, record_potentials, _learner)]
-
-    fmt = cfg.fmt
     batch, steps = len(passes), lengths[0]
     n_read = cfg.num_readout
     step_fn = STEP_FUNCTIONS[cfg.model]
     w_out = network.w_out
 
     sat = SaturationCounter(rows=batch)
-    state = new_neuron_state((batch, n_read), fmt, comp.spec.bursting)
+    state = new_neuron_state((batch, n_read), comp.spec.bursting)
     k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
     outs = np.empty((batch, steps, n_read), dtype=np.int64)
     potentials = np.empty((batch, steps, n_read), dtype=np.int64) if record_potentials else None
@@ -565,12 +550,12 @@ def run_readout(
     fits = prove_ranges(comp, deliver.bound)
     if comp.spec.bursting:  # fractional amplitudes: the drive step by step
         spikes = np.stack([p.spikes for p in passes])
-        drives = (saturate(drive, fmt, sat) for _, drive in _stepwise_drives(w_out, spikes, comp))
+        drives = (saturate(drive, sat) for _, drive in _stepwise_drives(w_out, spikes, comp))
     else:  # every step's drive from one product per example, clamped elementwise
         drives = np.zeros((batch, steps, n_read), dtype=np.int64)
         for b, p in enumerate(passes):
             drives[b, 1:] = deliver(p.spikes[:-1])
-        drives = saturate(drives, fmt, sat, fits.drive).swapaxes(0, 1)
+        drives = saturate(drives, sat, fits.drive).swapaxes(0, 1)
 
     for t, drive in enumerate(drives):
         i_read = synapse_step(state, drive, comp, k_s1[t], k_s2[t], sat, fits)
@@ -600,59 +585,52 @@ def _stepwise_drives(w_out: np.ndarray, spikes: np.ndarray, comp: CompiledNeuron
     reach the readout at step t+1. Each drive is computed from ``w_out`` as
     it stands when the step is drawn, so a learner may change it in between.
     """
-    frac = comp.fmt.frac_bits
     delivered = np.zeros(spikes.shape[:-2] + spikes.shape[-1:], dtype=np.int64)
-    gain = np.full_like(delivered, comp.fmt.scale)
+    gain = np.full_like(delivered, SCALE)
     for t in range(spikes.shape[-2]):
         if t:
             delivered = spikes[..., t - 1, :].astype(np.int64, copy=False)
-        yield delivered, ((w_out * (gain * delivered)[..., None, :]) >> frac).sum(axis=-1)
+        yield delivered, ((w_out * (gain * delivered)[..., None, :]) >> FRAC_BITS).sum(axis=-1)
         gain = burst_gain_update(gain, delivered, comp)
 
 
-def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron, record_potentials: bool,
-                      learner) -> ReadoutPass:
-    """The readout's run on one pass while ``learner`` updates ``network.w_out`` between steps.
+def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron, fits: Fits, on_step,
+                      record_potentials: bool = False) -> ReadoutPass:
+    """The readout's run on one pass while ``on_step`` updates ``network.w_out`` between steps.
 
+    ``comp`` is the neuron compiled at the pass's ratio, and ``fits`` names
+    the sites proven never to clamp at any weight the learner can reach.
     Only the work that depends on ``w_out`` stays in the loop. Without
     bursting, the pass's spikes are widened to int64 once, one step later
     (the spikes of step t reach the readout at step t+1), and shifted up by
-    ``frac_bits`` once for the learner's trace; each step's drive is then
+    ``FRAC_BITS`` once for the learner's trace; each step's drive is then
     one product over the readout. When bursting, :func:`_stepwise_drives`
     gives each step's spike weights and drive, and the weights are shifted
-    step by step. Each
-    readout neuron holds its state as Python ints and steps alone, through
-    the same :func:`~tcsnn.neuron.synapse_step` and step function as a
-    frozen batch. The learner's ``on_step`` gets the shifted spike weights
-    as a row and the outputs as a list, and it keeps every weight within
-    ``[w_min_fp, w_max_fp]`` once it changes any.
+    step by step. Each readout neuron holds its state as Python ints and
+    steps alone, through the same :func:`~tcsnn.neuron.synapse_step` and
+    step function as a frozen batch. ``on_step(t, row, outs)`` gets the
+    shifted spike weights as a row and the outputs as a list.
     """
     cfg = network.config
-    fmt = cfg.fmt
     steps = res.spikes.shape[0]
     step_fn = STEP_FUNCTIONS[cfg.model]
-    on_step = learner.on_step
     w_out = network.w_out
-    # a weight is its start value until the learner clips it
-    reach = np.maximum(np.abs(w_out), max(abs(learner.w_min_fp), abs(learner.w_max_fp)))
-    fits = prove_ranges(comp, _drive_bound(reach, comp.n_max))
     sat = SaturationCounter()
-    states = [new_neuron_state(None, fmt, comp.spec.bursting) for _ in range(cfg.num_readout)]
+    states = [new_neuron_state(None, comp.spec.bursting) for _ in range(cfg.num_readout)]
     k_m, k_s1, k_s2 = (k.tolist() for k in _plan_shifts(comp, steps))
     outs = []
     potentials = [] if record_potentials else None
 
-    frac = fmt.frac_bits
     if comp.spec.bursting:  # fractional amplitudes: each product floored on its own
-        drives = ((row << frac, drive) for row, drive in _stepwise_drives(w_out, res.spikes, comp))
+        drives = ((row << FRAC_BITS, drive) for row, drive in _stepwise_drives(w_out, res.spikes, comp))
     else:  # the spikes of step t reach the readout at step t+1
         delivered = np.zeros(res.spikes.shape, dtype=np.int64)
         delivered[1:] = res.spikes[:-1]
-        drives = zip(delivered << frac, map(w_out.dot, delivered))  # each product taken as its step begins
+        drives = zip(delivered << FRAC_BITS, map(w_out.dot, delivered))  # each product taken as its step begins
     for t, (row_fp, drive) in enumerate(drives):
         drive = drive.tolist()
         if not fits.drive:
-            drive = [saturate(d, fmt, sat) for d in drive]
+            drive = [saturate(d, sat) for d in drive]
         km, ks1, ks2 = k_m[t], k_s1[t], k_s2[t]
         out = [step_fn(state, synapse_step(state, d, comp, ks1, ks2, sat, fits), comp, km, sat, fits)
                for state, d in zip(states, drive)]
@@ -677,7 +655,6 @@ def simulate(
     record_potentials: bool = False,
     reservoir: ReservoirPass | None = None,
     readout: ReadoutPass | None = None,
-    _learner=None,
 ) -> SimulationTrace:
     """Run one example through the network and return its trace.
 
@@ -686,10 +663,8 @@ def simulate(
     feeds it raw with the nominal constants. ``reservoir`` is the example's
     pass from :func:`run_reservoir` and ``readout`` the readout's run on it
     from :func:`run_readout`, both at the same ratio; whichever is not given
-    runs here, as a batch of one. A learner needs the readout to run here.
+    runs here, as a batch of one.
     """
-    if readout is not None and _learner is not None:
-        raise ValueError("a learner needs the readout to run here, not a given readout pass")
     if reservoir is None:
         reservoir = run_reservoir(network, [example], gamma, record_potentials)[0]
     elif reservoir.gamma != gamma:
@@ -698,7 +673,7 @@ def simulate(
         raise ValueError("the reservoir pass has no potentials: run it with record_potentials=True")
     steps = reservoir.spikes.shape[0]
     if readout is None:
-        (readout,) = run_readout(network, [reservoir], gamma, record_potentials, _learner)
+        (readout,) = run_readout(network, [reservoir], gamma, record_potentials)
     elif readout.gamma != gamma:
         raise ValueError(f"readout pass ran at gamma {readout.gamma}, not {gamma}")
     elif readout.outs.shape[0] != steps:

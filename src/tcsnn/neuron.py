@@ -18,7 +18,7 @@ state in, state out, no globals. :func:`synapse_step` and
 written once for both.
 Membrane and synapse decays are shifter steps ``x - (x >> k)`` driven by
 per-step shift amounts taken from a :class:`~tcsnn.compress.TimeConstantPlan`.
-The decays and the fixed-point products ``(a * b) >> frac_bits`` are written
+The decays and the fixed-point products ``(a * b) >> FRAC_BITS`` are written
 inline, since on one unit's Python ints a call costs as much as the
 arithmetic; on arrays, a product is shifted in place.
 
@@ -48,14 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .compress import TimeConstantPlan, plan_time_constant
-from .fixedpoint import (
-    DEFAULT_FORMAT,
-    FixedPointFormat,
-    SaturationCounter,
-    fixed_constant,
-    fixed_mul,
-    saturate,
-)
+from .fixedpoint import (FRAC_BITS, RAW_MAX, RAW_MIN, SCALE, TOTAL_BITS, SaturationCounter, fixed_constant, fixed_mul,
+                         saturate)
 
 __all__ = [
     "MODELS",
@@ -171,18 +165,16 @@ class NeuronState:
     prev_out: np.ndarray | None = None
 
 
-def new_neuron_state(
-    n: int | tuple | None, fmt: FixedPointFormat = DEFAULT_FORMAT, bursting: bool = False
-) -> NeuronState:
+def new_neuron_state(n: int | tuple | None, bursting: bool = False) -> NeuronState:
     """The resting state of ``n`` units as arrays, or of one unit as Python ints when ``n`` is None."""
     if n is None:
-        return NeuronState(u=0, s1=0, s2=0, g=fmt.scale if bursting else None, prev_out=0 if bursting else None)
+        return NeuronState(u=0, s1=0, s2=0, g=SCALE if bursting else None, prev_out=0 if bursting else None)
     zeros = lambda: np.zeros(n, dtype=np.int64)  # noqa: E731
     return NeuronState(
         u=zeros(),
         s1=zeros(),
         s2=zeros(),
-        g=np.full(n, fmt.scale, dtype=np.int64) if bursting else None,
+        g=np.full(n, SCALE, dtype=np.int64) if bursting else None,
         prev_out=zeros() if bursting else None,
     )
 
@@ -194,7 +186,6 @@ class CompiledNeuron:
     model: str
     lif: LIFParams
     gamma: int
-    fmt: FixedPointFormat
     u_th_fp: int
     gain_fp: int  # membrane drive gain: R/tau_m_c, or R when leakless
     q_fp: int
@@ -204,7 +195,7 @@ class CompiledNeuron:
     tau_m_plan: TimeConstantPlan | None
     tau_s1_plan: TimeConstantPlan | None
     tau_s2_plan: TimeConstantPlan | None
-    beta_pow_fp: np.ndarray | None = None  # LUT: fp(beta**k)
+    beta_pow_fp: np.ndarray | None = None  # LUT: fp(beta**k), up to the first entry that reaches its limit
 
 
 def _second_order_peak(tau_rise_c: float, tau_decay_c: float) -> float:
@@ -230,13 +221,14 @@ def compile_neuron(
     model: str,
     lif: LIFParams,
     gamma: int,
-    fmt: FixedPointFormat = DEFAULT_FORMAT,
     burst: BurstParams | None = None,
 ) -> CompiledNeuron:
     """Precompute fixed-point gains and decay schedules for one ratio.
 
     The beta**k table covers every spike weight a bursting source can emit
     at ``gamma``: up to n_max from a neuron, up to gamma from an input channel.
+    It ends at its first entry that reaches its limit, as every later entry
+    equals that one and a lookup past the end takes the last entry.
     A constant the datapath cannot hold is rejected: a threshold, gain or q
     past the register, a threshold that rounds to zero, or a time constant
     whose shifts would pass the register's width.
@@ -251,7 +243,7 @@ def compile_neuron(
             raise ValueError("bursting models require a zeroth-order synapse")
 
     def plan(tau):
-        return plan_time_constant(tau, gamma, max_shift=fmt.total_bits - 1)
+        return plan_time_constant(tau, gamma, max_shift=TOTAL_BITS - 1)
 
     syn = lif.synapse
     if lif.leakless:
@@ -260,11 +252,11 @@ def compile_neuron(
     else:
         tau_m_plan = plan(lif.tau_m_nom)
         gain = lif.R / tau_m_plan.tau_nom_c_exact
-    u_th_fp = fixed_constant("u_th", lif.u_th, fmt)
+    u_th_fp = fixed_constant("u_th", lif.u_th)
     if u_th_fp == 0:
-        raise ValueError(f"u_th {lif.u_th:g} rounds to a zero threshold in the {fmt.total_bits}-bit fixed-point format")
+        raise ValueError(f"u_th {lif.u_th:g} rounds to a zero threshold in the {TOTAL_BITS}-bit fixed-point format")
 
-    q_fp = fixed_constant("q", syn.q, fmt)
+    q_fp = fixed_constant("q", syn.q)
     tau_s1_plan = tau_s2_plan = None
     syn_gain_fp = 0
     if syn.order in ("first", "second"):
@@ -272,25 +264,29 @@ def compile_neuron(
     if syn.order == "second":
         tau_s2_plan = plan(syn.tau_s2_nom)
         peak = _second_order_peak(tau_s1_plan.tau_nom_c_exact, tau_s2_plan.tau_nom_c_exact)
-        syn_gain_fp = fixed_constant("synaptic gain q/peak", syn.q / peak, fmt, f" at gamma {gamma}")
+        syn_gain_fp = fixed_constant("synaptic gain q/peak", syn.q / peak, f" at gamma {gamma}")
 
     beta_pow_fp = None
     if spec.bursting:
         # numpy scalar powers overflow to inf where Python floats raise. An entry
-        # past the register is held one LSB above it: the gain it scales is at
-        # least 1.0 (beta > 1), so burst_gain_update's product clamps and counts.
+        # past the register is held one LSB above it, the limit when beta > 1: the
+        # gain it scales is at least 1.0, so burst_gain_update's product clamps and
+        # counts. When beta < 1 the limit is 0; when beta = 1 every entry is 1.0.
+        beta = np.float64(burst.beta)
+        limit = RAW_MAX + 1 if beta > 1 else 0 if beta < 1 else SCALE
+        powers = [SCALE]  # beta**0
         with np.errstate(over="ignore"):
-            powers = np.array([np.float64(burst.beta) ** k for k in range(max(lif.n_max, gamma) + 1)])
-            beta_pow_fp = np.minimum(np.rint(powers * fmt.scale), fmt.raw_max + 1).astype(np.int64)
+            while len(powers) <= max(lif.n_max, gamma) and powers[-1] != limit:
+                powers.append(int(np.minimum(np.rint(beta ** len(powers) * SCALE), RAW_MAX + 1)))
+        beta_pow_fp = np.array(powers, dtype=np.int64)
         beta_pow_fp.setflags(write=False)  # a compiled neuron is shared by every run at its ratio
 
     return CompiledNeuron(
         model=model,
         lif=lif,
         gamma=gamma,
-        fmt=fmt,
         u_th_fp=u_th_fp,
-        gain_fp=fixed_constant("membrane gain R/tau_m", gain, fmt, f" at gamma {gamma}"),
+        gain_fp=fixed_constant("membrane gain R/tau_m", gain, f" at gamma {gamma}"),
         q_fp=q_fp,
         syn_gain_fp=syn_gain_fp,
         n_max=lif.n_max if spec.weighted_out else 1,
@@ -332,13 +328,12 @@ def site_ranges(comp: CompiledNeuron, drive_bound: float) -> dict:
     the register bounds what it passes on. A leakless membrane has no bound
     (None); the sites a synapse order lacks are absent.
     """
-    fmt = comp.fmt
 
     def held(iv):  # values after the site's clamp
-        return (fmt.raw_min, fmt.raw_max) if iv is None else tuple(min(max(v, fmt.raw_min), fmt.raw_max) for v in iv)
+        return (RAW_MIN, RAW_MAX) if iv is None else tuple(min(max(v, RAW_MIN), RAW_MAX) for v in iv)
 
-    def product(a, iv):  # floor(a*x / 2**frac) is monotone in x
-        return tuple(sorted((a * v) >> fmt.frac_bits for v in iv))
+    def product(a, iv):  # floor(a*x / 2**FRAC_BITS) is monotone in x
+        return tuple(sorted((a * v) >> FRAC_BITS for v in iv))
 
     def decayed(iv, plan):  # x <- x - (x >> k) + d, k <= k_high, keeps x in 2**k_high * [d_lo, d_hi]
         return None if plan is None else tuple(v << plan.k_high for v in iv)
@@ -368,9 +363,8 @@ def prove_ranges(comp: CompiledNeuron, drive_bound: float) -> Fits:
     (see the module docstring)."""
     if comp.spec.bursting:
         return NO_PROOF
-    fmt = comp.fmt
     return Fits(**{
-        site: iv is not None and fmt.raw_min <= iv[0] and iv[1] <= fmt.raw_max
+        site: iv is not None and RAW_MIN <= iv[0] and iv[1] <= RAW_MAX
         for site, iv in site_ranges(comp, drive_bound).items()
     })
 
@@ -395,19 +389,18 @@ def synapse_step(
     order = comp.lif.synapse.order
     if order == "zeroth":
         return drive_fp
-    fmt = comp.fmt
     s1 = state.s1
     if order == "first":
         scaled = comp.q_fp * drive_fp
-        scaled >>= fmt.frac_bits
-        state.s1 = s1 = saturate(s1 - (s1 >> k_s1) + saturate(scaled, fmt, sat, fits.syn), fmt, sat, fits.s1)
+        scaled >>= FRAC_BITS
+        state.s1 = s1 = saturate(s1 - (s1 >> k_s1) + saturate(scaled, sat, fits.syn), sat, fits.s1)
         return s1
     s2 = state.s2
-    state.s1 = s1 = saturate(s1 - (s1 >> k_s1) + drive_fp, fmt, sat, fits.s1)
-    state.s2 = s2 = saturate(s2 - (s2 >> k_s2) + drive_fp, fmt, sat, fits.s2)
+    state.s1 = s1 = saturate(s1 - (s1 >> k_s1) + drive_fp, sat, fits.s1)
+    state.s2 = s2 = saturate(s2 - (s2 >> k_s2) + drive_fp, sat, fits.s2)
     current = comp.syn_gain_fp * (s2 - s1)
-    current >>= fmt.frac_bits
-    return saturate(current, fmt, sat, fits.syn)
+    current >>= FRAC_BITS
+    return saturate(current, sat, fits.syn)
 
 
 def burst_gain_update(
@@ -421,9 +414,9 @@ def burst_gain_update(
     """
     lut = comp.beta_pow_fp
     if isinstance(prev_out, int):  # one source; its table entry as a Python int
-        return fixed_mul(g, int(lut[min(prev_out, len(lut) - 1)]), comp.fmt, sat) if prev_out > 0 else comp.fmt.scale
-    scaled = fixed_mul(g, lut[np.minimum(prev_out, len(lut) - 1)], comp.fmt, sat)
-    return np.where(prev_out > 0, scaled, np.int64(comp.fmt.scale))
+        return fixed_mul(g, int(lut[min(prev_out, len(lut) - 1)]), sat) if prev_out > 0 else SCALE
+    scaled = fixed_mul(g, lut[np.minimum(prev_out, len(lut) - 1)], sat)
+    return np.where(prev_out > 0, scaled, np.int64(SCALE))
 
 
 def integrate_fire(
@@ -443,19 +436,18 @@ def integrate_fire(
     previous output. ``fits`` names the sites proven never to clamp
     (:func:`prove_ranges`).
     """
-    fmt = comp.fmt
     thr = comp.u_th_fp
     bursting = comp.spec.bursting
     if bursting:
         state.g = burst_gain_update(state.g, state.prev_out, comp, sat)
-        thr = fixed_mul(comp.u_th_fp, state.g, fmt, sat)
+        thr = fixed_mul(comp.u_th_fp, state.g, sat)
         thr = max(thr, 1) if isinstance(thr, int) else np.maximum(thr, 1)
     u = state.u
     if comp.tau_m_plan is not None:
         u = u - (u >> k_m)
     drive = comp.gain_fp * i_fp
-    drive >>= fmt.frac_bits
-    u = saturate(u + saturate(drive, fmt, sat, fits.gain), fmt, sat, fits.u)
+    drive >>= FRAC_BITS
+    u = saturate(u + saturate(drive, sat, fits.gain), sat, fits.u)
     fired = u // thr
     if isinstance(fired, int):
         out = 0 if fired <= 0 else min(fired, comp.n_max)

@@ -101,16 +101,21 @@ def test_reservoir_runs_once_per_example_and_ratio(tmp_path, monkeypatch, epochs
 # one frozen run over the 3 test examples, which serves evaluation and energy
 @pytest.mark.parametrize("epochs", [2, 0])
 def test_frozen_readout_runs_once_per_use_and_ratio(tmp_path, monkeypatch, epochs):
-    real = tcsnn.network.run_readout
+    frozen_run, learning_run = tcsnn.network.run_readout, tcsnn.learning._ReadoutLearner.run
     runs = []
 
-    def counting(network, passes, gamma, record_potentials=False, _learner=None):
+    def counting_frozen(network, passes, gamma, record_potentials=False):
         passes = list(passes)
-        runs.append((len(passes), _learner is not None))
-        return real(network, passes, gamma, record_potentials, _learner)
+        runs.append((len(passes), False))
+        return frozen_run(network, passes, gamma, record_potentials)
+
+    def counting_learning(learner, res, label, record_potentials=False):
+        runs.append((1, True))
+        return learning_run(learner, res, label, record_potentials)
 
     for module in (tcsnn.network, tcsnn.learning):  # every module that binds it
-        monkeypatch.setattr(module, "run_readout", counting)
+        monkeypatch.setattr(module, "run_readout", counting_frozen)
+    monkeypatch.setattr(tcsnn.learning._ReadoutLearner, "run", counting_learning)
     assert run(tmp_path, CONFIG.replace("epochs = 1", f"epochs = {epochs}"), "out") == 0
     assert sorted(runs) == sorted([(1, True)] * epochs * 12 * 2 + [(3, False)] * 2)
 

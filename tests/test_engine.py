@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from test_golden import CHANNELS, GOLDEN, ORDERS, STEPS, _example, _network
 from traces import poisson_encode, same_trace
 
+from tcsnn.fixedpoint import RAW_MAX
 from tcsnn.learning import LearningParams, _ReadoutLearner
 from tcsnn.network import _Projection, run_readout, run_reservoir, simulate
 
@@ -46,7 +47,7 @@ def assert_same_trace(a, b):
     assert a.counters == b.counters
     assert a.potentials.keys() == b.potentials.keys()
     assert same_trace(a, b)  # events, and potentials when both recorded them
-    assert np.array_equal(a.readout_totals(), b.readout_totals())
+    assert np.array_equal(a.readout.outs.sum(axis=0), b.readout.outs.sum(axis=0))
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c)))
@@ -103,7 +104,7 @@ def test_batched_readout_equals_serial_and_given_passes_equal_full_run(case, lou
     busy, silent = batch[-2:]
     assert silent.saturations == 0 and not silent.outs.any()
     drive = passes[-2].spikes[:-1].astype(np.int64) @ net.w_out.T
-    if np.abs(drive).max(initial=0) > net.config.fmt.raw_max:  # the busy example's clamps stay its own
+    if np.abs(drive).max(initial=0) > RAW_MAX:  # the busy example's clamps stay its own
         assert busy.saturations > 0
 
 
@@ -119,8 +120,8 @@ def test_learn_mode_at_rate_zero_equals_frozen_run(case, loud):
     frozen = simulate(net, example, gamma, record_potentials=True, reservoir=res)
     weights = net.w_out.copy()
     learner = _ReadoutLearner(net, LearningParams(eta=0.0, w_min=-bound, w_max=bound), gamma, frozen.timestep_count)
-    learner.start(label=0)
-    learned = simulate(net, example, gamma, record_potentials=True, reservoir=res, _learner=learner)
+    learned = simulate(net, example, gamma, record_potentials=True, reservoir=res,
+                       readout=learner.run(res, label=0, record_potentials=True))
     assert np.array_equal(net.w_out, weights)
     assert_same_trace(learned, frozen)
     if loud and res.spikes[:-1].any():  # both forms clamped, and counted the same clamps
@@ -180,10 +181,8 @@ def test_readout_pass_that_does_not_fit_is_rejected():
     with pytest.raises(ValueError, match="readout pass has no potentials"):
         simulate(net, example, 4, record_potentials=True, reservoir=with_potentials, readout=run_4)
     learner = _ReadoutLearner(net, LearningParams(), 4, steps=at_4.spikes.shape[0])
-    with pytest.raises(ValueError, match="a learner needs the readout to run here"):
-        simulate(net, example, 4, reservoir=at_4, readout=run_4, _learner=learner)
-    with pytest.raises(ValueError, match="batch of one pass, got 2"):
-        run_readout(net, [at_4, at_4], 4, _learner=learner)
+    with pytest.raises(ValueError, match="reservoir pass ran at gamma 8, not 4"):
+        learner.run(at_8, label=0)
     with pytest.raises(ValueError, match="reservoir pass ran at gamma 8, not 4"):
         run_readout(net, [at_4, at_8], 4)
     with pytest.raises(ValueError, match=r"equally long, got \[28, 30\] steps"):

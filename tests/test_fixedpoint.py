@@ -3,8 +3,11 @@ import pytest
 from traces import from_fixed
 
 from tcsnn.fixedpoint import (
-    DEFAULT_FORMAT,
-    FixedPointFormat,
+    FRAC_BITS,
+    RAW_MAX,
+    RAW_MIN,
+    SCALE,
+    TOTAL_BITS,
     SaturationCounter,
     fixed_mul,
     saturate,
@@ -12,10 +15,12 @@ from tcsnn.fixedpoint import (
 )
 
 
-def test_default_format():
-    assert DEFAULT_FORMAT.total_bits == 32
-    assert DEFAULT_FORMAT.frac_bits == 16
-    assert DEFAULT_FORMAT.scale == 65536
+def test_the_register_is_q15_16():
+    assert TOTAL_BITS == 32
+    assert FRAC_BITS == 16
+    assert SCALE == 65536
+    assert RAW_MIN == -(2**31)
+    assert RAW_MAX == 2**31 - 1
 
 
 def test_round_trip_scalars():
@@ -28,13 +33,6 @@ def test_round_trip_array():
     raw = to_fixed(vals)
     assert raw.dtype == np.int64
     assert np.array_equal(from_fixed(raw), vals)
-
-
-def test_invalid_format_rejected():
-    with pytest.raises(ValueError):
-        FixedPointFormat(total_bits=16, frac_bits=16)
-    with pytest.raises(ValueError):
-        FixedPointFormat(total_bits=80, frac_bits=8)
 
 
 def test_fixed_mul_scalar():
@@ -59,52 +57,54 @@ def test_fixed_mul_array_matches_scalar():
         assert arr[i] == fixed_mul(int(a[i]), int(b[i]))
 
 
-def test_saturation_counts_and_clamps():
-    fmt = FixedPointFormat(total_bits=16, frac_bits=8)
+def test_fixed_mul_int_by_array_matches_scalar():
+    # the burst threshold fixed_mul(u_th_fp, g) multiplies an int by an int64 array
+    a = to_fixed(-1.25)
+    b = np.array([SCALE, 3, -7, RAW_MAX, RAW_MIN], dtype=np.int64)
     ctr = SaturationCounter()
-    out = saturate(np.array([fmt.raw_max + 10, 0, fmt.raw_min - 1]), fmt, ctr)
+    arr = fixed_mul(a, b, ctr)
+    assert arr.dtype == np.int64
+    assert arr.tolist() == [fixed_mul(a, int(v)) for v in b] == [a, -4, 8, RAW_MIN, RAW_MAX]  # floors
     assert ctr.count == 2
-    assert out[0] == fmt.raw_max and out[2] == fmt.raw_min and out[1] == 0
-    assert saturate(fmt.raw_max, fmt, ctr) == fmt.raw_max
+
+
+def test_saturation_counts_and_clamps():
+    ctr = SaturationCounter()
+    out = saturate(np.array([RAW_MAX + 10, 0, RAW_MIN - 1]), ctr)
+    assert ctr.count == 2
+    assert out[0] == RAW_MAX and out[2] == RAW_MIN and out[1] == 0
+    assert saturate(RAW_MAX, ctr) == RAW_MAX
+    assert saturate(RAW_MIN, ctr) == RAW_MIN
     assert ctr.count == 2  # in-range scalar does not count
 
 
 def test_scalar_saturation():
-    fmt = FixedPointFormat(total_bits=8, frac_bits=0)
     ctr = SaturationCounter()
-    assert saturate(1000, fmt, ctr) == 127
-    assert saturate(-1000, fmt, ctr) == -128
-    assert ctr.count == 2
-
-
-def test_formats_wider_than_32_bits_rejected():
-    with pytest.raises(ValueError):
-        FixedPointFormat(total_bits=33, frac_bits=16)
-    with pytest.raises(ValueError):
-        FixedPointFormat(total_bits=64, frac_bits=16)
-    with pytest.raises(ValueError):
-        FixedPointFormat(total_bits=32, frac_bits=16, signed=False)
-    assert FixedPointFormat(total_bits=31, frac_bits=16, signed=False).raw_max == (1 << 31) - 1
+    assert saturate(1 << 40, ctr) == RAW_MAX
+    assert saturate(-(1 << 40), ctr) == RAW_MIN
+    assert saturate(np.int64(RAW_MAX + 1), ctr) == RAW_MAX  # a numpy scalar clamps as an int
+    assert ctr.count == 3
 
 
 def test_to_fixed_clamps_before_the_integer_cast():
-    fmt = DEFAULT_FORMAT
     ctr = SaturationCounter()
-    assert to_fixed(1e300, fmt, ctr) == fmt.raw_max
+    assert to_fixed(1e300, ctr) == RAW_MAX
     assert ctr.count == 1
-    assert to_fixed(-1e308, fmt, ctr) == fmt.raw_min  # past float range once scaled
+    assert to_fixed(-1e308, ctr) == RAW_MIN  # past float range once scaled
     assert ctr.count == 2
-    raw = to_fixed(np.array([np.inf, 0.5, -1e300]), fmt, ctr)
-    assert raw.tolist() == [fmt.raw_max, fmt.scale // 2, fmt.raw_min]
-    assert ctr.count == 4
+    assert to_fixed(32768.0, ctr) == RAW_MAX  # one LSB past the register before rounding down
+    assert to_fixed(-32768.0, ctr) == RAW_MIN  # exactly the lowest raw value: no clamp
+    assert ctr.count == 3
+    raw = to_fixed(np.array([np.inf, 0.5, -1e300]), ctr)
+    assert raw.tolist() == [RAW_MAX, SCALE // 2, RAW_MIN]
+    assert ctr.count == 5
 
 
 def test_per_row_counter_keeps_one_tally_per_row():
-    fmt = FixedPointFormat(total_bits=16, frac_bits=8)
     ctr = SaturationCounter(rows=3)
-    raw = np.array([[fmt.raw_max + 1, 0], [0, 0], [fmt.raw_min - 1, fmt.raw_max + 5]])
-    out = saturate(raw, fmt, ctr)
+    raw = np.array([[RAW_MAX + 1, 0], [0, 0], [RAW_MIN - 1, RAW_MAX + 5]])
+    out = saturate(raw, ctr)
     assert ctr.count.tolist() == [1, 0, 2]
-    assert out.tolist() == [[fmt.raw_max, 0], [0, 0], [fmt.raw_min, fmt.raw_max]]
+    assert out.tolist() == [[RAW_MAX, 0], [0, 0], [RAW_MIN, RAW_MAX]]
     with pytest.raises(TypeError):
-        saturate(fmt.raw_max + 1, fmt, ctr)  # a scalar has no row
+        saturate(RAW_MAX + 1, ctr)  # a scalar has no row

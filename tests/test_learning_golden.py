@@ -101,15 +101,14 @@ def test_table_covers_every_case():
 def test_loud_learner_clamps_its_readout(monkeypatch):
     # the clamping case pins learn-mode runs whose readout saturates
     saturations = []
-    real = learning.simulate
+    real = learning._ReadoutLearner.run
 
     def counting(*args, **kwargs):
-        trace = real(*args, **kwargs)
-        if kwargs.get("_learner") is not None:
-            saturations.append(trace.readout.saturations)
-        return trace
+        readout = real(*args, **kwargs)
+        saturations.append(readout.saturations)
+        return readout
 
-    monkeypatch.setattr(learning, "simulate", counting)
+    monkeypatch.setattr(learning._ReadoutLearner, "run", counting)
     _train("iow-lif", "second", 4, "clamping")
     assert sum(saturations) > 0
 

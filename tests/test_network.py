@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tcsnn.config import ExperimentConfig
-from tcsnn.fixedpoint import DEFAULT_FORMAT, SaturationCounter, to_fixed
+from tcsnn.fixedpoint import RAW_MAX, SCALE, SaturationCounter, to_fixed
 from tcsnn.network import LsmConfig, build_lsm, simulate
 from tcsnn.neuron import BurstParams, LIFParams, SynapseParams, burst_gain_update, compile_neuron
 
@@ -24,12 +24,12 @@ def test_input_burst_gain_clamp_is_counted():
     lif = LIFParams(synapse=SynapseParams(order="zeroth"))
     comp = compile_neuron("iow-burst-lif", lif, 16, burst=BurstParams(beta=1.5))
     sat = SaturationCounter()
-    gain = np.full(2, DEFAULT_FORMAT.scale, dtype=np.int64)
+    gain = np.full(2, SCALE, dtype=np.int64)
     prev = np.array([16, 0])  # channel 0 fires weight 16 every step, channel 1 is silent
     for _ in range(3):
         gain = burst_gain_update(gain, prev, comp, sat)
-    assert gain[0] == DEFAULT_FORMAT.raw_max  # 1.5**48 is far past the register
-    assert gain[1] == DEFAULT_FORMAT.scale
+    assert gain[0] == RAW_MAX  # 1.5**48 is far past the register
+    assert gain[1] == SCALE
     assert sat.count == 2  # clamped on the second and third update
 
 
@@ -38,8 +38,8 @@ def test_beta_table_covers_every_input_weight():
     # spike scales its gain by beta**20, not by the table's last power
     lif = LIFParams(synapse=SynapseParams(order="zeroth"))
     comp = compile_neuron("iow-burst-lif", lif, 32, burst=BurstParams(beta=1.5))
-    gain = burst_gain_update(np.full(1, DEFAULT_FORMAT.scale, dtype=np.int64), np.array([20]), comp)
-    assert gain[0] == to_fixed(1.5**20, DEFAULT_FORMAT) == 217_924_025
+    gain = burst_gain_update(np.full(1, SCALE, dtype=np.int64), np.array([20]), comp)
+    assert gain[0] == to_fixed(1.5**20) == 217_924_025
 
 
 def test_documented_input_gain_saturation():

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from traces import from_fixed
 
-from tcsnn.fixedpoint import FixedPointFormat, SaturationCounter, to_fixed
+from tcsnn.fixedpoint import RAW_MAX, SCALE, SaturationCounter, to_fixed
 from tcsnn.neuron import (
     BurstParams,
     LIFParams,
@@ -281,15 +283,39 @@ class TestBurst:
         assert out[0] == 0
 
     def test_power_past_float_range_clamps_and_counts(self):
-        # 1e30**2 passes float range; every power past the register makes the
-        # gain it scales saturate, counted
+        # powers of 1e30 soon pass float range; the table ends at the first
+        # one past the register, and a lookup at or past it makes the gain it
+        # scales saturate, counted
         comp = compile_neuron("iow-burst-lif", leakless_params(), 1, burst=BurstParams(beta=1e30))
-        fmt = comp.fmt
-        assert comp.beta_pow_fp[0] == fmt.scale
+        assert comp.beta_pow_fp.tolist() == [SCALE, RAW_MAX + 1]
         sat = SaturationCounter()
-        g = burst_gain_update(np.full(3, fmt.scale), np.array([1, 7, 0]), comp, sat)
-        assert g.tolist() == [fmt.raw_max, fmt.raw_max, fmt.scale]
+        g = burst_gain_update(np.full(3, SCALE), np.array([1, 7, 0]), comp, sat)
+        assert g.tolist() == [RAW_MAX, RAW_MAX, SCALE]
         assert sat.count == 2
+
+    def test_huge_n_max_compiles_a_short_table(self):
+        # a table of every power up to n_max would hold 10**9 + 1 entries
+        comp = compile_neuron("iow-burst-lif", leakless_params(n_max=10**9), 1, burst=BurstParams(beta=1.5))
+        lut = comp.beta_pow_fp
+        assert len(lut) <= 27
+        assert lut[-1] == RAW_MAX + 1 and lut[-2] <= RAW_MAX
+        sat = SaturationCounter()
+        assert burst_gain_update(SCALE, 10**9, comp, sat) == RAW_MAX
+        assert sat.count == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        beta=st.one_of(st.floats(1e-3, 1e3), st.floats(0.99, 1.01), st.just(1.0)),
+        n_max=st.integers(1, 300),
+        gamma=st.integers(1, 16),
+    )
+    def test_truncated_beta_table_looks_up_as_the_full_one(self, beta, n_max, gamma):
+        comp = compile_neuron("iow-burst-lif", leakless_params(n_max), gamma, burst=BurstParams(beta=beta))
+        with np.errstate(over="ignore"):
+            powers = np.array([np.float64(beta) ** k for k in range(max(n_max, gamma) + 1)])
+            full = np.minimum(np.rint(powers * SCALE), RAW_MAX + 1).astype(np.int64)
+        lut = comp.beta_pow_fp
+        assert [lut[min(w, len(lut) - 1)] for w in range(len(full))] == full.tolist()
 
     def test_burst_requires_zeroth_order(self):
         with pytest.raises(ValueError):
@@ -316,7 +342,7 @@ class TestFixedVsRealReference:
         s_ref = u_ref = 0.0
         gain = params.R / comp.tau_m_plan.tau_nom_c_exact
         count_fp = count_ref = 0
-        full_scale = float(comp.fmt.raw_max)
+        full_scale = float(RAW_MAX)
         max_dev = 0.0
         for t in range(1000):
             drive = np.array([int(inputs[t]) << 16])
@@ -337,15 +363,15 @@ class TestFixedVsRealReference:
 
 
 def test_saturation_is_counted_not_silent():
-    fmt = FixedPointFormat(total_bits=16, frac_bits=8)
+    # a full-scale drive every step outruns seven thresholds of 100.0 a step
     params = LIFParams(tau_m_nom=math.inf, u_th=100.0, R=1.0, synapse=ZEROTH)
-    comp = compile_neuron("iow-lif", params, 1, fmt=fmt)
-    state = new_neuron_state(1, fmt=fmt)
+    comp = compile_neuron("iow-lif", params, 1)
+    state = new_neuron_state(1)
     sat = SaturationCounter()
     for _ in range(10):
-        integrate_fire(state, np.array([fmt.raw_max]), comp, sat=sat)
+        integrate_fire(state, np.array([RAW_MAX]), comp, sat=sat)
     assert sat.count > 0
-    assert state.u[0] <= fmt.raw_max
+    assert state.u[0] <= RAW_MAX
 
 
 def test_invalid_params_rejected():

@@ -22,11 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import ORDERS, _example, _network
 
+import tcsnn.learning as learning
 import tcsnn.network as network
 import tcsnn.neuron as neuron
-from tcsnn.fixedpoint import SaturationCounter, saturate
+from tcsnn.fixedpoint import RAW_MAX, RAW_MIN, SaturationCounter, saturate
 from tcsnn.learning import LearningParams, _ReadoutLearner
-from tcsnn.network import _Projection, _compile, run_readout, run_reservoir, simulate
+from tcsnn.network import _Projection, _compile, run_readout, run_reservoir
 from tcsnn.neuron import (
     MODELS,
     NO_PROOF,
@@ -53,11 +54,11 @@ drive_bounds = st.one_of(
 )
 
 
-def _held(iv, fmt):
+def _held(iv):
     """A site's values after its clamp."""
     if iv is None:
-        return fmt.raw_min, fmt.raw_max
-    return tuple(min(max(v, fmt.raw_min), fmt.raw_max) for v in iv)
+        return RAW_MIN, RAW_MAX
+    return tuple(min(max(v, RAW_MIN), RAW_MAX) for v in iv)
 
 
 def _values(data, iv, n):
@@ -84,7 +85,6 @@ def _shift(data, plan):
 def test_one_step_keeps_every_site_inside_its_interval(data, model, order, gamma, leakless, r, q, drive_bound):
     lif = LIFParams(tau_m_nom=math.inf if leakless else 32.0, R=r, synapse=SynapseParams(order=order, q=q))
     comp = compile_neuron(model, lif, gamma)
-    fmt = comp.fmt
     ranges = site_ranges(comp, drive_bound)
     fits = prove_ranges(comp, drive_bound)
     assert set(ranges) == {"drive", *SITES[order]}
@@ -93,17 +93,17 @@ def test_one_step_keeps_every_site_inside_its_interval(data, model, order, gamma
     state = new_neuron_state(n)
     for name in ("s1", "s2"):
         if name in ranges:
-            setattr(state, name, _values(data, _held(ranges[name], fmt), n))
-    state.u = _values(data, _held(ranges["u"], fmt), n)
-    drive = saturate(_values(data, (-drive_bound, drive_bound), n), fmt, SaturationCounter(), fits.drive)
+            setattr(state, name, _values(data, _held(ranges[name]), n))
+    state.u = _values(data, _held(ranges["u"]), n)
+    drive = saturate(_values(data, (-drive_bound, drive_bound), n), SaturationCounter(), fits.drive)
 
     seen = []  # (site values, clamps a full check counts, whether the site skipped its check)
 
-    def spy(raw, fmt_, counter=None, fits=False):
+    def spy(raw, counter=None, fits=False):
         full = SaturationCounter()
-        saturate(raw.copy(), fmt_, full)
+        saturate(raw.copy(), full)
         seen.append((raw.copy(), full.count, fits))
-        return saturate(raw, fmt_, counter, fits)
+        return saturate(raw, counter, fits)
 
     sat = SaturationCounter()
     with mock.patch.object(neuron, "saturate", spy):
@@ -146,8 +146,7 @@ def _runs(net, gamma):
     (frozen,) = run_readout(net, [res], gamma, record_potentials=True)
     weights = net.w_out.copy()
     learner = _ReadoutLearner(net, LearningParams(eta=1000.0, w_min=-2.0**14, w_max=2.0**14), gamma, res.spikes.shape[0])
-    learner.start(label=1)
-    learned = simulate(net, _example(), gamma, record_potentials=True, reservoir=res, _learner=learner).readout
+    learned = learner.run(res, label=1, record_potentials=True)
     trained, net.w_out[:] = net.w_out.copy(), weights
     return [res.spikes, res.potentials, res.saturations, frozen.outs, frozen.potentials, frozen.saturations,
             learned.outs, learned.potentials, learned.saturations, trained]
@@ -164,7 +163,8 @@ def test_proofs_change_no_output(order, loud):
         net.w_out[:] = np.sign(net.w_out) << 30
     for gamma in (1, 4, 16):
         proven = _runs(net, gamma)
-        with mock.patch.object(network, "prove_ranges", lambda comp, bound: NO_PROOF):
+        with mock.patch.object(network, "prove_ranges", lambda comp, bound: NO_PROOF), \
+                mock.patch.object(learning, "prove_ranges", lambda comp, bound: NO_PROOF):
             checked = _runs(net, gamma)
         for a, b in zip(proven, checked):
             assert np.array_equal(a, b)
@@ -183,17 +183,16 @@ def test_a_unit_on_ints_steps_as_its_array_column(model, order, gamma, data, pro
     lif = LIFParams(tau_m_nom=math.inf if leakless else 32.0, synapse=SynapseParams(order=order))
     bursting = MODELS[model].bursting
     comp = compile_neuron(model, lif, gamma, burst=BurstParams() if bursting else None)
-    fmt = comp.fmt
     fits = prove_ranges(comp, drive_bound) if proven else NO_PROOF
     ranges = site_ranges(comp, drive_bound) if proven else {}
 
     n = 5
     # a (1, n) state inside the proven intervals, or anywhere in the register
-    state = new_neuron_state((1, n), fmt, bursting)
+    state = new_neuron_state((1, n), bursting)
     for name in ("s1", "s2", "u"):
-        setattr(state, name, _values(data, _held(ranges.get(name), fmt), n)[None])
+        setattr(state, name, _values(data, _held(ranges.get(name)), n)[None])
     if bursting:
-        state.g = _values(data, (0, fmt.raw_max), n)[None]
+        state.g = _values(data, (0, RAW_MAX), n)[None]
         state.prev_out = _values(data, (0, comp.n_max), n)[None]
     drive = _values(data, (-drive_bound, drive_bound), n)[None]
     shifts = [_shift(data, plan) for plan in (comp.tau_m_plan, comp.tau_s1_plan, comp.tau_s2_plan)]
@@ -202,7 +201,7 @@ def test_a_unit_on_ints_steps_as_its_array_column(model, order, gamma, data, pro
              for j in range(n)]
 
     def step(state, drive, k_m, k_s1, k_s2, sat):
-        current = synapse_step(state, saturate(drive, fmt, sat, fits.drive), comp, k_s1, k_s2, sat, fits)
+        current = synapse_step(state, saturate(drive, sat, fits.drive), comp, k_s1, k_s2, sat, fits)
         return integrate_fire(state, current, comp, k_m, sat, fits)
 
     on_arrays = SaturationCounter(rows=1)

@@ -3,7 +3,7 @@ fixed-point values read back as floats and the reference shifter decay."""
 
 import numpy as np
 
-from tcsnn.fixedpoint import DEFAULT_FORMAT, FixedPointFormat
+from tcsnn.fixedpoint import SCALE
 
 
 def poisson_encode(rates, length_steps: int, seed: int) -> np.ndarray:
@@ -39,11 +39,11 @@ def same_trace(a, b, check_potentials: bool = True) -> bool:
     return True
 
 
-def from_fixed(raw, fmt: FixedPointFormat = DEFAULT_FORMAT):
+def from_fixed(raw):
     """Raw representation back to float."""
     if np.ndim(raw) == 0:
-        return float(raw) / fmt.scale
-    return np.asarray(raw, dtype=np.float64) / fmt.scale
+        return float(raw) / SCALE
+    return np.asarray(raw, dtype=np.float64) / SCALE
 
 
 def decay_step(x, k: int):
