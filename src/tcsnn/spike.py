@@ -6,10 +6,10 @@ read-only array, bit-packed along time, and a label vector. The engine takes
 an example row, one example's boolean ``(channels, steps)`` array, from
 :meth:`SpikeDataset.row`. Generation is pure given a seed.
 
-The event-file reader splits the text at its ``example`` lines, parses each
-block's events with one numpy call and checks them on arrays. A file this
-bulk parse does not take as plainly valid is read again line by line, by the
-reference reader, which reports the first offending line as ``path:line``.
+An event file is a header line, then blocks of ``<channel> <timestep>`` lines,
+each opened by an ``example label=<c>`` line. :func:`load_event_file`, the one
+reader, states the grammar; it parses each block with one numpy call, checks
+it on arrays and names a malformed file's first offending line.
 """
 
 from __future__ import annotations
@@ -146,143 +146,139 @@ class EventFileError(ValueError):
     """Raised on malformed event files, with the offending line number."""
 
 
-def _fail(path, lineno: int, msg: str):
-    raise EventFileError(f"{path}:{lineno}: {msg}")
-
-
 def load_event_file(path) -> SpikeDataset:
-    """Load a dataset from the line-oriented event-file format.
+    """Load a dataset from an event file; the only reader of the format.
 
-    Format: header ``channels=<n> classes=<k> steps=<T>``, then blocks
-    opened by ``example label=<c>`` containing ``<channel> <timestep>``
-    lines, each channel's timesteps strictly increasing. ``#`` starts a
-    comment; blank lines are ignored. A malformed file reports its first
-    offending line.
+    Grammar: UTF-8 text whose lines end in ``\\n``, ``\\r\\n`` or ``\\r``;
+    ``#`` starts a comment and blank lines are skipped. The first remaining
+    line is the header ``channels=<n> classes=<k> steps=<T>``: keys in any
+    order, tokens without ``=`` ignored. Then come blocks, each opened by a
+    line ``example label=<c>`` and holding ``<channel> <timestep>`` lines,
+    each channel's timesteps strictly increasing. Tokens are separated by
+    ASCII whitespace. Integers are ASCII digits with an optional sign; a
+    zero takes no ``-``. A malformed file raises :class:`EventFileError`
+    naming its first offending line as ``path:line``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    try:  # reading ends every line in \n, and turns each byte that is not UTF-8 into a lone surrogate
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise FileNotFoundError(f"event file not found: {path}") from None
-    except UnicodeDecodeError:  # the line reader reports it as it always has
-        text = None
-    dataset = None if text is None else _parse_bulk(text)
-    return dataset if dataset is not None else _read_lines(path)
 
+    def fail(lineno: int, msg: str):
+        raise EventFileError(f"{path}:{lineno}: {msg}")
 
-_COMMENT = re.compile(r"#[^\n]*")
-_HEADER_FIELD = re.compile(r"(channels|classes|steps)=([1-9]\d*)")
-_LABEL = re.compile(r"[ \t]+label=(\d+)[ \t]*")
-_EVENT_CHARS = b"0123456789 \t\n"
+    def line(pos: int) -> int:
+        return text.count("\n", 0, pos) + 1
 
-
-def _parse_bulk(text: str) -> SpikeDataset | None:
-    """The dataset ``text`` holds, or None unless every line of it is plainly valid.
-
-    Plainly valid takes the header's three keys once each, in any order,
-    with unsigned decimals without leading zeros, decimal digits only in the
-    events and spaces or tabs between tokens; anything else, valid or not,
-    is left to the line reader.
-    """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as err:  # at the first lone surrogate
+            fail(line(err.start), "not UTF-8 text")
     if "#" in text:
         text = _COMMENT.sub("", text)
-    head, *blocks = text.split("example")
-    # "example" must open a line: every piece before one ends a line
-    if any(not piece.rstrip(" \t").endswith("\n") for piece in [head] + blocks[:-1]):
-        return None
-    fields = [_HEADER_FIELD.fullmatch(tok) for tok in re.split(r"[ \t]+", head.strip(" \t\n"))]
-    header = dict(field.groups() for field in fields if field is not None)
-    if len(header) != 3 or len(fields) != 3:
-        return None
-    channels, classes, steps = (int(header[key]) for key in ("channels", "classes", "steps"))
+    start = len(text) - len(text.lstrip(_BLANK))
+    if start == len(text):
+        raise EventFileError(f"{path}: missing header line")
+    end = text.find("\n", start) % (len(text) + 1)  # the header line's \n, or the end of the text
+    fields = dict(tok.split("=", 1) for tok in _TOKEN.findall(text[start:end]) if "=" in tok)
+    if set(fields) != {"channels", "classes", "steps"}:
+        fail(line(start), "header must be 'channels=<n> classes=<k> steps=<T>'")
+    if not all(map(_INT.fullmatch, fields.values())):
+        fail(line(start), "header values must be integers")
+    channels, classes, steps = (int(fields[key]) for key in ("channels", "classes", "steps"))
+    if min(channels, classes, steps) < 1:
+        fail(line(start), "header values must be positive")
 
+    # the header line opens the first piece, and an "example" that does not
+    # open its line is glued back to the text around it
+    blocks = [[]]
+    for piece in text[start:].split("example"):
+        if blocks[-1] and blocks[-1][-1].rstrip(_WS).endswith("\n"):
+            blocks.append([])
+        blocks[-1].append(piece)
+    head, *blocks = ["example".join(block) for block in blocks]
+    gap = head[end - start:]
+    if gap.strip(_BLANK):
+        fail(line(end + len(gap) - len(gap.lstrip(_BLANK))), "event line before any 'example' block")
+
+    pos = start + len(head) + len("example")  # where the current block starts in text
     bits = np.empty((len(blocks), channels, -(-steps // 8)), dtype=np.uint8)
     labels = np.empty(len(blocks), dtype=np.int64)
     for index, block in enumerate(blocks):
         opening, _, events = block.partition("\n")
-        label = _LABEL.fullmatch(opening)
-        if label is None or int(label[1]) >= classes or events.encode().translate(None, _EVENT_CHARS):
-            return None
-        # each line's end becomes a -1 after its values: a line holds two values or none
-        values = np.fromstring(events.replace("\n", " -1 ") + " -1", dtype=np.int64, sep=" ")
-        per_line = np.diff(np.flatnonzero(values < 0), prepend=-1) - 1
-        if ((per_line != 0) & (per_line != 2)).any():
-            return None
-        ch, t = values[values >= 0].reshape(-1, 2).T
-        if (ch >= channels).any() or (t >= steps).any():
-            return None
-        # in range, ch * steps + t orders events by channel, then timestep: each
-        # channel's events, kept in file order by a stable sort, must rise
-        if (np.diff((ch * steps + t)[np.argsort(ch, kind="stable")]) <= 0).any():
-            return None
-        labels[index] = int(label[1])
+        found = _LABEL.fullmatch(opening)
+        if found is None:
+            fail(line(pos), "expected 'example label=<c>'")
+        if not _INT.fullmatch(found[1]):
+            fail(line(pos), "label must be an integer")
+        label = int(found[1])
+        if not 0 <= label < classes:
+            fail(line(pos), f"label {label} out of range [0, {classes})")
+        ch, t, bad = _events(events, channels, steps)
+        if bad:
+            fail(line(pos) + bad, _event_error(events.split("\n")[bad - 1], channels, steps))
+        labels[index] = label
         bits[index] = _packed(ch, t, (channels, steps))
+        pos += len(block) + len("example")
     return SpikeDataset(bits=bits, labels=labels, num_classes=classes, length_steps=steps)
 
 
-def _read_lines(path) -> SpikeDataset:
-    """Read an event file line by line, raising at its first offending line."""
-    header = None
-    examples = []  # (label, [(channel, timestep), ...]) per example
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if header is None:
-                header = _parse_header(path, lineno, line)
-                continue
-            parts = line.split()
-            if line.startswith("example"):
-                if len(parts) != 2 or not parts[1].startswith("label="):
-                    _fail(path, lineno, "expected 'example label=<c>'")
-                try:
-                    label = int(parts[1][len("label="):])
-                except ValueError:
-                    _fail(path, lineno, "label must be an integer")
-                if not 0 <= label < header["classes"]:
-                    _fail(path, lineno, f"label {label} out of range [0, {header['classes']})")
-                examples.append((label, []))
-                last_time = {}  # channel -> last timestep seen in this example
-                continue
-            if not examples:
-                _fail(path, lineno, "event line before any 'example' block")
-            if len(parts) != 2:
-                _fail(path, lineno, "expected '<channel> <timestep>'")
-            try:
-                ch, t = int(parts[0]), int(parts[1])
-            except ValueError:
-                _fail(path, lineno, "channel and timestep must be integers")
-            if not 0 <= ch < header["channels"]:
-                _fail(path, lineno, f"channel {ch} out of range [0, {header['channels']})")
-            if not 0 <= t < header["steps"]:
-                _fail(path, lineno, f"timestep {t} out of range [0, {header['steps']})")
-            if t <= last_time.get(ch, -1):
-                _fail(path, lineno, f"non-monotonic timestamp {t} on channel {ch}")
-            last_time[ch] = t
-            examples[-1][1].append((ch, t))
-
-    if header is None:
-        raise EventFileError(f"{path}: missing header line")
-    shape = (header["channels"], header["steps"])
-    bits = np.zeros((len(examples), shape[0], -(-shape[1] // 8)), dtype=np.uint8)
-    for index, (_, events) in enumerate(examples):
-        bits[index] = _packed(*np.array(events, dtype=np.int64).reshape(-1, 2).T, shape)
-    labels = [label for label, _ in examples]
-    return SpikeDataset(bits=bits, labels=labels, num_classes=header["classes"], length_steps=header["steps"])
+_WS = " \t\v\f\x1c\x1d\x1e\x1f"  # the ASCII whitespace of str.split, less the line ends
+_BLANK = _WS + "\n"
+_TOKEN = re.compile(f"[^{_WS}]+")
+_LABEL = re.compile(f"[{_WS}]+label=([^{_WS}]*)[{_WS}]*")  # what follows "example"
+_INT = re.compile(r"\+?[0-9]+|-0*[1-9][0-9]*")
+_COMMENT = re.compile(r"#[^\n]*")
+# events keep digits, signs, spaces and line ends; other whitespace becomes a space, anything else "?"
+_ALPHABET = bytes(c if chr(c) in "0123456789+- \n" else ord(" ") if chr(c) in _WS else ord("?") for c in range(256))
 
 
-def _parse_header(path, lineno: int, line: str) -> dict:
-    fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
-    if set(fields) != {"channels", "classes", "steps"}:
-        _fail(path, lineno, "header must be 'channels=<n> classes=<k> steps=<T>'")
-    try:
-        header = {k: int(v) for k, v in fields.items()}
-    except ValueError:
-        _fail(path, lineno, "header values must be integers")
-    if min(header.values()) < 1:
-        _fail(path, lineno, "header values must be positive")
-    return header
+def _events(events: str, channels: int, steps: int):
+    """A block's event channels and timesteps, and the number of its first
+    offending line, 1 for the first line of ``events``, or 0 if there is none."""
+    raw = f"\n{events}\n".encode().translate(_ALPHABET)  # line k of raw is line k of events
+    # a stray character, any "-" (no valid event holds one) or a "+" that opens no integer
+    firsts = [raw.find(b"?"), raw.find(b"-")]
+    if b"+" in raw:
+        arr = np.frombuffer(raw, dtype=np.uint8)
+        plus = np.flatnonzero(arr == ord("+"))
+        after = arr[plus + 1]
+        firsts += plus[(arr[plus - 1] > ord(" ")) | (after < ord("0")) | (after > ord("9"))][:1].tolist()
+    first = min((pos for pos in firsts if pos >= 0), default=len(raw))
+    # the lines before its line hold integers only: each line's end becomes a -1 after its values
+    values = np.fromstring(raw[:raw.rfind(b"\n", 0, first) + 1].replace(b"\n", b" -1 "), dtype=np.int64, sep=" ")
+    ends = np.flatnonzero(values < 0)
+    per_line = np.diff(ends, prepend=-1) - 1
+    wrong = np.flatnonzero((per_line != 0) & (per_line != 2))
+    bad = wrong[0] if wrong.size else len(ends)  # else the line of the first bad character, or past the last
+    values = values[:ends[bad - 1]]
+    ch, t = values[values >= 0].reshape(-1, 2).T
+    out = np.flatnonzero((ch >= channels) | (t >= steps))
+    # each channel's events, kept in file order by a stable sort, must rise
+    order = np.argsort(ch, kind="stable")
+    cs, ts = ch[order], t[order]
+    late = order[1:][(cs[1:] == cs[:-1]) & (ts[1:] <= ts[:-1])]
+    flagged = np.concatenate([out[:1], late])
+    if flagged.size:  # the line of the first event out of range or out of order
+        bad = min(bad, np.flatnonzero(per_line == 2)[flagged.min()])
+    return ch, t, 0 if first == len(raw) and bad == len(ends) else bad
+
+
+def _event_error(line: str, channels: int, steps: int) -> str:
+    """The message for a malformed event line, from the first check it fails."""
+    parts = _TOKEN.findall(line)
+    if len(parts) != 2:
+        return "expected '<channel> <timestep>'"
+    if not all(map(_INT.fullmatch, parts)):
+        return "channel and timestep must be integers"
+    ch, t = map(int, parts)
+    if not 0 <= ch < channels:
+        return f"channel {ch} out of range [0, {channels})"
+    if not 0 <= t < steps:
+        return f"timestep {t} out of range [0, {steps})"
+    return f"non-monotonic timestamp {t} on channel {ch}"
 
 
 def save_event_file(dataset: SpikeDataset, path):

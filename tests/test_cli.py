@@ -53,6 +53,13 @@ def test_missing_event_file_exits_2(tmp_path, capsys):
     assert "event file not found" in capsys.readouterr().err
 
 
+def test_malformed_event_file_exits_2_with_its_line(tmp_path, capsys):
+    events = tmp_path / "bad.events"
+    events.write_text("channels=20 classes=3 steps=40\nexample label=1\n4 7\n4 7\n")
+    assert run(tmp_path, CONFIG + f"dataset.kind = event_file\ndataset.path = {events}\n", "out") == 2
+    assert capsys.readouterr().err == f"error: {events}:4: non-monotonic timestamp 7 on channel 4\n"
+
+
 def test_empty_test_split_exits_2(tmp_path, capsys):
     assert run(tmp_path, CONFIG + "learning.train_fraction = 1.0\n", "out") == 2
     assert "test split is empty" in capsys.readouterr().err

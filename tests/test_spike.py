@@ -3,11 +3,11 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from event_reference import _read_lines
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from traces import poisson_encode
 
-from tcsnn import spike
 from tcsnn.config import SyntheticSpec
 from tcsnn.spike import (
     EventFileError,
@@ -144,8 +144,7 @@ class TestEventFile:
             lines += [f"{ch} {t}" for ch, t in zip(channels, steps)]
         path = tmp_path / "task.events"
         path.write_text("\n".join(lines) + "\n")
-        assert spike._parse_bulk(path.read_text()) == ds
-        assert load_event_file(path) == ds
+        assert load_event_file(path) == _read_lines(path) == ds
 
     def test_single_event(self, tmp_path):
         path = tmp_path / "one.events"
@@ -171,31 +170,31 @@ class TestEventFile:
             load_event_file("/nonexistent/file.events")
 
 
-# valid files the bulk parse leaves to the line reader: both events are on channel 1
-LINE_READER_ONLY = {
+# valid files with a header token without "=", signs, other whitespace or other
+# line ends, or no final newline: both events are on channel 1
+ODD_BUT_VALID = {
     "header extra token": "channels=3 classes=2 steps=10 v2\nexample label=1\n1 2\n1 5\n",
     "signed integers": "channels=3 classes=2 steps=10\nexample label=+1\n1 2\n+1 5\n",
     "vertical tab": "channels=3 classes=2 steps=10\nexample label=1\n1\x0b2\n1 5\n",
     "no final newline": "channels=3 classes=2 steps=10",
+    "crlf and form feed": "channels=3 classes=2 steps=10\r\nexample\x0clabel=1\r\n\x0c1 2\r\n1\x1f5",
 }
 
 
-@pytest.mark.parametrize("name", LINE_READER_ONLY)
-def test_line_reader_takes_what_the_bulk_parse_declines(tmp_path, name):
+@pytest.mark.parametrize("name", ODD_BUT_VALID)
+def test_odd_but_valid_files_load(tmp_path, name):
     path = tmp_path / "odd.events"
-    path.write_text(LINE_READER_ONLY[name])
-    assert spike._parse_bulk(path.read_text()) is None
+    path.write_bytes(ODD_BUT_VALID[name].encode())
     events = np.zeros((0, 3, 10)) if name == "no final newline" else [[[0] * 10, [0, 0, 1, 0, 0, 1] + [0] * 4, [0] * 10]]
-    assert load_event_file(path) == dataset(events, [1] * len(events), 2)
+    assert load_event_file(path) == _read_lines(path) == dataset(events, [1] * len(events), 2)
 
 
 @pytest.mark.parametrize("keys", list(itertools.permutations(("channels=3", "classes=2", "steps=10"))))
-def test_bulk_parse_takes_the_header_keys_in_any_order(tmp_path, keys):
+def test_header_keys_load_in_any_order(tmp_path, keys):
     path = tmp_path / "reordered.events"
     path.write_text(" ".join(keys) + "\nexample label=1\n1 2\n1 5\n")
-    parsed = spike._parse_bulk(path.read_text())
-    assert parsed is not None
-    assert parsed == spike._read_lines(path) == dataset([[[0] * 10, [0, 0, 1, 0, 0, 1] + [0] * 4, [0] * 10]], [1], 2)
+    expected = dataset([[[0] * 10, [0, 0, 1, 0, 0, 1] + [0] * 4, [0] * 10]], [1], 2)
+    assert load_event_file(path) == _read_lines(path) == expected
 
 
 @st.composite
@@ -236,7 +235,7 @@ def interleave(lines: list, delays: list) -> list:
        delays=st.lists(st.integers(0, 12), min_size=1, max_size=4))
 @example(ds=EMPTY_PARTS, dress=[("# c\n\n", "\t", "\t", " # tail"), ("\t\n", "", " ", "\t")], delays=[0])
 def test_save_then_load_round_trips(tmp_path_factory, ds, dress, delays):
-    # and the bulk parse of a dressed, interleaved file equals the line reader's
+    # and a dressed, interleaved file loads as the reference reader reads it
     path = tmp_path_factory.mktemp("events") / "task.events"
     save_event_file(ds, path)
     assert load_event_file(path) == ds
@@ -246,8 +245,7 @@ def test_save_then_load_round_trips(tmp_path_factory, ds, dress, delays):
         before, indent, sep, tail = dress[i % len(dress)]
         dressed.append(before + indent + sep.join(line.split(" ")) + tail + "\n")
     path.write_text("".join(dressed))
-    assert spike._parse_bulk(path.read_text()) == spike._read_lines(path) == ds
-    assert load_event_file(path) == ds
+    assert load_event_file(path) == _read_lines(path) == ds
 
 
 HEADER = "channels=3 classes=2 steps=10\n"
@@ -281,3 +279,100 @@ def test_malformed_line_reports_path_line_and_message(tmp_path, name):
     with pytest.raises(EventFileError) as err:
         load_event_file(path)
     assert str(err.value) == f"{path}{where_what}"
+
+
+# inputs the reference reader takes and load_event_file refuses, each at its line
+NARROWED = {
+    "non-ASCII digit": (HEADER + "example label=1\n\u0661 2\n", ":3: channel and timestep must be integers"),
+    "non-ASCII whitespace": (HEADER + "example label=1\n1\u00a02\n", ":3: expected '<channel> <timestep>'"),
+    "underscore in an integer": (HEADER + "example label=1\n1 0_5\n", ":3: channel and timestep must be integers"),
+    "glued example": (HEADER + "examples label=1\n1 2\n", ":2: expected 'example label=<c>'"),
+    "signed zero": (HEADER + "example label=1\n-0 2\n", ":3: channel and timestep must be integers"),
+}
+
+
+@pytest.mark.parametrize("name", NARROWED)
+def test_narrowed_input_fails_at_its_line(tmp_path, name):
+    text, where_what = NARROWED[name]
+    path = tmp_path / "narrow.events"
+    path.write_text(text, encoding="utf-8")
+    assert len(_read_lines(path)) == 1
+    with pytest.raises(EventFileError) as err:
+        load_event_file(path)
+    assert str(err.value) == f"{path}{where_what}"
+
+
+def test_non_utf8_file_names_the_line_of_its_first_bad_byte(tmp_path):
+    path = tmp_path / "latin1.events"
+    path.write_bytes(b"channels=3 classes=2 steps=10\r\n# caf\xc3\xa9\r\nexample label=1\r\n1 2 # caf\xe9\n1 \xff\n")
+    with pytest.raises(EventFileError) as err:
+        load_event_file(path)
+    assert str(err.value) == f"{path}:4: not UTF-8 text"
+
+
+# how a line of a drawn file is dressed: (lines before it, indent, token separator, tail, line end)
+LINE_DRESS = st.tuples(
+    st.sampled_from(("", "\n", " \t\n", "# note\n", "#example label=9 -0\n")),
+    st.sampled_from(("", " ", "\t", "\x0b")),
+    st.sampled_from((" ", "\t", "\x0b", "\x0c", "\x1f", " \t", "  ")),
+    st.sampled_from(("", " ", "\t", " # 1 2 3")),
+    st.sampled_from(("\n", "\r\n", "\r")),
+)
+# what a corrupted line holds: integers (never -0), signs, junk, and header or example words
+JUNK_TOKEN = st.sampled_from((
+    "-3", "-1", "2", "+3", "007", "12", "15", "99999999999999999999", "+", "-", "x", "1-2", "+-1", "2+", "2+3", "++3",
+    "example", "label=1", "label=+0", "label=x", "label=-1", "label=", "label=5", "channels=2", "classes=x", "steps=0",
+))
+
+
+@st.composite
+def event_texts(draw):
+    """An event file over an ASCII alphabet: signs, leading zeros, any ASCII
+    whitespace, \\n, \\r\\n or \\r line ends, comments, blank lines, header keys in
+    any order and empty examples, and perhaps one corrupted line."""
+    channels, classes, steps = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    prefixes = itertools.cycle(draw(st.lists(st.sampled_from(("", "+", "0", "+0")), min_size=1, max_size=4)))
+
+    def number(value):
+        return next(prefixes) + str(value)
+
+    header = [f"channels={number(channels)}", f"classes={number(classes)}", f"steps={number(steps)}"]
+    lines = [draw(st.permutations(header + draw(st.lists(st.sampled_from(("v2", "example")), max_size=1))))]
+    delays = draw(st.lists(st.integers(0, 12), min_size=channels, max_size=channels))
+    cells = st.sets(st.integers(0, channels * steps - 1), max_size=6)  # ch * steps + t
+    for label, events in draw(st.lists(st.tuples(st.integers(0, classes - 1), cells), min_size=1, max_size=3)):
+        lines.append(["example", f"label={number(label)}"])
+        events = sorted((divmod(cell, steps) for cell in events), key=lambda ev: (ev[1] + delays[ev[0]], ev[1]))
+        lines += [[number(ch), number(t)] for ch, t in events]
+    kind = draw(st.sampled_from(("none", "mutate", "insert", "repeat")))
+    at = draw(st.sampled_from(range(len(lines) + (kind == "insert"))))
+    if kind == "mutate":  # a token replaced, dropped or added
+        tokens = lines[at] = list(lines[at])
+        cut = draw(st.sampled_from(range(len(tokens))))
+        tokens[cut:cut + 1] = draw(st.sampled_from(([draw(JUNK_TOKEN)], [], [draw(JUNK_TOKEN), tokens[cut]])))
+    elif kind == "insert":
+        lines.insert(at, draw(st.lists(JUNK_TOKEN, max_size=3)))
+    elif kind == "repeat":
+        lines.insert(at, lines[at])
+    dress = itertools.cycle(draw(st.lists(LINE_DRESS, min_size=1, max_size=4)))
+    text = "".join(before + indent + sep.join(tokens) + tail + end
+                   for tokens, (before, indent, sep, tail, end) in zip(lines, dress))
+    return text if draw(st.booleans()) else text[:-1]
+
+
+def dataset_or_message(read, path):
+    try:
+        return read(path)
+    except EventFileError as err:
+        return str(err)
+
+
+@settings(max_examples=200)
+@given(text=event_texts())
+@example(text="channels=2 classes=1 steps=10\nexample label=0\n1 2\n0 15\n")  # not out of order at line 3
+@example(text="channels=3 classes=1 steps=10\nexample label=0\n0 1\n1 2+3\n")
+@example(text="channels=1 classes=1 steps=1\nexample label=0\n3 -2\n")  # the channel is named first
+def test_load_agrees_with_the_reference_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("agree") / "drawn.events"
+    path.write_bytes(text.encode())
+    assert dataset_or_message(load_event_file, path) == dataset_or_message(_read_lines, path)
