@@ -128,6 +128,8 @@ class ExperimentConfig:
                 raise ConfigError(f"gamma {g} outside [1, {self.max_gamma}]")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.num_readout is not None and self.num_readout < 1:
+            raise ConfigError(f"num_readout must be >= 1, got {self.num_readout}")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
         if self.dataset_kind not in ("synthetic", "event_file"):

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .compress import compress_train
 from .network import SimulationTrace
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "AtelInputs",
     "RunReport",
     "binned_raster_distance",
-    "binned_counts",
     "energy_estimate",
     "atel",
     "spike_statistics",
@@ -61,15 +61,6 @@ def energy_estimate(trace: SimulationTrace, model: EnergyModel = EnergyModel()) 
     )
 
 
-def binned_counts(events: np.ndarray, num_units: int, length_steps: int, gamma: int) -> np.ndarray:
-    """Per-unit spike weights summed over windows of ``gamma`` steps."""
-    out_len = -(-length_steps // gamma)
-    mat = np.zeros((num_units, out_len), dtype=np.int64)
-    if events.size:
-        np.add.at(mat, (events[:, 0], events[:, 1] // gamma), events[:, 2])
-    return mat
-
-
 def binned_raster_distance(
     baseline_trace: SimulationTrace,
     compressed_trace: SimulationTrace,
@@ -83,11 +74,11 @@ def binned_raster_distance(
     counts exactly (always true at the input layer by construction of the
     compression). Normalization is by total baseline spike weight.
     """
-    n = baseline_trace.layer_size(layer)
-    if n != compressed_trace.layer_size(layer):
+    base, comp = baseline_trace.layer(layer), compressed_trace.layer(layer)
+    if base.shape[1] != comp.shape[1]:
         raise ValueError(f"{layer}: unit counts differ between traces")
-    base = binned_counts(baseline_trace.events_for(layer), n, baseline_trace.timestep_count, gamma)
-    comp = binned_counts(compressed_trace.events_for(layer), n, compressed_trace.timestep_count, 1)
+    # (units, windows); the layers hold unsigned weights, widened so that base - comp cannot wrap
+    base, comp = compress_train(base.T, gamma).astype(np.int64), comp.T.astype(np.int64)
     if base.shape[1] != comp.shape[1]:
         raise ValueError(
             f"binned baseline has {base.shape[1]} windows but compressed trace has {comp.shape[1]} steps"
@@ -155,26 +146,14 @@ class SpikeStats:
 
 
 def spike_statistics(trace: SimulationTrace) -> SpikeStats:
-    """Exact integer tallies of every spike record in a trace."""
-    per_w, per_c, layer_w = {}, {}, {}
-    total_events = 0
-    total_weight = 0
-    for layer in ("input", "reservoir", "readout"):
-        ev = trace.events_for(layer)
-        n = trace.layer_size(layer)
-        w = np.zeros(n, dtype=np.int64)
-        c = np.zeros(n, dtype=np.int64)
-        if ev.size:
-            np.add.at(w, ev[:, 0], ev[:, 2])
-            np.add.at(c, ev[:, 0], 1)
-        per_w[layer] = w
-        per_c[layer] = c
-        layer_w[layer] = int(w.sum())
-        total_events += int(ev.shape[0])
-        total_weight += int(w.sum())
+    """Exact integer tallies of every spike in a trace."""
+    layers = {name: trace.layer(name) for name in ("input", "reservoir", "readout")}
+    per_w = {name: arr.sum(axis=0, dtype=np.int64) for name, arr in layers.items()}
+    per_c = {name: np.count_nonzero(arr, axis=0).astype(np.int64) for name, arr in layers.items()}
+    layer_w = {name: int(w.sum()) for name, w in per_w.items()}
     return SpikeStats(
-        total_events=total_events,
-        total_weight=total_weight,
+        total_events=sum(int(c.sum()) for c in per_c.values()),
+        total_weight=sum(layer_w.values()),
         per_layer_weight=layer_w,
         per_neuron_weight=per_w,
         per_neuron_count=per_c,

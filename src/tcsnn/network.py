@@ -13,16 +13,16 @@ binary spikes and the nominal time constants.
 An example is a row of a :class:`~tcsnn.spike.SpikeDataset`, a boolean
 ``(channels, steps)`` spike array. :func:`trains_to_dense` views it as 0/1
 counts without a copy and :func:`~tcsnn.compress.compress_train` sums their
-windows. From there on spikes stay dense arrays; event lists are derived
-from them only when read.
+windows. From there on every layer, input included, is a dense ``(steps,
+units)`` array of spike weights; event lists are derived only when read.
 
 The reservoir is fixed and the readout sends nothing back to it, so the
 engine runs reservoir pass -> readout pass -> trace:
 
 - :func:`run_reservoir` simulates input and reservoir for a batch of
   examples side by side, on ``(batch, neuron)`` state arrays, and returns
-  one :class:`ReservoirPass` per example: its input events, the reservoir's
-  output weight per step and the pass's own event and saturation counts.
+  one :class:`ReservoirPass` per example: its input and reservoir spike
+  weights per step and the pass's own op and saturation counts.
 - :func:`run_readout` runs the readout over a batch of reservoir passes the
   same way, on ``(batch, readout)`` state, and returns one
   :class:`ReadoutPass` per pass. Frozen weights serve a whole test split in
@@ -247,12 +247,12 @@ class EventCounters:
 class SimulationTrace:
     """One example's run at one ratio: a view of its reservoir and readout passes.
 
-    Everything else is derived from the two passes when read: sizes,
-    counters, event arrays with rows (unit_id, timestep, weight) ordered by
-    timestep, and the membrane potentials when both passes recorded them.
+    Each layer is a dense ``(steps, units)`` array of spike weights
+    (:meth:`layer`). Everything else is derived when read: sizes, counters,
+    event arrays with rows (unit_id, timestep, weight) ordered by timestep,
+    and the membrane potentials when both passes recorded them.
     """
 
-    num_inputs: int
     reservoir: ReservoirPass
     readout: ReadoutPass
 
@@ -265,32 +265,27 @@ class SimulationTrace:
         return self.reservoir.spikes.shape[0]
 
     @property
-    def input_length(self) -> int:
-        return self.reservoir.input_length
-
-    @property
-    def num_reservoir(self) -> int:
-        return self.reservoir.spikes.shape[1]
-
-    @property
-    def num_readout(self) -> int:
-        return self.readout.outs.shape[1]
-
-    @property
     def num_neurons(self) -> int:
-        return self.num_reservoir + self.num_readout
+        return self.reservoir.spikes.shape[1] + self.readout.outs.shape[1]
+
+    def layer(self, name: str) -> np.ndarray:
+        """The ``(steps, units)`` spike weights of layer ``input``, ``reservoir`` or ``readout``."""
+        return {"input": self.reservoir.inputs, "reservoir": self.reservoir.spikes, "readout": self.readout.outs}[name]
+
+    def events_for(self, layer: str) -> np.ndarray:
+        return _events(self.layer(layer))
 
     @property
     def input_events(self) -> np.ndarray:
-        return self.reservoir.input_events
+        return self.events_for("input")
 
     @property
     def reservoir_events(self) -> np.ndarray:
-        return _events(self.reservoir.spikes)
+        return self.events_for("reservoir")
 
     @property
     def readout_events(self) -> np.ndarray:
-        return _events(self.readout.outs)
+        return self.events_for("readout")
 
     @property
     def potentials(self) -> dict | None:
@@ -305,23 +300,9 @@ class SimulationTrace:
             synaptic_ops_input=res.input_ops,
             synaptic_ops_reservoir=res.reservoir_ops,
             neuron_updates=self.num_neurons * self.timestep_count,
-            spike_events=res.spike_events + int(np.count_nonzero(self.readout.outs)),
+            spike_events=sum(int(np.count_nonzero(a)) for a in (res.inputs, res.spikes, self.readout.outs)),
             saturations=res.saturations + self.readout.saturations,
         )
-
-    def events_for(self, layer: str) -> np.ndarray:
-        return {
-            "input": self.input_events,
-            "reservoir": self.reservoir_events,
-            "readout": self.readout_events,
-        }[layer]
-
-    def layer_size(self, layer: str) -> int:
-        return {
-            "input": self.num_inputs,
-            "reservoir": self.num_reservoir,
-            "readout": self.num_readout,
-        }[layer]
 
 
 @functools.lru_cache(maxsize=512)
@@ -342,22 +323,21 @@ def _plan_shifts(comp: CompiledNeuron, steps: int):
 
 @dataclass(frozen=True, eq=False)
 class ReservoirPass:
-    """One example's reservoir activity at one ratio.
+    """One example's input and reservoir activity at one ratio.
 
     The reservoir is fixed and the readout feeds nothing back to it, so one
     pass serves every readout run of the example: each training epoch, the
-    evaluation and the energy count. ``spikes`` holds each neuron's output
-    weight per step, which also fixes its burst gain at every step. The
-    counters are the pass's own share of the run's :class:`EventCounters`.
+    evaluation and the energy count. ``inputs`` holds each channel's
+    compressed spike weight per step and ``spikes`` each neuron's output
+    weight, which also fixes its burst gain at every step. The counters are
+    the pass's own share of the run's :class:`EventCounters`.
     """
 
     gamma: int
-    input_length: int
-    input_events: np.ndarray  # rows (channel, timestep, weight) ordered by timestep
+    inputs: np.ndarray  # (steps, channels), small unsigned ints
     spikes: np.ndarray  # (steps, neurons), small unsigned ints
     input_ops: int
     reservoir_ops: int
-    spike_events: int  # input and reservoir spikes
     saturations: int
     potentials: np.ndarray | None = None  # (steps, neurons) raw membrane potentials
 
@@ -428,7 +408,7 @@ def run_reservoir(
     cfg = network.config
     comp = _compile(cfg, gamma)
     steps = None
-    inputs = []  # (input events, input length) per example
+    rows = []  # compressed input weights per example
     for row in examples:
         dense = trains_to_dense(row)
         if dense.ndim != 2 or dense.shape[0] != cfg.num_inputs:
@@ -438,16 +418,15 @@ def run_reservoir(
             steps = counts.shape[0]
         elif counts.shape[0] != steps:
             raise ValueError(f"examples of one batch must run equally long: {steps} and {counts.shape[0]} steps")
-        inputs.append((_events(counts), dense.shape[1]))
-    if not inputs:
+        rows.append(counts.astype(np.min_scalar_type(gamma), copy=False))
+    if not rows:
         return []
-    # input spike weights per (example, step, channel): at most gamma, and 1 unless weighted in
-    weighted_in = comp.spec.weighted_in
-    w_max = gamma if weighted_in else 1
-    batch, n_res = len(inputs), cfg.reservoir_size
-    in_weights = np.zeros((batch, steps, cfg.num_inputs), dtype=np.min_scalar_type(w_max))
-    for b, (events, _) in enumerate(inputs):
-        in_weights[b, events[:, 1], events[:, 0]] = events[:, 2] if weighted_in else 1
+    # input spike weights per (example, step, channel), each at most gamma,
+    # delivered as they are when weighted in and as 1 otherwise
+    inputs = np.stack(rows)
+    delivered = inputs if comp.spec.weighted_in else np.minimum(inputs, 1)
+    w_max = gamma if comp.spec.weighted_in else 1
+    batch, n_res = len(rows), cfg.reservoir_size
 
     bursting = comp.spec.bursting
     step_fn = STEP_FUNCTIONS[cfg.model]
@@ -468,7 +447,7 @@ def run_reservoir(
     amp_res = None  # reservoir spikes of the previous step, delivered at this one
 
     for t in range(steps):
-        w = in_weights[:, t].astype(np.int64)
+        w = delivered[:, t].astype(np.int64)
         if bursting:
             in_gain = burst_gain_update(in_gain, in_prev, comp, sat)
             in_prev = w
@@ -490,16 +469,14 @@ def run_reservoir(
     return [
         ReservoirPass(
             gamma=gamma,
-            input_length=length,
-            input_events=events,
+            inputs=inputs[b],
             spikes=spikes[b],
-            input_ops=int(fan_in[events[:, 0]].sum()),
+            input_ops=int(np.count_nonzero(inputs[b], axis=0) @ fan_in),
             reservoir_ops=int(np.count_nonzero(spikes[b, :-1], axis=0) @ fan_res),
-            spike_events=events.shape[0] + int(np.count_nonzero(spikes[b])),
             saturations=int(sat.count[b]),
             potentials=None if potentials is None else potentials[b],
         )
-        for b, (events, length) in enumerate(inputs)
+        for b in range(batch)
     ]
 
 
@@ -680,4 +657,4 @@ def simulate(
         raise ValueError(f"readout pass ran {readout.outs.shape[0]} steps, its reservoir pass {steps}")
     elif record_potentials and readout.potentials is None:
         raise ValueError("the readout pass has no potentials: run it with record_potentials=True")
-    return SimulationTrace(network.config.num_inputs, reservoir, readout)
+    return SimulationTrace(reservoir, readout)

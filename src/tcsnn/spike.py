@@ -204,7 +204,10 @@ def load_event_file(path) -> SpikeDataset:
         fail(line(end + len(gap) - len(gap.lstrip(_BLANK))), "event line before any 'example' block")
 
     pos = start + len(head) + len("example")  # where the current block starts in text
-    bits = np.empty((len(blocks), channels, -(-steps // 8)), dtype=np.uint8)
+    try:
+        bits = np.empty((len(blocks), channels, -(-steps // 8)), dtype=np.uint8)
+    except MemoryError:
+        fail(line(start), f"{channels} channels x {steps} steps per example do not fit in memory")
     labels = np.empty(len(blocks), dtype=np.int64)
     for index, block in enumerate(blocks):
         opening, _, events = block.partition("\n")

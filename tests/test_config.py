@@ -119,6 +119,8 @@ INVALID = {
     "gamma past the bound": ("seed = 3\ngammas = 1 17\n", 3, "gamma 17 outside [1, 16]"),
     "no workers": ("workers = 0\n", 2, "workers must be >= 1"),
     "negative workers": ("workers = -4\n", 2, "workers must be >= 1"),
+    "no readout": ("lsm.readout = 0\n", 2, "lsm.readout: num_readout must be >= 1, got 0"),
+    "negative readout": ("seed = 3\nlsm.readout = -1\n", 3, "lsm.readout: num_readout must be >= 1, got -1"),
     "negative input fanout": ("lsm.input_fanout = -1\n", 2, "input_fanout must be in [0, 135], got -1"),
     "negative seed": ("gammas = 1\nseed = -1\n", 3, "seed must be >= 0"),
     "resources twice": ("resources.baseline.lut = 1\nresources.baseline.ff = 1\nresources.g1.lut = 2\n", 4,

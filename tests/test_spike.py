@@ -310,6 +310,15 @@ def test_non_utf8_file_names_the_line_of_its_first_bad_byte(tmp_path):
     assert str(err.value) == f"{path}:4: not UTF-8 text"
 
 
+def test_header_too_large_to_hold_names_its_line(tmp_path):
+    # packed, one example of this header takes 1.11 PiB, so the allocation fails at once
+    path = tmp_path / "huge.events"
+    path.write_text("# too large\nchannels=100000000 classes=2 steps=100000000\nexample label=0\n0 0\n")
+    with pytest.raises(EventFileError) as err:
+        load_event_file(path)
+    assert str(err.value) == f"{path}:2: 100000000 channels x 100000000 steps per example do not fit in memory"
+
+
 # how a line of a drawn file is dressed: (lines before it, indent, token separator, tail, line end)
 LINE_DRESS = st.tuples(
     st.sampled_from(("", "\n", " \t\n", "# note\n", "#example label=9 -0\n")),
