@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, ExperimentConfig, SyntheticSpec, load_experiment_config
-from .learning import reservoir_passes, split_dataset, train_readout
+from .learning import split_dataset, train_readout
 from .metrics import AtelInputs, RunReport, atel, energy_estimate, write_raster_csv, write_report_json
 from .network import build_lsm, simulate
 from .spike import SpikeDataset, save_event_file
@@ -48,19 +48,17 @@ def _run_single(config: ExperimentConfig, gamma: int, dataset: SpikeDataset) -> 
     """
     net = build_lsm(config.make_lsm_config(dataset))
     train_idx, test_idx = split_dataset(dataset, config.train_fraction, config.seed)
-    # every example's reservoir runs once, in one batch: its pass serves each
-    # training epoch, and the trained readout runs once over the test passes
-    # for both the evaluation and the energy count below
-    passes = reservoir_passes(net, dataset, [*train_idx, *test_idx] if config.learning.epochs else test_idx, gamma)
-    report = train_readout(net, dataset, (train_idx, test_idx), config.learning, gamma, passes=passes)
+    # training runs each example's reservoir once, in one batch; the test
+    # passes and the trained readout's runs on them serve the energy count
+    report = train_readout(net, dataset, (train_idx, test_idx), config.learning, gamma)
 
     energy = 0.0
     counters: dict = {}
     timesteps = -(-dataset.length_steps // gamma)
-    for i, run in zip(test_idx, report.test_readouts):
-        trace = simulate(net, dataset.row(i), gamma=gamma, reservoir=passes[int(i)], readout=run)
+    for i, res, run in zip(test_idx, report.test_passes, report.test_readouts):
+        trace = simulate(net, dataset.row(i), gamma=gamma, reservoir=res, readout=run)
         energy += energy_estimate(trace, config.energy)
-        for key, value in trace.counters.as_dict().items():
+        for key, value in trace.counters.items():
             counters[key] = counters.get(key, 0) + value
 
     return RunReport(
@@ -117,7 +115,8 @@ def run_experiment(config: ExperimentConfig):
     for rep in reports:
         if baseline is not None and rep.energy > 0:
             rep.energy_reduction = baseline.energy / rep.energy
-        if baseline is not None and baseline.accuracy < 100.0 and rep.gamma in config.resources and 1 in config.resources:
+        if (baseline is not None and baseline.accuracy < 100.0
+                and rep.gamma in config.resources and 1 in config.resources):
             lut_d, ff_d = config.resources[rep.gamma]
             lut_b, ff_b = config.resources[1]
             rep.atel_percent = atel(
@@ -160,11 +159,10 @@ def _write_summary(reports, path):
 
 def emit_raster(config: ExperimentConfig, example_index: int, gamma: int):
     """Write reservoir raster CSVs for one example at gamma 1 (the baseline) and ``gamma``."""
+    config = replace(config, gammas=tuple(sorted({1, gamma})))  # validates both ratios as a run would
     dataset = config.make_dataset()
     if not 0 <= example_index < len(dataset):
         raise ConfigError(f"example index {example_index} out of range [0, {len(dataset)})")
-    if not 1 <= gamma <= config.max_gamma:
-        raise ConfigError(f"gamma {gamma} outside [1, {config.max_gamma}]")
     net = build_lsm(config.make_lsm_config(dataset))
     row = dataset.row(example_index)
     base = simulate(net, row, gamma=1)

@@ -274,7 +274,9 @@ def load_experiment_config(path) -> ExperimentConfig:
             tag, number, count = match.groups()
             entry = resources.setdefault(int(number or 1), {"tag": tag, "line": lineno})
             if entry["tag"] != tag:
-                raise ConfigError(f"{where}: resources.{entry['tag']} (line {entry['line']}) already gives these counts")
+                raise ConfigError(
+                    f"{where}: resources.{entry['tag']} (line {entry['line']}) already gives these counts"
+                )
             entry[count] = _parse(text, int, where)
         elif key in KEYS:
             found[key] = (lineno, KEYS[key], _parse(text, field_type(KEYS[key]), where))

@@ -31,7 +31,6 @@ __all__ = [
     "train_readout",
     "classify",
     "evaluate",
-    "reservoir_passes",
     "split_dataset",
     "trace_plan",
 ]
@@ -66,7 +65,8 @@ class TrainingReport:
     epoch_train_accuracy: list
     test_accuracy: float
     no_spike_examples: int = 0  # test examples classified only by the tie rule
-    test_readouts: list[ReadoutPass] = field(default_factory=list)  # the trained readout's runs, in test order
+    test_passes: list[ReservoirPass] = field(default_factory=list)  # each test example's reservoir pass, in test order
+    test_readouts: list[ReadoutPass] = field(default_factory=list)  # the trained readout's runs on those passes
 
 
 class Classification(NamedTuple):
@@ -190,35 +190,21 @@ def split_dataset(dataset: SpikeDataset, train_fraction: float, seed: int):
     return order[:n_train], order[n_train:]
 
 
-def reservoir_passes(network: Network, dataset: SpikeDataset, indices, gamma: int, passes: dict | None = None) -> dict:
-    """Dataset index -> reservoir pass at ``gamma`` for every index.
-
-    Passes already in ``passes`` are kept; the rest run in one batch.
-    """
-    passes = dict(passes or {})
-    todo = [i for i in dict.fromkeys(int(i) for i in indices) if i not in passes]
-    if todo:
-        runs = run_reservoir(network, map(dataset.row, todo), gamma)
-        passes.update(zip(todo, runs))
-    return passes
-
-
 def train_readout(
     network: Network,
     dataset: SpikeDataset,
     split: tuple,
     params: LearningParams,
     gamma: int,
-    passes: dict | None = None,
 ) -> TrainingReport:
     """Train the plastic readout at compression ratio ``gamma``.
 
     ``split`` is a (train_idx, test_idx) pair of dataset indices (see
     :func:`split_dataset`). Training mutates network.w_out in place and is
-    fully deterministic under (network, dataset, split, params, gamma). Each
-    example's reservoir runs once, or not at all when ``passes`` (see
-    :func:`reservoir_passes`) holds it, and serves every epoch and the
-    evaluation.
+    fully deterministic under (network, dataset, split, params, gamma). The
+    reservoir runs once, as one batch over the training examples (when there
+    are epochs) and then the test examples; each training pass serves every
+    epoch, and the test passes serve the evaluation and come back in the report.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -228,39 +214,41 @@ def train_readout(
     if len(test_idx) == 0:
         raise ValueError("the test split is empty: lower the train fraction or add examples")
 
-    if params.epochs:
-        passes = reservoir_passes(network, dataset, train_idx, gamma, passes)
+    passes = run_reservoir(network, map(dataset.row, [*train_idx, *test_idx] if params.epochs else test_idx), gamma)
+    n_train = len(passes) - len(test_idx)
     epoch_acc = []
     learner = _ReadoutLearner(network, params, gamma, -(-dataset.length_steps // gamma)) if params.epochs else None
     for _ in range(params.epochs):
         correct = 0
-        for i in train_idx:
+        for i, res in zip(train_idx, passes[:n_train]):
             label = int(dataset.labels[i])
-            if classify(learner.run(passes[int(i)], label)).label == label:
+            if classify(learner.run(res, label)).label == label:
                 correct += 1
         epoch_acc.append(100.0 * correct / len(train_idx) if len(train_idx) else 0.0)
 
-    test_acc, no_spike, runs = evaluate(network, dataset, test_idx, gamma, passes)
-    return TrainingReport(epoch_acc, test_acc, no_spike, runs)
+    test_passes = passes[n_train:]
+    test_acc, no_spike, runs = evaluate(network, dataset, test_idx, gamma, test_passes)
+    return TrainingReport(epoch_acc, test_acc, no_spike, test_passes, runs)
 
 
-def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int, passes: dict | None = None):
+def evaluate(network: Network, dataset: SpikeDataset, indices, gamma: int, passes: list[ReservoirPass]):
     """Accuracy (percent) over the given examples with frozen weights.
 
-    Returns the accuracy, the number of examples whose readout stayed
-    silent, and the readout's run on each example, in ``indices`` order.
-    The frozen readout runs once over all the examples' passes, as one batch.
+    ``passes`` holds each example's reservoir pass at ``gamma``, in
+    ``indices`` order. Returns the accuracy, the number of examples whose
+    readout stayed silent, and the readout's run on each example, in the same
+    order. The frozen readout runs once over all the passes, as one batch.
     """
     indices = list(indices)
     if not indices:
         raise ValueError("no examples to evaluate")
-    passes = reservoir_passes(network, dataset, indices, gamma, passes)
-    runs = run_readout(network, [passes[int(i)] for i in indices], gamma)
+    if len(passes) != len(indices):
+        raise ValueError(f"{len(passes)} reservoir passes for {len(indices)} examples")
+    runs = run_readout(network, passes, gamma)
     correct = 0
     no_spike = 0
-    for i, run in zip(indices, runs):
-        result = classify(simulate(network, dataset.row(i), gamma=gamma, reservoir=passes[int(i)], readout=run).readout)
+    for i, res, run in zip(indices, passes, runs):
+        result = classify(simulate(network, dataset.row(i), gamma=gamma, reservoir=res, readout=run).readout)
         correct += int(result.label == dataset.labels[i])
         no_spike += int(result.no_spike)
     return 100.0 * correct / len(indices), no_spike, runs
-

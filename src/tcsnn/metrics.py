@@ -55,9 +55,9 @@ def energy_estimate(trace: SimulationTrace, model: EnergyModel = EnergyModel()) 
     c = trace.counters
     return (
         p_static * trace.timestep_count
-        + model.e_synaptic_op * c.synaptic_ops
-        + model.e_neuron_update * c.neuron_updates
-        + model.e_spike * c.spike_events
+        + model.e_synaptic_op * c["synaptic_ops"]
+        + model.e_neuron_update * c["neuron_updates"]
+        + model.e_spike * c["spike_events"]
     )
 
 

@@ -65,7 +65,7 @@ saturation counts are the same either way. Bursting runs check every site.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,7 +89,6 @@ __all__ = [
     "LsmConfig",
     "Network",
     "SimulationTrace",
-    "EventCounters",
     "build_lsm",
     "ReservoirPass",
     "ReadoutPass",
@@ -228,37 +227,19 @@ def build_lsm(config: LsmConfig) -> Network:
     return Network(config=config, w_in=w_in, w_res=w_res, w_out=w_out, excitatory=excitatory)
 
 
-@dataclass
-class EventCounters:
-    """Monotone per-run event tallies feeding the energy model."""
-
-    synaptic_ops: int = 0
-    synaptic_ops_input: int = 0
-    synaptic_ops_reservoir: int = 0
-    neuron_updates: int = 0
-    spike_events: int = 0
-    saturations: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """One example's run at one ratio: a view of its reservoir and readout passes.
 
     Each layer is a dense ``(steps, units)`` array of spike weights
-    (:meth:`layer`). Everything else is derived when read: sizes, counters,
-    event arrays with rows (unit_id, timestep, weight) ordered by timestep,
-    and the membrane potentials when both passes recorded them.
+    (:meth:`layer`), and :meth:`events_for` lists a layer's spikes as rows
+    (unit_id, timestep, weight) ordered by timestep. Everything else is
+    derived when read: sizes, the event counters by name (the ``counters`` of
+    a run report), and the membrane potentials when both passes recorded them.
     """
 
     reservoir: ReservoirPass
     readout: ReadoutPass
-
-    @property
-    def gamma(self) -> int:
-        return self.reservoir.gamma
 
     @property
     def timestep_count(self) -> int:
@@ -275,17 +256,9 @@ class SimulationTrace:
     def events_for(self, layer: str) -> np.ndarray:
         return _events(self.layer(layer))
 
-    @property
-    def input_events(self) -> np.ndarray:
-        return self.events_for("input")
-
-    @property
+    @property  # perfbench/tracer.py reads this one alias; other callers use events_for
     def reservoir_events(self) -> np.ndarray:
         return self.events_for("reservoir")
-
-    @property
-    def readout_events(self) -> np.ndarray:
-        return self.events_for("readout")
 
     @property
     def potentials(self) -> dict | None:
@@ -293,16 +266,16 @@ class SimulationTrace:
         return None if res is None or read is None else {"reservoir": res, "readout": read}
 
     @property
-    def counters(self) -> EventCounters:
+    def counters(self) -> dict:
         res = self.reservoir
-        return EventCounters(
-            synaptic_ops=res.input_ops + res.reservoir_ops,
-            synaptic_ops_input=res.input_ops,
-            synaptic_ops_reservoir=res.reservoir_ops,
-            neuron_updates=self.num_neurons * self.timestep_count,
-            spike_events=sum(int(np.count_nonzero(a)) for a in (res.inputs, res.spikes, self.readout.outs)),
-            saturations=res.saturations + self.readout.saturations,
-        )
+        return {
+            "synaptic_ops": res.input_ops + res.reservoir_ops,
+            "synaptic_ops_input": res.input_ops,
+            "synaptic_ops_reservoir": res.reservoir_ops,
+            "neuron_updates": self.num_neurons * self.timestep_count,
+            "spike_events": sum(int(np.count_nonzero(a)) for a in (res.inputs, res.spikes, self.readout.outs)),
+            "saturations": res.saturations + self.readout.saturations,
+        }
 
 
 @functools.lru_cache(maxsize=512)
@@ -330,7 +303,7 @@ class ReservoirPass:
     evaluation and the energy count. ``inputs`` holds each channel's
     compressed spike weight per step and ``spikes`` each neuron's output
     weight, which also fixes its burst gain at every step. The counters are
-    the pass's own share of the run's :class:`EventCounters`.
+    the pass's own share of the run's :attr:`SimulationTrace.counters`.
     """
 
     gamma: int

@@ -215,6 +215,67 @@ def test_raster_writes_the_baseline_and_the_ratio(tmp_path, capsys):
     assert "gamma 17 outside [1, 16]" in capsys.readouterr().err
 
 
+# each rejection's exit code and message; the config is exp.cfg, whose line 13
+# is the first line past CONFIG. The synapse with tau_s 1.3 and 1.6 has a q/peak
+# gain past the register at gamma 16: raster at that ratio is rejected as a run is
+RUN = ("run",)
+SHORT_SYNAPSE = CONFIG.replace("gammas = 1 4", "gammas = 1") + "neuron.tau_s1 = 1.3\nneuron.tau_s2 = 1.6\n"
+Q_PEAK = "synaptic gain q/peak 6.54159e+06 at gamma 16 does not fit the 32-bit fixed-point format"
+REJECTIONS = [
+    pytest.param(None, RUN, 1, "config error: config file not found: exp.cfg", id="missing-config"),
+    pytest.param(CONFIG + "lsm.grid 3 3 3\n", RUN, 1, "config error: exp.cfg:13: expected 'key = value'",
+                 id="no-equals"),
+    pytest.param(CONFIG + "seed = 4\n", RUN, 1, "config error: exp.cfg:13: duplicate key 'seed'", id="duplicate-key"),
+    pytest.param(CONFIG.replace("schema_version = 1\n", ""), RUN, 1, "config error: exp.cfg: missing schema_version",
+                 id="no-schema-version"),
+    pytest.param(CONFIG.replace("schema_version = 1", "schema_version = 2"), RUN, 1,
+                 "config error: exp.cfg:1: unsupported schema_version 2", id="schema-version-2"),
+    pytest.param(CONFIG + "dataset.kind = bogus\n", RUN, 1,
+                 "config error: exp.cfg:13: dataset.kind: dataset.kind must be synthetic or event_file, got 'bogus'",
+                 id="dataset-kind"),
+    pytest.param(CONFIG + "dataset.kind = event_file\n", RUN, 1,
+                 "config error: exp.cfg:13: dataset.kind: dataset.kind = event_file requires dataset.path",
+                 id="event-file-without-path"),
+    pytest.param(CONFIG + "resources.baseline.lut = -1\nresources.baseline.ff = 5\n", RUN, 1,
+                 "config error: exp.cfg:13: resources: resource counts must be >= 0", id="negative-lut"),
+    pytest.param(CONFIG + "lsm.lambda = 0\n", RUN, 1,
+                 "config error: exp.cfg:13: lsm.lambda: lambda_dist must be positive", id="lambda-0"),
+    pytest.param(CONFIG + "lsm.excitatory_fraction = 1\n", RUN, 1,
+                 "config error: exp.cfg:13: lsm.excitatory_fraction: excitatory_fraction must be in (0, 1)",
+                 id="all-excitatory"),
+    pytest.param(CONFIG + "neuron.q = inf\n", RUN, 1, "config error: exp.cfg:13: neuron.q: q must be finite",
+                 id="infinite-q"),
+    pytest.param(CONFIG + "neuron.r = -inf\n", RUN, 1, "config error: exp.cfg:13: neuron.r: R must be finite",
+                 id="infinite-r"),
+    pytest.param(CONFIG + "neuron.n_max = 0\n", RUN, 1, "config error: exp.cfg:13: neuron.n_max: n_max must be >= 1",
+                 id="n-max-0"),
+    pytest.param(CONFIG + "learning.w_min = 3\nlearning.w_max = 2\n", RUN, 1,
+                 "config error: exp.cfg:13: learning.w_min: w_min must not exceed w_max, and both must be finite",
+                 id="w-min-over-w-max"),
+    pytest.param(CONFIG, ("raster", "--example", "99", "--gamma", "4"), 1,
+                 "config error: example index 99 out of range [0, 15)", id="raster-example-99"),
+    pytest.param(SHORT_SYNAPSE, ("raster", "--example", "2", "--gamma", "16"), 1, f"config error: {Q_PEAK}",
+                 id="raster-ratio-past-the-register"),
+    pytest.param(SHORT_SYNAPSE.replace("gammas = 1", "gammas = 1 16"), RUN, 1,
+                 f"config error: exp.cfg:13: neuron.tau_s1: {Q_PEAK}", id="run-ratio-past-the-register"),
+    pytest.param(CONFIG + "dataset.kind = event_file\ndataset.path = empty.events\n", RUN, 2,
+                 "error: dataset is empty", id="header-only-event-file"),
+    pytest.param(CONFIG + "lsm.readout = 2\n", RUN, 2, "error: more classes than readout neurons",
+                 id="fewer-readouts-than-classes"),
+]
+
+
+@pytest.mark.parametrize("text, command, code, message", REJECTIONS)
+def test_rejection_exits_with_its_code_and_message(tmp_path, monkeypatch, capsys, text, command, code, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.events").write_text("channels=20 classes=3 steps=40\n")
+    if text is not None:
+        (tmp_path / "exp.cfg").write_text(text)
+    assert main([*command, "--config", "exp.cfg", "--out", "out"]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
 GEN = ["gen-dataset", "--classes", "3", "--channels", "4", "--steps", "20", "--seed", "6", "--jitter", "1"]
 
 

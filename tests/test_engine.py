@@ -125,7 +125,7 @@ def test_learn_mode_at_rate_zero_equals_frozen_run(case, loud):
     assert np.array_equal(net.w_out, weights)
     assert_same_trace(learned, frozen)
     if loud and res.spikes[:-1].any():  # both forms clamped, and counted the same clamps
-        assert frozen.counters.saturations > res.saturations
+        assert frozen.counters["saturations"] > res.saturations
 
 
 def test_saturation_counts_stay_with_their_example():
@@ -140,7 +140,7 @@ def test_saturation_counts_stay_with_their_example():
         (alone,) = run_reservoir(net, [example], 16)
         assert_same_pass(together, alone)
     trace = simulate(net, loud, 16, reservoir=batch[2])
-    assert trace.counters.saturations == GOLDEN[case + ("compressed",)][1] == 98
+    assert trace.counters["saturations"] == GOLDEN[case + ("compressed",)][1] == 98
 
 
 def test_batch_of_unequal_lengths_is_rejected():

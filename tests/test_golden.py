@@ -147,16 +147,16 @@ def fingerprint(model, order, gamma, mode):
     trace = simulate(_network(model, order), _example(), ratio, record_potentials=True)
     h = hashlib.sha256()
     for arr in (
-        trace.input_events,
-        trace.reservoir_events,
-        trace.readout_events,
+        trace.events_for("input"),
+        trace.events_for("reservoir"),
+        trace.events_for("readout"),
         trace.potentials["reservoir"],
         trace.potentials["readout"],
     ):
         arr = np.ascontiguousarray(arr, dtype="<i8")
         h.update(repr(arr.shape).encode())
         h.update(arr.tobytes())
-    counters = trace.counters.as_dict()
+    counters = trace.counters
     saturations = counters.pop("saturations")
     h.update(json.dumps(counters, sort_keys=True).encode())
     return h.hexdigest()[:16], saturations

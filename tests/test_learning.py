@@ -3,8 +3,9 @@ import pytest
 
 from tcsnn.compress import plan_time_constant
 from tcsnn.fixedpoint import to_fixed
-from tcsnn.learning import LearningParams, _ReadoutLearner, evaluate, train_readout
-from tcsnn.network import LsmConfig, build_lsm
+import tcsnn.learning
+from tcsnn.learning import LearningParams, _ReadoutLearner, evaluate, split_dataset, train_readout
+from tcsnn.network import LsmConfig, build_lsm, run_reservoir
 from tcsnn.spike import synthetic_task
 
 
@@ -24,7 +25,44 @@ def test_empty_test_split_is_an_error():
 def test_evaluate_without_examples_is_an_error():
     net, dataset = small_task()
     with pytest.raises(ValueError):
-        evaluate(net, dataset, [], gamma=2)
+        evaluate(net, dataset, [], gamma=2, passes=[])
+
+
+def test_evaluate_needs_one_pass_per_example():
+    net, dataset = small_task()
+    passes = run_reservoir(net, map(dataset.row, [0, 1]), 2)
+    with pytest.raises(ValueError, match="2 reservoir passes for 3 examples"):
+        evaluate(net, dataset, [0, 1, 2], gamma=2, passes=passes)
+
+
+# training owns its reservoir passes: one batch, the training rows (only
+# when there are epochs) then the test rows, split by position
+@pytest.mark.parametrize("epochs", [2, 0])
+def test_training_runs_the_reservoir_once_and_returns_the_test_passes(monkeypatch, epochs):
+    net, dataset = small_task()
+    train_idx, test_idx = split_dataset(dataset, 0.5, seed=0)
+    batches = []
+
+    def recording(network, examples, gamma, *args):
+        batches.append(list(examples))
+        return run_reservoir(network, batches[-1], gamma, *args)
+
+    monkeypatch.setattr(tcsnn.learning, "run_reservoir", recording)
+    report = train_readout(net, dataset, (train_idx, test_idx), LearningParams(eta=0.05, epochs=epochs), gamma=2)
+    rows = [*train_idx, *test_idx] if epochs else list(test_idx)
+    assert len(batches) == 1 and len(batches[0]) == len(rows)
+    assert all(np.array_equal(row, dataset.row(i)) for row, i in zip(batches[0], rows))
+
+    assert len(report.test_passes) == len(report.test_readouts) == len(test_idx)
+    for i, res in zip(test_idx, report.test_passes):
+        (alone,) = run_reservoir(net, [dataset.row(i)], 2)
+        assert np.array_equal(res.inputs, alone.inputs) and np.array_equal(res.spikes, alone.spikes)
+        assert (res.input_ops, res.reservoir_ops, res.saturations) == (
+            alone.input_ops, alone.reservoir_ops, alone.saturations)
+
+    accuracy, no_spike, runs = evaluate(net, dataset, test_idx, 2, report.test_passes)
+    assert (accuracy, no_spike) == (report.test_accuracy, report.no_spike_examples)
+    assert all(np.array_equal(a.outs, b.outs) for a, b in zip(runs, report.test_readouts))
 
 
 def test_silent_teacher_is_potentiated_through_the_delivered_spikes():

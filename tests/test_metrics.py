@@ -83,7 +83,7 @@ def test_input_layer_keeps_every_spike_at_every_ratio(channels, steps, density, 
 @pytest.mark.parametrize("gamma", [2, 4])
 def test_input_raster_distance_is_zero_by_construction(gamma):
     base, comp = traces(gamma)
-    assert base.input_events.size
+    assert base.events_for("input").size
     assert binned_raster_distance(base, comp, gamma, layer="input") == 0.0
     assert binned_raster_distance(base, comp, gamma, layer="reservoir") > 0.0
 
@@ -128,5 +128,5 @@ def test_raster_distance_rejects_layer_size_mismatch():
 def test_spike_statistics_total_matches_counter(gamma):
     for trace in traces(gamma):
         stats = spike_statistics(trace)
-        assert stats.total_events == trace.counters.spike_events
+        assert stats.total_events == trace.counters["spike_events"]
         assert stats.total_weight == sum(stats.per_layer_weight.values())

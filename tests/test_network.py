@@ -52,8 +52,9 @@ def test_documented_input_gain_saturation():
     net = build_lsm(cfg.make_lsm_config(dataset))
     trace = simulate(net, dataset.row(99), 16, record_potentials=True)
     h = hashlib.sha256()
-    for arr in (trace.reservoir_events, trace.readout_events, trace.potentials["reservoir"], trace.potentials["readout"]):
+    for arr in (trace.events_for("reservoir"), trace.events_for("readout"), trace.potentials["reservoir"],
+                trace.potentials["readout"]):
         h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
     assert h.hexdigest()[:16] == "75b7201119139f9e"
-    assert trace.counters.saturations == 50
+    assert trace.counters["saturations"] == 50
 
