@@ -1,27 +1,25 @@
-"""Input spike compression, exact time-constant scaling, and shifter-friendly
-time-averaged schedules for non-power-of-two constants.
+"""Input spike compression and shifter-scheduled time constants.
 
 A compression ratio ``gamma`` merges each window of gamma binary timesteps
 into one weighted timestep: a window sum over a dense count array with time
-on its last axis. First-order decays ``x <- x * (1 - 1/tau)`` stay
-shifter-realizable after compression by toggling between the two powers of
-two bounding the scaled constant so their arithmetic mean equals it.
+on its last axis. :func:`plan_time_constant` scales a first-order decay
+``x <- x * (1 - 1/tau)`` by gamma exactly, so one compressed step decays as
+much as gamma raw ones, and keeps it shifter-realizable by toggling between
+the two powers of two bounding the scaled constant so their arithmetic mean
+equals it. Each :class:`TimeConstantPlan` caches its own shift schedule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "TimeConstantPlan",
-    "compress_train",
-    "scale_time_constant",
-    "make_schedule",
-    "plan_time_constant",
-]
+from .fixedpoint import TOTAL_BITS
+
+__all__ = ["TimeConstantPlan", "compress_train", "plan_time_constant"]
 
 
 def compress_train(spikes: np.ndarray, gamma: int) -> np.ndarray:
@@ -48,97 +46,66 @@ def compress_train(spikes: np.ndarray, gamma: int) -> np.ndarray:
     return counts
 
 
-def scale_time_constant(tau_nom: float, gamma: int) -> float:
-    """Exact normalized time constant after compressing by ``gamma``.
+@dataclass(frozen=True)
+class TimeConstantPlan:
+    """A scaled time constant and the shifter schedule realizing it.
 
-    Solves (1 - 1/tau_c) = (1 - 1/tau_nom)**gamma, so one compressed decay
-    step equals gamma uncompressed ones. gamma == 1 returns tau_nom
-    unchanged (exact identity, so schedules are bit-identical to baseline).
+    Made by :func:`plan_time_constant`. The schedule deterministically
+    chooses shift k_low or k_high each step via a running error accumulator;
+    over any whole period the arithmetic mean of the chosen constants 2**k
+    equals ``tau_nom_c_exact``. k_low == k_high when that is a power of two.
+    """
+
+    tau_nom_c_exact: float
+    k_low: int
+    k_high: int
+
+    # keyed on (plan, n_steps): equal plans share one schedule across networks and learners
+    @functools.lru_cache(maxsize=512)
+    def shifts(self, n_steps: int) -> np.ndarray:
+        """Shift amount (k) for each of the next n_steps, from phase zero.
+
+        The array is cached and shared by every caller, so it is read-only.
+        """
+        out = np.full(n_steps, self.k_low, dtype=np.int64)
+        if self.k_high != self.k_low:
+            lo = float(1 << self.k_low)
+            span = float(1 << self.k_high) - lo
+            acc = 0.0
+            for i in range(n_steps):
+                acc += self.tau_nom_c_exact - lo
+                if acc >= span:
+                    out[i] = self.k_high
+                    acc -= span
+        out.setflags(write=False)
+        return out
+
+
+def plan_time_constant(tau_nom: float, gamma: int) -> TimeConstantPlan:
+    """Scale ``tau_nom`` by ``gamma`` exactly and schedule the result.
+
+    The scaled constant solves (1 - 1/tau_c) = (1 - 1/tau_nom)**gamma, so one
+    compressed decay step equals gamma uncompressed ones; gamma == 1 keeps
+    tau_nom exactly, so baseline schedules are unchanged. The schedule
+    toggles between the bounding powers 2**k_low <= tau_c <= 2**k_high, with
+    k_high = k_low + 1 unless tau_c is a power of two. A shift past
+    ``TOTAL_BITS - 1`` bits, more than the register it decays holds, is
+    rejected.
     """
     if not 1.0 < tau_nom < math.inf:
         raise ValueError(f"tau_nom must exceed 1 and be finite, got {tau_nom}")
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    if gamma == 1:
-        return float(tau_nom)
-    decay = (1.0 - 1.0 / tau_nom) ** gamma
-    if decay == 1.0:
-        raise ValueError(f"time constant {tau_nom:g} is too long to scale by gamma {gamma}: its decay rounds to 1")
-    return 1.0 / (1.0 - decay)
-
-
-@dataclass(frozen=True)
-class TimeConstantPlan:
-    """A scaled time constant and the shifter schedule realizing it.
-
-    The schedule deterministically chooses shift k_low or k_high each step
-    via a running error accumulator; over any whole period the arithmetic
-    mean of the chosen constants 2**k equals ``tau_nom_c_exact``.
-    """
-
-    tau_nom: float
-    gamma: int
-    tau_nom_c_exact: float
-    k_low: int
-    k_high: int
-
-    @property
-    def is_constant(self) -> bool:
-        return self.k_low == self.k_high
-
-    def shifts(self, n_steps: int) -> np.ndarray:
-        """Shift amount (k) for each of the next n_steps, from phase zero."""
-        if self.is_constant:
-            return np.full(n_steps, self.k_low, dtype=np.int64)
-        lo = float(1 << self.k_low)
-        hi = float(1 << self.k_high)
-        target = self.tau_nom_c_exact
-        out = np.empty(n_steps, dtype=np.int64)
-        acc = 0.0
-        for i in range(n_steps):
-            acc += target - lo
-            if acc >= hi - lo:
-                out[i] = self.k_high
-                acc -= hi - lo
-            else:
-                out[i] = self.k_low
-        return out
-
-
-def make_schedule(tau_target: float, tau_nom: float | None = None, gamma: int = 1) -> TimeConstantPlan:
-    """Build the toggling schedule realizing ``tau_target`` as a time average.
-
-    Exact powers of two give a constant schedule; otherwise the plan toggles
-    between the bounding powers 2**k_low <= tau_target <= 2**k_high with
-    k_high = k_low + 1.
-    """
-    if tau_target < 1.0:
-        raise ValueError(f"tau_target must be >= 1, got {tau_target}")
-    mant, exp = math.frexp(tau_target)  # tau = mant * 2**exp, mant in [0.5, 1)
-    if mant == 0.5:  # exact power of two
-        k = exp - 1
-        k_low = k_high = k
-    else:
-        k_low = exp - 1
-        k_high = exp
-    return TimeConstantPlan(
-        tau_nom=float(tau_target if tau_nom is None else tau_nom),
-        gamma=gamma,
-        tau_nom_c_exact=float(tau_target),
-        k_low=k_low,
-        k_high=k_high,
-    )
-
-
-def plan_time_constant(tau_nom: float, gamma: int, max_shift: int | None = None) -> TimeConstantPlan:
-    """Scale ``tau_nom`` by ``gamma`` exactly and schedule the result.
-
-    A schedule that needs a shift past ``max_shift`` bits, more than the
-    register it decays holds, is rejected.
-    """
-    plan = make_schedule(scale_time_constant(tau_nom, gamma), tau_nom=tau_nom, gamma=gamma)
-    if max_shift is not None and plan.k_high > max_shift:
+    tau_c = float(tau_nom)
+    if gamma > 1:
+        decay = (1.0 - 1.0 / tau_nom) ** gamma
+        if decay == 1.0:
+            raise ValueError(f"time constant {tau_nom:g} is too long to scale by gamma {gamma}: its decay rounds to 1")
+        tau_c = 1.0 / (1.0 - decay)
+    mant, exp = math.frexp(tau_c)  # tau_c = mant * 2**exp, mant in [0.5, 1)
+    k_high = exp - 1 if mant == 0.5 else exp
+    if k_high > TOTAL_BITS - 1:
         raise ValueError(
-            f"time constant {tau_nom:g} needs a {plan.k_high}-bit shift at gamma {gamma}, past {max_shift} bits"
+            f"time constant {tau_nom:g} needs a {k_high}-bit shift at gamma {gamma}, past {TOTAL_BITS - 1} bits"
         )
-    return plan
+    return TimeConstantPlan(tau_nom_c_exact=tau_c, k_low=exp - 1, k_high=k_high)

@@ -84,6 +84,8 @@ class SyntheticSpec:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.num_channels < 1:
             raise ValueError(f"num_channels must be >= 1, got {self.num_channels}")
+        if self.length_steps < 1:
+            raise ValueError(f"length_steps must be >= 1, got {self.length_steps}")
         if not 0 <= self.jitter_steps < self.length_steps:
             raise ValueError(
                 f"jitter_steps must be in [0, length_steps = {self.length_steps}), got {self.jitter_steps}"
@@ -130,8 +132,8 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.num_readout is not None and self.num_readout < 1:
             raise ConfigError(f"num_readout must be >= 1, got {self.num_readout}")
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ConfigError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.dataset_kind not in ("synthetic", "event_file"):
             raise ConfigError(f"dataset.kind must be synthetic or event_file, got {self.dataset_kind!r}")
         if self.dataset_kind == "event_file" and not self.dataset_path:

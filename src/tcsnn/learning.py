@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compress import plan_time_constant
-from .fixedpoint import FRAC_BITS, TOTAL_BITS, to_fixed
+from .fixedpoint import FRAC_BITS, to_fixed
 from .network import (Network, ReadoutPass, ReservoirPass, _compile, _drive_bound, _learning_readout, run_readout,
                       run_reservoir, simulate)
 from .neuron import prove_ranges
@@ -93,7 +93,7 @@ def trace_plan(params: LearningParams, gamma: int, n_max: int):
     :func:`~tcsnn.neuron.site_ranges`. The learner's step ``eta * trace`` is
     an int64 product, so a rate that could carry it past 64 bits is rejected.
     """
-    plan = plan_time_constant(params.tau_trace_nom, gamma, max_shift=TOTAL_BITS - 1)
+    plan = plan_time_constant(params.tau_trace_nom, gamma)
     peak = n_max << (FRAC_BITS + plan.k_high)
     if to_fixed(params.eta) * peak > np.iinfo(np.int64).max:
         raise ValueError(
@@ -183,8 +183,8 @@ class _ReadoutLearner:
 
 def split_dataset(dataset: SpikeDataset, train_fraction: float, seed: int):
     """Deterministic shuffled train/test split (indices into the dataset)."""
-    if not 0.0 < train_fraction <= 1.0:
-        raise ValueError("train_fraction must be in (0, 1]")
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     order = np.random.default_rng(seed).permutation(len(dataset))
     n_train = int(round(train_fraction * len(dataset)))
     return order[:n_train], order[n_train:]

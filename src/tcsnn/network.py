@@ -278,18 +278,11 @@ class SimulationTrace:
         }
 
 
-@functools.lru_cache(maxsize=512)
-def _shifts_cached(plan, steps: int) -> np.ndarray:
-    out = plan.shifts(steps)
-    out.setflags(write=False)
-    return out
-
-
 def _plan_shifts(comp: CompiledNeuron, steps: int):
     """Per-step membrane and synapse shifts; zeros where the stage is absent."""
     unused = np.zeros(steps, dtype=np.int64)
     return tuple(
-        unused if plan is None else _shifts_cached(plan, steps)
+        unused if plan is None else plan.shifts(steps)
         for plan in (comp.tau_m_plan, comp.tau_s1_plan, comp.tau_s2_plan)
     )
 

@@ -183,7 +183,6 @@ def new_neuron_state(n: int | tuple | None, bursting: bool = False) -> NeuronSta
 class CompiledNeuron:
     """All per-(params, gamma) constants precomputed in fixed point."""
 
-    model: str
     lif: LIFParams
     gamma: int
     u_th_fp: int
@@ -242,15 +241,12 @@ def compile_neuron(
         if lif.synapse.order != "zeroth":
             raise ValueError("bursting models require a zeroth-order synapse")
 
-    def plan(tau):
-        return plan_time_constant(tau, gamma, max_shift=TOTAL_BITS - 1)
-
     syn = lif.synapse
     if lif.leakless:
         tau_m_plan = None
         gain = lif.R
     else:
-        tau_m_plan = plan(lif.tau_m_nom)
+        tau_m_plan = plan_time_constant(lif.tau_m_nom, gamma)
         gain = lif.R / tau_m_plan.tau_nom_c_exact
     u_th_fp = fixed_constant("u_th", lif.u_th)
     if u_th_fp == 0:
@@ -260,9 +256,9 @@ def compile_neuron(
     tau_s1_plan = tau_s2_plan = None
     syn_gain_fp = 0
     if syn.order in ("first", "second"):
-        tau_s1_plan = plan(syn.tau_s1_nom)
+        tau_s1_plan = plan_time_constant(syn.tau_s1_nom, gamma)
     if syn.order == "second":
-        tau_s2_plan = plan(syn.tau_s2_nom)
+        tau_s2_plan = plan_time_constant(syn.tau_s2_nom, gamma)
         peak = _second_order_peak(tau_s1_plan.tau_nom_c_exact, tau_s2_plan.tau_nom_c_exact)
         syn_gain_fp = fixed_constant("synaptic gain q/peak", syn.q / peak, f" at gamma {gamma}")
 
@@ -282,7 +278,6 @@ def compile_neuron(
         beta_pow_fp.setflags(write=False)  # a compiled neuron is shared by every run at its ratio
 
     return CompiledNeuron(
-        model=model,
         lif=lif,
         gamma=gamma,
         u_th_fp=u_th_fp,

@@ -61,7 +61,9 @@ def test_malformed_event_file_exits_2_with_its_line(tmp_path, capsys):
 
 
 def test_empty_test_split_exits_2(tmp_path, capsys):
-    assert run(tmp_path, CONFIG + "learning.train_fraction = 1.0\n", "out") == 2
+    # 3 examples, and round(0.9 * 3) = 3 of them train
+    text = CONFIG.replace("dataset.examples_per_class = 5", "dataset.examples_per_class = 1")
+    assert run(tmp_path, text + "learning.train_fraction = 0.9\n", "out") == 2
     assert "test split is empty" in capsys.readouterr().err
 
 
@@ -252,6 +254,9 @@ REJECTIONS = [
     pytest.param(CONFIG + "learning.w_min = 3\nlearning.w_max = 2\n", RUN, 1,
                  "config error: exp.cfg:13: learning.w_min: w_min must not exceed w_max, and both must be finite",
                  id="w-min-over-w-max"),
+    pytest.param(CONFIG + "learning.train_fraction = 1.0\n", RUN, 1,
+                 "config error: exp.cfg:13: learning.train_fraction: train_fraction must be in (0, 1), got 1.0",
+                 id="all-training"),
     pytest.param(CONFIG, ("raster", "--example", "99", "--gamma", "4"), 1,
                  "config error: example index 99 out of range [0, 15)", id="raster-example-99"),
     pytest.param(SHORT_SYNAPSE, ("raster", "--example", "2", "--gamma", "16"), 1, f"config error: {Q_PEAK}",
@@ -299,6 +304,7 @@ def test_run_from_the_generated_event_file_equals_the_synthetic_run(tmp_path):
 @pytest.mark.parametrize("flag, value, message", [
     ("--examples-per-class", "0", "examples_per_class must be >= 1, got 0"),
     ("--jitter", "20", "jitter_steps must be in [0, length_steps = 20), got 20"),
+    ("--steps", "0", "length_steps must be >= 1, got 0"),
     ("--classes", "1", "num_classes must be >= 2, got 1"),
     ("--seed", "-1", "seed must be >= 0, got -1"),
 ])

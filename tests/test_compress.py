@@ -4,12 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from traces import decay_step, from_fixed
 
-from tcsnn.compress import (
-    compress_train,
-    make_schedule,
-    plan_time_constant,
-    scale_time_constant,
-)
+from tcsnn.compress import compress_train, plan_time_constant
 from tcsnn.fixedpoint import to_fixed
 
 
@@ -18,18 +13,24 @@ def constants(plan, n_steps: int) -> np.ndarray:
     return np.int64(1) << plan.shifts(n_steps)
 
 
-def period(plan, cap: int = 4096):
-    """Schedule period (accumulator returns exactly to zero), or None
-    if none is found within ``cap`` steps (irrational/float-inexact targets)."""
-    if plan.is_constant:
-        return 1
+def accumulate(plan, n_steps: int):
+    """Reference toggling accumulator: (shift, error left) for each step."""
     lo = float(1 << plan.k_low)
     hi = float(1 << plan.k_high)
     acc = 0.0
-    for i in range(1, cap + 1):
+    for _ in range(n_steps):
         acc += plan.tau_nom_c_exact - lo
+        k = plan.k_low
         if acc >= hi - lo:
             acc -= hi - lo
+            k = plan.k_high
+        yield k, acc
+
+
+def period(plan, cap: int = 4096):
+    """Schedule period (accumulator returns exactly to zero), or None
+    if none is found within ``cap`` steps (irrational/float-inexact targets)."""
+    for i, (_, acc) in enumerate(accumulate(plan, cap), 1):
         if acc == 0.0:
             return i
     return None
@@ -85,16 +86,16 @@ class TestCompressTrain:
 
 class TestScaleTimeConstant:
     def test_gamma_one_identity(self):
-        assert scale_time_constant(6.5, 1) == 6.5
+        assert plan_time_constant(6.5, 1).tau_nom_c_exact == 6.5
 
     def test_known_value_16_2(self):
-        got = scale_time_constant(16.0, 2)
+        got = plan_time_constant(16.0, 2).tau_nom_c_exact
         assert got == pytest.approx(256 / 31, abs=1e-12)
         # cross-check: one compressed step equals two uncompressed ones
         assert (1 - 1 / got) == pytest.approx((15 / 16) ** 2, abs=1e-12)
 
     def test_linear_scaling_produces_large_error(self):
-        exact = scale_time_constant(16.0, 4)
+        exact = plan_time_constant(16.0, 4).tau_nom_c_exact
         assert exact == pytest.approx(4.3951445, abs=1e-6)
         linear = 16.0 / 4
         rel = abs(exact - linear) / exact
@@ -104,50 +105,50 @@ class TestScaleTimeConstant:
         taus = [2.0**k for k in range(1, 13)]  # 2 .. 4096
         for tau in taus:
             for gamma in range(1, 17):
-                tau_c = scale_time_constant(tau, gamma)
+                tau_c = plan_time_constant(tau, gamma).tau_nom_c_exact
                 assert abs((1 - 1 / tau_c) - (1 - 1 / tau) ** gamma) <= 1e-12
                 assert 1.0 < tau_c <= tau
 
     def test_strictly_decreasing_in_gamma(self):
         for tau in (3.0, 16.0, 100.0, 4096.0):
-            values = [scale_time_constant(tau, g) for g in range(1, 17)]
+            values = [plan_time_constant(tau, g).tau_nom_c_exact for g in range(1, 17)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_rejects_tau_at_most_one(self):
         with pytest.raises(ValueError):
-            scale_time_constant(1.0, 2)
+            plan_time_constant(1.0, 2)
         with pytest.raises(ValueError):
-            scale_time_constant(0.5, 2)
+            plan_time_constant(0.5, 2)
 
 
 class TestSchedule:
     def test_power_of_two_constant(self):
-        plan = make_schedule(8.0)
-        assert plan.is_constant
+        plan = plan_time_constant(8.0, 1)
+        assert plan.k_low == plan.k_high
         assert np.array_equal(constants(plan, 5), [8, 8, 8, 8, 8])
         assert period(plan) == 1
 
     def test_tau_five_period(self):
-        plan = make_schedule(5.0)
+        plan = plan_time_constant(5.0, 1)
         assert (plan.k_low, plan.k_high) == (2, 3)
         assert np.array_equal(constants(plan, 4), [4, 4, 4, 8])
         assert period(plan) == 4
         assert constants(plan, 4).mean() == 5.0
 
     def test_tau_ten_period(self):
-        plan = make_schedule(10.0)
+        plan = plan_time_constant(10.0, 1)
         assert np.array_equal(constants(plan, 4), [8, 8, 8, 16])
         assert constants(plan, 4).mean() == 10.0
 
     def test_quarter_grid_long_run_mean(self):
         for tau in np.arange(2.0, 16.25, 0.25):
-            plan = make_schedule(float(tau))
+            plan = plan_time_constant(float(tau), 1)
             mean = constants(plan, 1024).mean()
             assert abs(mean - tau) <= 1e-6, f"tau={tau}: mean {mean}"
 
     def test_mean_exact_over_whole_periods(self):
         for tau in (2.5, 3.0, 5.0, 6.25, 11.75):
-            plan = make_schedule(tau)
+            plan = plan_time_constant(tau, 1)
             p = period(plan)
             assert p is not None
             for reps in (1, 3):
@@ -155,20 +156,30 @@ class TestSchedule:
                 assert abs(mean - tau) <= 1e-9
 
     def test_bounding_powers(self):
-        plan = make_schedule(11.3)
+        plan = plan_time_constant(11.3, 1)
         assert 2**plan.k_low <= 11.3 <= 2**plan.k_high
         assert plan.k_high == plan.k_low + 1
 
-    def test_plan_scaling_invariant(self):
-        for tau in (4.0, 16.0, 64.0):
-            for gamma in (1, 3, 8, 16):
-                plan = plan_time_constant(tau, gamma)
-                assert abs((1 - 1 / plan.tau_nom_c_exact) - (1 - 1 / tau) ** gamma) <= 1e-12
-                assert 2**plan.k_low <= plan.tau_nom_c_exact <= 2**plan.k_high
+    @given(tau=st.floats(1.0, 4096.0, exclude_min=True), gamma=st.integers(1, 16), n_steps=st.integers(0, 300))
+    @example(tau=16.0, gamma=4, n_steps=60)  # the learner's trace at gamma 4
+    @example(tau=64.0, gamma=1, n_steps=10)  # a power of two: one shift
+    def test_plan_scaling_invariant(self, tau, gamma, n_steps):
+        plan = plan_time_constant(tau, gamma)
+        assert gamma > 1 or plan.tau_nom_c_exact == tau
+        assert abs((1 - 1 / plan.tau_nom_c_exact) - (1 - 1 / tau) ** gamma) <= 1e-12
+        assert 2**plan.k_low <= plan.tau_nom_c_exact <= 2**plan.k_high
+        assert plan.k_high - plan.k_low == (plan.tau_nom_c_exact != 2**plan.k_low)
+        assert plan.shifts(n_steps).tolist() == [k for k, _ in accumulate(plan, n_steps)]
+
+    def test_shifts_are_shared_and_read_only(self):
+        ks = plan_time_constant(5.0, 1).shifts(16)
+        assert plan_time_constant(5.0, 1).shifts(16) is ks  # an equal plan hits the same cache entry
+        with pytest.raises(ValueError):
+            ks[0] = 3
 
     def test_tau_below_one_rejected(self):
         with pytest.raises(ValueError):
-            make_schedule(0.9)
+            plan_time_constant(0.9, 1)
 
 
 class TestDecayStep:
@@ -193,7 +204,7 @@ class TestDecayStep:
         # fixed-point shifter decay under the tau=5 schedule vs the same
         # schedule applied in real arithmetic: truncation error stays small
         # out to the half-life scale and beyond
-        plan = make_schedule(5.0)
+        plan = plan_time_constant(5.0, 1)
         ks = plan.shifts(1000)
         x = to_fixed(1.0)
         ref = 1.0

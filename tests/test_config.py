@@ -128,7 +128,7 @@ INVALID = {
     "half resources": ("resources.g2.lut = 1\n", 2, "need both lut and ff"),
     "bad resources tag": ("resources.gx.lut = 1\n", 2, "unknown key 'resources.gx.lut'"),
     "not an integer": ("workers = 1.5\n", 2, "expected an integer"),
-    "train fraction": ("learning.train_fraction = 0\n", 2, "train_fraction must be in (0, 1]"),
+    "train fraction": ("learning.train_fraction = 0\n", 2, "train_fraction must be in (0, 1), got 0.0"),
     "rate past the format": ("learning.eta = 1e300\n", 2, "eta 1e+300 does not fit the 32-bit fixed-point format"),
     "w_min past the format": ("learning.w_min = -1e300\n", 2, "w_min -1e+300 does not fit"),
     "w_max past the format": ("learning.w_max = 1e300\n", 2, "w_max 1e+300 does not fit"),
