@@ -7,7 +7,9 @@ gamma 1 and 4 and for ``iow-burst-lif`` at gamma 4. ``iow-lif`` and
 ``iw-lif`` with second-order synapses also run at gamma 8, the higher ratio
 of the ``train`` benchmark workload. Two variants of
 ``iow-lif`` close the table: a leakless membrane, and a learner loud enough
-(eta 1000, weights up to +/- 2**14) that its readout clamps. Each case is
+(eta 1000, weights up to +/- 2**14) that its readout clamps; the loud
+learner also runs ``iow-burst-lif`` at gamma 4, whose readout checks every
+site. Each case is
 pinned by a hash of the final readout weights, the epoch curve, the test
 accuracy and the no-spike count, so a refactor of the learner or the
 learn-mode readout must leave every entry unchanged.
@@ -55,6 +57,7 @@ GOLDEN = {
     ('iw-lif', 'second', 8): '88f7b519cfe6e07f',
     ('iow-lif', 'second', 4, 'leakless'): 'f43b7e5ac1d905f8',
     ('iow-lif', 'second', 4, 'clamping'): '82e4685fa6a6d5e1',
+    ('iow-burst-lif', 'zeroth', 4, 'clamping'): 'acef649e14a0aca2',
 }
 
 
@@ -64,7 +67,8 @@ def _cases():
     others = (("lif", "second"), ("iw-lif", "second"), ("burst-lif", "zeroth"))
     cases += [(model, order, gamma) for model, order in others for gamma in (1, 4)]
     cases += [("iow-lif", "second", 8), ("iw-lif", "second", 8)]
-    return cases + [("iow-lif", "second", 4, variant) for variant in VARIANTS]
+    cases += [("iow-lif", "second", 4, variant) for variant in VARIANTS]
+    return cases + [("iow-burst-lif", "zeroth", 4, "clamping")]
 
 
 def _train(model, order, gamma, variant=None):
@@ -98,8 +102,9 @@ def test_table_covers_every_case():
     assert sorted(GOLDEN) == sorted(_cases())
 
 
-def test_loud_learner_clamps_its_readout(monkeypatch):
-    # the clamping case pins learn-mode runs whose readout saturates
+@pytest.mark.parametrize("case", [c for c in _cases() if c[-1] == "clamping"], ids=lambda c: "-".join(map(str, c)))
+def test_loud_learner_clamps_its_readout(monkeypatch, case):
+    # the clamping cases pin learn-mode runs whose readout saturates
     saturations = []
     real = learning._ReadoutLearner.run
 
@@ -109,7 +114,7 @@ def test_loud_learner_clamps_its_readout(monkeypatch):
         return readout
 
     monkeypatch.setattr(learning._ReadoutLearner, "run", counting)
-    _train("iow-lif", "second", 4, "clamping")
+    _train(*case)
     assert sum(saturations) > 0
 
 
