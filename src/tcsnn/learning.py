@@ -213,6 +213,8 @@ def train_readout(
     train_idx, test_idx = split
     if len(test_idx) == 0:
         raise ValueError("the test split is empty: lower the train fraction or add examples")
+    if params.epochs and len(train_idx) == 0:
+        raise ValueError("the training split is empty: raise the train fraction or add examples")
 
     passes = run_reservoir(network, map(dataset.row, [*train_idx, *test_idx] if params.epochs else test_idx), gamma)
     n_train = len(passes) - len(test_idx)
@@ -224,7 +226,7 @@ def train_readout(
             label = int(dataset.labels[i])
             if classify(learner.run(res, label)).label == label:
                 correct += 1
-        epoch_acc.append(100.0 * correct / len(train_idx) if len(train_idx) else 0.0)
+        epoch_acc.append(100.0 * correct / len(train_idx))
 
     test_passes = passes[n_train:]
     test_acc, no_spike, runs = evaluate(network, dataset, test_idx, gamma, test_passes)

@@ -30,10 +30,11 @@ engine runs reservoir pass -> readout pass -> trace:
 - A learner, whose weights change between steps, runs the readout on one
   pass at a time through :func:`_learning_readout`, whose loop keeps only
   the work that depends on the weights: the drive and the readout's step.
-  Its readout runs one neuron at a time on Python ints: at five neurons, a
-  numpy call costs more than the arithmetic it does. Each neuron steps
-  through the same :func:`~tcsnn.neuron.synapse_step` and step function as
-  the arrays do.
+  That loop is a kernel of its own on Python ints, since at five neurons a
+  numpy call, or any call, costs more than the arithmetic it does. It
+  writes out the datapath of :func:`~tcsnn.neuron.synapse_step` and
+  :func:`~tcsnn.neuron.integrate_fire` per unit, and the tests hold its
+  runs equal to a frozen batch's when the weights do not move.
 - :func:`simulate` returns one example's :class:`SimulationTrace`, a view
   of its two passes, running whichever it was not given. Training replays
   a reservoir pass in every epoch; evaluation and the energy count replay
@@ -70,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compress import compress_train
-from .fixedpoint import FRAC_BITS, RAW_MAX, SCALE, SaturationCounter, saturate
+from .fixedpoint import FRAC_BITS, RAW_MAX, RAW_MIN, SCALE, SaturationCounter, saturate
 from .neuron import (
     MODELS,
     STEP_FUNCTIONS,
@@ -545,48 +546,122 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
     the sites proven never to clamp at any weight the learner can reach.
     Only the work that depends on ``w_out`` stays in the loop. Without
     bursting, the pass's spikes are widened to int64 once, one step later
-    (the spikes of step t reach the readout at step t+1), and shifted up by
-    ``FRAC_BITS`` once for the learner's trace; each step's drive is then
-    one product over the readout. When bursting, :func:`_stepwise_drives`
-    gives each step's spike weights and drive, and the weights are shifted
-    step by step. Each readout neuron holds its state as Python ints and
-    steps alone, through the same :func:`~tcsnn.neuron.synapse_step` and
-    step function as a frozen batch. ``on_step(t, row, outs)`` gets the
-    shifted spike weights as a row and the outputs as a list.
+    (the spikes of step t reach the readout at step t+1), and a second copy
+    is shifted up by ``FRAC_BITS`` for the learner's trace; each step's
+    drive is then one product over the readout, taken on the unshifted copy
+    so that it keeps the 16 bits of int64 headroom a shifted product would
+    spend. When bursting, :func:`_stepwise_drives` gives each step's spike
+    weights and drive, and the weights are shifted step by step.
+    ``on_step(t, row, outs)`` gets the shifted spike weights as a row and
+    the outputs as a list.
+
+    The readout's few units step in this one loop on Python ints, since at
+    that size a numpy call, or any call, costs more than the arithmetic it
+    does. It is the datapath of :func:`~tcsnn.neuron.synapse_step` and
+    :func:`~tcsnn.neuron.integrate_fire` written out per unit: the shifter
+    decays, the fixed-point products, the fire rule, the soft reset and the
+    burst gain. A site that ``fits`` leaves unproven is clamped and counted
+    as :func:`~tcsnn.fixedpoint.saturate` does; the burst gain and threshold
+    products are always checked, as in :func:`~tcsnn.fixedpoint.fixed_mul`.
     """
-    cfg = network.config
-    steps = res.spikes.shape[0]
-    step_fn = STEP_FUNCTIONS[cfg.model]
+    steps, n = res.spikes.shape[0], network.config.num_readout
     w_out = network.w_out
-    sat = SaturationCounter()
-    states = [new_neuron_state(None, comp.spec.bursting) for _ in range(cfg.num_readout)]
+    order, leaky, bursting = comp.lif.synapse.order, comp.tau_m_plan is not None, comp.spec.bursting
+    first, second = order == "first", order == "second"
+    q, syn_gain, gain, u_th, n_max = comp.q_fp, comp.syn_gain_fp, comp.gain_fp, comp.u_th_fp, comp.n_max
+    check_drive, check_s1, check_s2 = not fits.drive, not fits.s1, not fits.s2
+    check_syn, check_gain, check_u = not fits.syn, not fits.gain, not fits.u
+    lo, hi = RAW_MIN, RAW_MAX
     k_m, k_s1, k_s2 = (k.tolist() for k in _plan_shifts(comp, steps))
+    if bursting:  # a spike weight past the end of the beta**w table takes its last entry
+        lut = comp.beta_pow_fp.tolist()
+        last = len(lut) - 1
+    s1, s2, u, g = [0] * n, [0] * n, [0] * n, [SCALE] * n
+    out = [0] * n
+    clamps = 0
     outs = []
     potentials = [] if record_potentials else None
 
-    if comp.spec.bursting:  # fractional amplitudes: each product floored on its own
+    if bursting:  # fractional amplitudes: each product floored on its own
         drives = ((row << FRAC_BITS, drive) for row, drive in _stepwise_drives(w_out, res.spikes, comp))
     else:  # the spikes of step t reach the readout at step t+1
         delivered = np.zeros(res.spikes.shape, dtype=np.int64)
         delivered[1:] = res.spikes[:-1]
         drives = zip(delivered << FRAC_BITS, map(w_out.dot, delivered))  # each product taken as its step begins
     for t, (row_fp, drive) in enumerate(drives):
-        drive = drive.tolist()
-        if not fits.drive:
-            drive = [saturate(d, sat) for d in drive]
         km, ks1, ks2 = k_m[t], k_s1[t], k_s2[t]
-        out = [step_fn(state, synapse_step(state, d, comp, ks1, ks2, sat, fits), comp, km, sat, fits)
-               for state, d in zip(states, drive)]
+        prev, out = out, [0] * n
+        for j, d in enumerate(drive.tolist()):
+            if check_drive and not lo <= d <= hi:
+                d = min(max(d, lo), hi)
+                clamps += 1
+            if second:  # a slow decay stage minus a fast rise stage, normalized
+                x = s1[j]
+                x = x - (x >> ks1) + d
+                if check_s1 and not lo <= x <= hi:
+                    x = min(max(x, lo), hi)
+                    clamps += 1
+                s1[j] = x
+                y = s2[j]
+                y = y - (y >> ks2) + d
+                if check_s2 and not lo <= y <= hi:
+                    y = min(max(y, lo), hi)
+                    clamps += 1
+                s2[j] = y
+                d = (syn_gain * (y - x)) >> FRAC_BITS
+                if check_syn and not lo <= d <= hi:
+                    d = min(max(d, lo), hi)
+                    clamps += 1
+            elif first:  # a decaying accumulator of q times the drive
+                d = (q * d) >> FRAC_BITS
+                if check_syn and not lo <= d <= hi:
+                    d = min(max(d, lo), hi)
+                    clamps += 1
+                x = s1[j]
+                x = x - (x >> ks1) + d
+                if check_s1 and not lo <= x <= hi:
+                    x = min(max(x, lo), hi)
+                    clamps += 1
+                s1[j] = d = x
+            thr = u_th
+            if bursting:  # scale the gain by beta**w after a weight-w spike, reset it after a silent step
+                w = prev[j]
+                x = (g[j] * lut[min(w, last)]) >> FRAC_BITS if w else SCALE
+                if not lo <= x <= hi:
+                    x = min(max(x, lo), hi)
+                    clamps += 1
+                g[j] = x
+                thr = (u_th * x) >> FRAC_BITS
+                if not lo <= thr <= hi:
+                    thr = min(max(thr, lo), hi)
+                    clamps += 1
+                if thr < 1:
+                    thr = 1
+            v = u[j]
+            if leaky:
+                v -= v >> km
+            d = (gain * d) >> FRAC_BITS
+            if check_gain and not lo <= d <= hi:
+                d = min(max(d, lo), hi)
+                clamps += 1
+            v += d
+            if check_u and not lo <= v <= hi:
+                v = min(max(v, lo), hi)
+                clamps += 1
+            if v >= thr:  # fire the number of thresholds crossed, up to n_max, and subtract them
+                out[j] = w = min(v // thr, n_max)
+                v -= w * thr
+            u[j] = v
         on_step(t, row_fp, out)
         outs.append(out)
         if record_potentials:
-            potentials.append([state.u for state in states])
+            potentials.append(u.copy())
 
-    shape = (steps, cfg.num_readout)
+    shape = (steps, n)
     return ReadoutPass(
         gamma=comp.gamma,
         outs=np.array(outs, dtype=np.int64).reshape(shape),
-        saturations=sat.count,
+        saturations=clamps,
         potentials=None if potentials is None else np.array(potentials, dtype=np.int64).reshape(shape),
     )
 

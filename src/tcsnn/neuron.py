@@ -11,16 +11,18 @@ Every model is a row of :data:`MODELS`, three switches on one datapath:
   by beta**w after it emits a weight-w spike and reset to 1 after a silent
   step (``burst-lif``, ``iow-burst-lif``).
 
-:func:`integrate_fire` is that core for a whole population (int64 arrays of
-raw fixed-point values) or for one unit (Python ints), a pure transition:
-state in, state out, no globals. :func:`synapse_step` and
-:func:`burst_gain_update` take either form as well, so the formulas are
-written once for both.
+:func:`integrate_fire` is that core for a population of units held as int64
+arrays of raw fixed-point values, a pure transition: state in, state out,
+no globals. :func:`synapse_step` filters the drive ahead of it and
+:func:`burst_gain_update` steps the burst gains. These functions run every
+frozen batch: the reservoir, and the readout over a test split. A learning
+readout steps its few units on Python ints instead, in a loop of its own
+(:func:`tcsnn.network._learning_readout`) that writes this datapath out per
+unit, since at a handful of units any call costs more than the arithmetic.
+The two forms share no code; the tests hold their runs equal.
 Membrane and synapse decays are shifter steps ``x - (x >> k)`` driven by
 per-step shift amounts taken from a :class:`~tcsnn.compress.TimeConstantPlan`.
-The decays and the fixed-point products ``(a * b) >> FRAC_BITS`` are written
-inline, since on one unit's Python ints a call costs as much as the
-arithmetic; on arrays, a product is shifted in place.
+A fixed-point product ``(a * b) >> FRAC_BITS`` is shifted in place.
 
 Every register of the datapath saturates. :func:`site_ranges` bounds the
 values at each clamp site of a non-bursting run, from the compiled
@@ -149,7 +151,7 @@ class BurstParams:
 
 @dataclass
 class NeuronState:
-    """Per-population state arrays (raw fixed-point int64), or one unit's Python ints.
+    """Per-population state arrays (raw fixed-point int64).
 
     ``g`` holds each unit's own burst value; it doubles as the
     per-presynaptic-channel value seen by downstream neurons because the
@@ -165,10 +167,8 @@ class NeuronState:
     prev_out: np.ndarray | None = None
 
 
-def new_neuron_state(n: int | tuple | None, bursting: bool = False) -> NeuronState:
-    """The resting state of ``n`` units as arrays, or of one unit as Python ints when ``n`` is None."""
-    if n is None:
-        return NeuronState(u=0, s1=0, s2=0, g=SCALE if bursting else None, prev_out=0 if bursting else None)
+def new_neuron_state(n: int | tuple, bursting: bool = False) -> NeuronState:
+    """The resting state of ``n`` units, a count or an array shape."""
     zeros = lambda: np.zeros(n, dtype=np.int64)  # noqa: E731
     return NeuronState(
         u=zeros(),
@@ -408,8 +408,6 @@ def burst_gain_update(
     multiply, so a gain past the register range is clamped and counted.
     """
     lut = comp.beta_pow_fp
-    if isinstance(prev_out, int):  # one source; its table entry as a Python int
-        return fixed_mul(g, int(lut[min(prev_out, len(lut) - 1)]), sat) if prev_out > 0 else SCALE
     scaled = fixed_mul(g, lut[np.minimum(prev_out, len(lut) - 1)], sat)
     return np.where(prev_out > 0, scaled, np.int64(SCALE))
 
@@ -435,19 +433,14 @@ def integrate_fire(
     bursting = comp.spec.bursting
     if bursting:
         state.g = burst_gain_update(state.g, state.prev_out, comp, sat)
-        thr = fixed_mul(comp.u_th_fp, state.g, sat)
-        thr = max(thr, 1) if isinstance(thr, int) else np.maximum(thr, 1)
+        thr = np.maximum(fixed_mul(comp.u_th_fp, state.g, sat), 1)
     u = state.u
     if comp.tau_m_plan is not None:
         u = u - (u >> k_m)
     drive = comp.gain_fp * i_fp
     drive >>= FRAC_BITS
     u = saturate(u + saturate(drive, sat, fits.gain), sat, fits.u)
-    fired = u // thr
-    if isinstance(fired, int):
-        out = 0 if fired <= 0 else min(fired, comp.n_max)
-    else:
-        out = np.minimum(np.maximum(fired, 0), comp.n_max)
+    out = np.minimum(np.maximum(u // thr, 0), comp.n_max)
     state.u = u - out * thr
     if bursting:
         state.prev_out = out

@@ -67,6 +67,13 @@ def test_empty_test_split_exits_2(tmp_path, capsys):
     assert "test split is empty" in capsys.readouterr().err
 
 
+def test_empty_training_split_exits_2(tmp_path, capsys):
+    # 15 examples, and round(0.01 * 15) = 0 of them train
+    assert run(tmp_path, CONFIG + "learning.train_fraction = 0.01\n", "out") == 2
+    assert "training split is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
 RESOURCES = "resources.baseline.lut = 100\nresources.baseline.ff = 50\nresources.g4.lut = 80\nresources.g4.ff = 40\n"
 
 

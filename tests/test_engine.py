@@ -2,13 +2,15 @@
 
 A batched reservoir pass must equal one pass per example, a batched readout
 run one run per pass, and a trace assembled from given passes must equal a
-run that simulates its own, in events, potentials and every counter. Every
-model runs with every synapse order it allows at every ratio; hypothesis
-draws the batches (sizes, rates and lengths) and the mode: a baseline run is
-a run at gamma 1.
+run that simulates its own, in events, potentials and every counter. A
+learner's readout, a Python-int kernel of its own, must equal the frozen
+array readout when its weights do not move. Every model runs with every
+synapse order it allows at every ratio; hypothesis draws the batches (sizes,
+rates and lengths) and the mode: a baseline run is a run at gamma 1.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from traces import poisson_encode, same_trace
 
 from tcsnn.fixedpoint import RAW_MAX
 from tcsnn.learning import LearningParams, _ReadoutLearner
-from tcsnn.network import _Projection, run_readout, run_reservoir, simulate
+from tcsnn.network import ReservoirPass, _compile, _Projection, run_readout, run_reservoir, simulate
+from tcsnn.neuron import NO_PROOF, BurstParams
 
 GAMMAS = (1, 2, 4, 8, 16)
 CASES = [(model, order, gamma) for model, orders in ORDERS.items() for order in orders for gamma in GAMMAS]
@@ -108,24 +111,70 @@ def test_batched_readout_equals_serial_and_given_passes_equal_full_run(case, lou
         assert busy.saturations > 0
 
 
+# one synthetic reservoir pass: (spike density, seed)
+SYNTHETIC = st.tuples(st.sampled_from((0.05, 0.3, 1.0)), st.integers(0, 2**16))
+# neuron constants (tau_m_nom, R, u_th, q, beta): a leakless membrane, gains
+# and a threshold past 1 that let the gain, synaptic and threshold products
+# clamp as well as the states, and a burst beta below 1 that shrinks a firing
+# unit's threshold to its floor
+CONSTANTS = st.tuples(st.sampled_from((32.0, math.inf)), st.sampled_from((1.0, 2.5)), st.sampled_from((1.0, 4.0)),
+                      st.sampled_from((1.0, 3.0)), st.sampled_from((1.5, 0.25)))
+
+
+def synthetic_pass(net, gamma, length, density, seed):
+    """A reservoir pass of ``length`` raw steps whose spike weights reach the compiled n_max."""
+    n_max = _compile(net.config, gamma).n_max
+    steps, n_res = -(-length // gamma), net.config.reservoir_size
+    rng = np.random.default_rng(seed)
+    spikes = np.where(rng.random((steps, n_res)) < density, rng.integers(1, n_max + 1, (steps, n_res)), 0)
+    spikes[0, rng.integers(n_res)] = n_max  # delivered at step 1
+    return ReservoirPass(gamma=gamma, inputs=np.zeros((steps, CHANNELS), dtype=np.uint8),
+                         spikes=spikes.astype(np.min_scalar_type(n_max)), input_ops=0, reservoir_ops=0, saturations=0)
+
+
+def with_constants(net, tau_m_nom, R, u_th, q, beta):
+    """``net``, sharing its weights, with other neuron constants."""
+    cfg = net.config
+    synapse = dataclasses.replace(cfg.lif.synapse, q=q)
+    lif = dataclasses.replace(cfg.lif, tau_m_nom=tau_m_nom, R=R, u_th=u_th, synapse=synapse)
+    return dataclasses.replace(net, config=dataclasses.replace(cfg, lif=lif, burst=cfg.burst and BurstParams(beta)))
+
+
 @pytest.mark.parametrize("case, loud", READOUT_CASES)
-def test_learn_mode_at_rate_zero_equals_frozen_run(case, loud):
-    # a learner's readout takes its drive one step at a time, a frozen one
-    # all at once; at eta = 0 the weights never move, so both must agree
+@given(
+    drawn=st.one_of(EXAMPLE.map(lambda spec: ("example", spec)), SYNTHETIC.map(lambda spec: ("synthetic", spec))),
+    length=st.sampled_from((24, 37)),
+    proven=st.booleans(),
+    constants=CONSTANTS,
+)
+def test_learn_mode_at_rate_zero_equals_frozen_run(case, loud, drawn, length, proven, constants):
+    # a learner's readout steps on Python ints in a kernel of its own, taking
+    # its drive one step at a time; a frozen one steps on arrays, taking it
+    # all at once. At eta = 0 the weights never move, so both must give the
+    # same outputs, potentials and clamp counts, whether the kernel skips its
+    # proven sites or checks every one
     model, order, gamma = case
-    net = _network(model, order)
+    base = _network(model, order)
+    net = with_constants(base, *constants)
+    at_defaults = net.config == base.config
     bound = make_loud(net) if loud else 4.0
-    example = _example()
-    (res,) = run_reservoir(net, [example], gamma, record_potentials=True)
-    frozen = simulate(net, example, gamma, record_potentials=True, reservoir=res)
+    kind, spec = drawn
+    if kind == "example":
+        (res,) = run_reservoir(net, [encode(*spec, length)], gamma)
+    else:
+        res = synthetic_pass(net, gamma, length, *spec)
+    (golden,) = run_reservoir(net, [_example()], gamma)
     weights = net.w_out.copy()
-    learner = _ReadoutLearner(net, LearningParams(eta=0.0, w_min=-bound, w_max=bound), gamma, frozen.timestep_count)
-    learned = simulate(net, example, gamma, record_potentials=True, reservoir=res,
-                       readout=learner.run(res, label=0, record_potentials=True))
+    for p in (golden, res):
+        learner = _ReadoutLearner(net, LearningParams(eta=0.0, w_min=-bound, w_max=bound), gamma, p.spikes.shape[0])
+        if not proven:
+            learner.fits = NO_PROOF
+        learned = learner.run(p, label=0, record_potentials=True)
+        (frozen,) = run_readout(net, [p], gamma, record_potentials=True)
+        assert_same_pass(learned, frozen)
+        if loud and at_defaults and p is golden and p.spikes[:-1].any():  # both forms clamped the same clamps
+            assert frozen.saturations > 0
     assert np.array_equal(net.w_out, weights)
-    assert_same_trace(learned, frozen)
-    if loud and res.spikes[:-1].any():  # both forms clamped, and counted the same clamps
-        assert frozen.counters["saturations"] > res.saturations
 
 
 def test_saturation_counts_stay_with_their_example():

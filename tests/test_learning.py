@@ -22,6 +22,14 @@ def test_empty_test_split_is_an_error():
         train_readout(net, dataset, (range(len(dataset)), []), LearningParams(epochs=1), gamma=2)
 
 
+def test_empty_training_split_is_an_error_only_with_epochs():
+    net, dataset = small_task()
+    with pytest.raises(ValueError, match="training split is empty"):
+        train_readout(net, dataset, ([], range(len(dataset))), LearningParams(epochs=1), gamma=2)
+    report = train_readout(net, dataset, ([], range(len(dataset))), LearningParams(epochs=0), gamma=2)
+    assert report.epoch_train_accuracy == []
+
+
 def test_evaluate_without_examples_is_an_error():
     net, dataset = small_task()
     with pytest.raises(ValueError):

@@ -300,7 +300,7 @@ class TestBurst:
         assert len(lut) <= 27
         assert lut[-1] == RAW_MAX + 1 and lut[-2] <= RAW_MAX
         sat = SaturationCounter()
-        assert burst_gain_update(SCALE, 10**9, comp, sat) == RAW_MAX
+        assert burst_gain_update(np.full(1, SCALE), np.array([10**9]), comp, sat).tolist() == [RAW_MAX]
         assert sat.count == 1
 
     @settings(max_examples=200, deadline=None)
