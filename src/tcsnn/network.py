@@ -79,6 +79,7 @@ from .neuron import (
     CompiledNeuron,
     Fits,
     LIFParams,
+    NeuronState,
     burst_gain_update,
     compile_neuron,
     new_neuron_state,
@@ -539,7 +540,7 @@ def _stepwise_drives(w_out: np.ndarray, spikes: np.ndarray, comp: CompiledNeuron
 
 
 def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron, fits: Fits, on_step,
-                      record_potentials: bool = False) -> ReadoutPass:
+                      record_potentials: bool = False, state: NeuronState | None = None) -> ReadoutPass:
     """The readout's run on one pass while ``on_step`` updates ``network.w_out`` between steps.
 
     ``comp`` is the neuron compiled at the pass's ratio, and ``fits`` names
@@ -553,7 +554,9 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
     spend. When bursting, :func:`_stepwise_drives` gives each step's spike
     weights and drive, and the weights are shifted step by step.
     ``on_step(t, row, outs)`` gets the shifted spike weights as a row and
-    the outputs as a list.
+    the outputs as a list. The readout starts at rest, or from a given
+    ``(1, readout)`` ``state``, which it leaves holding the state after the
+    last step, as the array step functions advance theirs.
 
     The readout's few units step in this one loop on Python ints, since at
     that size a numpy call, or any call, costs more than the arithmetic it
@@ -576,8 +579,11 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
     if bursting:  # a spike weight past the end of the beta**w table takes its last entry
         lut = comp.beta_pow_fp.tolist()
         last = len(lut) - 1
-    s1, s2, u, g = [0] * n, [0] * n, [0] * n, [SCALE] * n
-    out = [0] * n
+    if state is None:
+        state = new_neuron_state((1, n), bursting)
+    s1, s2, u = (x[0].tolist() for x in (state.s1, state.s2, state.u))
+    g = state.g[0].tolist() if bursting else None
+    out = state.prev_out[0].tolist() if bursting else [0] * n
     clamps = 0
     outs = []
     potentials = [] if record_potentials else None
@@ -657,6 +663,9 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
         if record_potentials:
             potentials.append(u.copy())
 
+    state.s1[0], state.s2[0], state.u[0] = s1, s2, u
+    if bursting:
+        state.g[0], state.prev_out[0] = g, out
     shape = (steps, n)
     return ReadoutPass(
         gamma=comp.gamma,

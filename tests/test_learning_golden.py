@@ -102,9 +102,8 @@ def test_table_covers_every_case():
     assert sorted(GOLDEN) == sorted(_cases())
 
 
-@pytest.mark.parametrize("case", [c for c in _cases() if c[-1] == "clamping"], ids=lambda c: "-".join(map(str, c)))
-def test_loud_learner_clamps_its_readout(monkeypatch, case):
-    # the clamping cases pin learn-mode runs whose readout saturates
+def _readout_saturations(monkeypatch, case):
+    """The learn-mode readout's saturation count over training ``case``."""
     saturations = []
     real = learning._ReadoutLearner.run
 
@@ -115,7 +114,17 @@ def test_loud_learner_clamps_its_readout(monkeypatch, case):
 
     monkeypatch.setattr(learning._ReadoutLearner, "run", counting)
     _train(*case)
-    assert sum(saturations) > 0
+    return sum(saturations)
+
+
+def test_loud_learner_clamps_its_readout(monkeypatch):
+    # the clamping case pins learn-mode runs whose readout saturates
+    assert _readout_saturations(monkeypatch, ("iow-lif", "second", 4, "clamping")) > 0
+
+
+def test_loud_bursting_learner_clamps_its_readout(monkeypatch):
+    # as does its bursting twin, whose readout checks every site
+    assert _readout_saturations(monkeypatch, ("iow-burst-lif", "zeroth", 4, "clamping")) > 0
 
 
 @pytest.mark.parametrize("case", _cases(), ids=lambda c: "-".join(map(str, c)))

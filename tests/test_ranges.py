@@ -6,8 +6,13 @@ lets each site whose interval fits the register skip its check. From any
 state inside the intervals and any drive within the bound, one synapse step
 and one integrate-fire step must keep every site inside its interval, and a
 site that skips its check must have nothing to clamp.
+
+A learning readout steps its units on Python ints in a kernel of its own:
+from any state, one unit stepped there must equal its column of an array
+step, proven or fully checked, in every model and synapse order.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -15,23 +20,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import _example, _network
+from test_golden import ORDERS, _example, _network
 
 import tcsnn.learning as learning
 import tcsnn.network as network
 import tcsnn.neuron as neuron
 from tcsnn.fixedpoint import RAW_MAX, RAW_MIN, SaturationCounter, saturate
 from tcsnn.learning import LearningParams, _ReadoutLearner
-from tcsnn.network import _Projection, _compile, run_readout, run_reservoir
+from tcsnn.network import ReservoirPass, _compile, _learning_readout, _plan_shifts, _Projection, run_readout, run_reservoir
 from tcsnn.neuron import (
     MODELS,
     NO_PROOF,
+    BurstParams,
     LIFParams,
+    NeuronState,
     SynapseParams,
     compile_neuron,
+    integrate_fire,
     new_neuron_state,
     prove_ranges,
     site_ranges,
+    synapse_step,
 )
 
 NON_BURSTING = sorted(m for m, spec in MODELS.items() if not spec.bursting)
@@ -161,3 +170,59 @@ def test_proofs_change_no_output(order, loud):
             assert np.array_equal(a, b)
         if loud and gamma == 1:
             assert proven[5] > 0 and proven[8] > 0  # the readouts clamped
+
+
+INT_CASES = [(model, order, gamma) for model, orders in ORDERS.items() for order in orders
+             for gamma in (1, 2, 4, 8, 16)]
+
+
+@pytest.mark.parametrize("model, order, gamma", INT_CASES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), proven=st.booleans(), leakless=st.booleans(), drive_bound=drive_bounds,
+       steps=st.integers(2, 9))
+def test_a_unit_on_ints_steps_as_its_array_column(model, order, gamma, data, proven, leakless, drive_bound, steps):
+    lif = LIFParams(tau_m_nom=math.inf if leakless else 32.0, synapse=SynapseParams(order=order))
+    bursting = MODELS[model].bursting
+    comp = compile_neuron(model, lif, gamma, burst=BurstParams() if bursting else None)
+    fits = prove_ranges(comp, drive_bound) if proven else NO_PROOF
+    ranges = site_ranges(comp, drive_bound) if proven else {}
+
+    n = 5
+    # a (1, n) state inside the proven intervals, or anywhere in the register
+    state = new_neuron_state((1, n), bursting)
+    for name in ("s1", "s2", "u"):
+        setattr(state, name, _values(data, _held(ranges.get(name)), n)[None])
+    if bursting:
+        state.g = _values(data, (0, RAW_MAX), n)[None]
+        state.prev_out = _values(data, (0, comp.n_max), n)[None]
+    drive = _values(data, (-drive_bound, drive_bound), n)[None]
+    fields = [f.name for f in dataclasses.fields(NeuronState)]
+    units = NeuronState(*(None if getattr(state, f) is None else getattr(state, f).copy() for f in fields))
+
+    # on ints: one reservoir neuron fires a weight-1 spike at the second-last
+    # step, so the readout's weights reach it as the drive of the last step,
+    # each unit's own, after steps of no drive that run the decays
+    net = _network(model, order)
+    net = dataclasses.replace(net, config=dataclasses.replace(net.config, num_readout=n), w_out=drive.T.copy())
+    spikes = np.zeros((steps, 1), dtype=np.uint8)
+    spikes[-2] = 1
+    res = ReservoirPass(gamma=gamma, inputs=np.zeros((steps, 1), dtype=np.uint8), spikes=spikes,
+                        input_ops=0, reservoir_ops=0, saturations=0)
+    on_ints = _learning_readout(net, res, comp, fits, lambda *_: None, record_potentials=True, state=units)
+
+    # on arrays: the same steps through the step functions
+    on_arrays = SaturationCounter(rows=1)
+    k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
+    outs, potentials = [], []
+    for t in range(steps):
+        d = drive if t == steps - 1 else np.zeros_like(drive)
+        current = synapse_step(state, saturate(d, on_arrays, fits.drive), comp, k_s1[t], k_s2[t], on_arrays, fits)
+        outs.append(integrate_fire(state, current, comp, k_m[t], on_arrays, fits)[0].tolist())
+        potentials.append(state.u[0].tolist())
+
+    assert on_ints.outs.tolist() == outs
+    assert on_ints.potentials.tolist() == potentials
+    for f in fields:
+        column, unit = getattr(state, f), getattr(units, f)
+        assert (unit is None) if column is None else np.array_equal(unit, column), f
+    assert on_ints.saturations == on_arrays.count[0]
