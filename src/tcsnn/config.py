@@ -38,6 +38,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "KEYS", "load_experiment_config", 
 
 SCHEMA_VERSION = 1
 DEFAULT_OUT_ENV = "TCSNN_OUT"
+MAX_GAMMA = 16  # the largest ratio a run may use
 _type_hints = functools.cache(get_type_hints)  # evaluating annotations is slow
 
 
@@ -102,14 +103,12 @@ class SyntheticSpec:
 class ExperimentConfig:
     """Fully-resolved batch experiment description. ``lsm`` is the network
     of every run, before :meth:`make_lsm_config` fills in the fields the
-    dataset decides; ``num_readout`` None means one readout neuron per class.
-    ``max_gamma`` bounds the ratios a run may use."""
+    dataset decides; ``num_readout`` None means one readout neuron per class."""
 
     seed: int = 0
     out_dir: str = ""
     gammas: tuple[int, ...] = (1, 2, 4, 8, 16)
     workers: int = 1
-    max_gamma: int = 16
     dataset_kind: str = "synthetic"
     dataset_path: str = ""
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
@@ -126,8 +125,8 @@ class ExperimentConfig:
         if not self.gammas or len(set(self.gammas)) != len(self.gammas):
             raise ConfigError(f"gammas must list one or more distinct ratios, got {self.gammas}")
         for g in self.gammas:
-            if not 1 <= g <= self.max_gamma:
-                raise ConfigError(f"gamma {g} outside [1, {self.max_gamma}]")
+            if not 1 <= g <= MAX_GAMMA:
+                raise ConfigError(f"gamma {g} outside [1, {MAX_GAMMA}]")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.num_readout is not None and self.num_readout < 1:
@@ -170,7 +169,7 @@ def _same(prefix: str, target: str, names: str) -> dict:
 
 # config key -> dotted path of the ExperimentConfig field it sets
 KEYS = {
-    **_same("", "", "seed out_dir gammas workers max_gamma"),
+    **_same("", "", "seed out_dir gammas workers"),
     "model": "lsm.model",
     "epochs": "learning.epochs",
     "dataset.kind": "dataset_kind",

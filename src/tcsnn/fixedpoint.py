@@ -1,10 +1,10 @@
 """Fixed-point arithmetic shared by all neuron models.
 
 Every register of the datapath has one format: 32 signed bits, of which
-:data:`FRAC_BITS` (16) are fractional. Values are carried as Python ints
-(one unit) or int64 numpy arrays holding ``value * 2**FRAC_BITS``.
-Overflow never wraps: callers pass a :class:`SaturationCounter` and
-out-of-range results are clamped and counted.
+:data:`FRAC_BITS` (16) are fractional. A constant is a Python int and the
+datapath's values are int64 numpy arrays, each holding ``value *
+2**FRAC_BITS``. Overflow never wraps: callers pass a
+:class:`SaturationCounter` and out-of-range results are clamped and counted.
 
 A clamp site whose values are proven to stay inside the register needs no
 check. :func:`saturate` takes that proof as ``fits`` and then returns its
@@ -29,45 +29,33 @@ RAW_MIN = -(1 << (TOTAL_BITS - 1))
 
 
 class SaturationCounter:
-    """Mutable tally of clamp events; queryable, never silent.
+    """Mutable tally of clamp events, one per row of a batched run; queryable, never silent.
 
-    With ``rows`` it keeps one tally per row of a batched run instead: the
-    arrays it is shown carry the row on their first axis, and ``count`` is
-    an int64 array with one entry per row.
+    The arrays it is shown carry the row on their first axis, and ``count``
+    is an int64 array with one entry per row.
     """
 
     __slots__ = ("count",)
 
-    def __init__(self, rows: int | None = None):
-        self.count = 0 if rows is None else np.zeros(rows, dtype=np.int64)
-
-    def add(self, n: int):
-        if isinstance(self.count, np.ndarray):
-            raise TypeError("a per-row counter counts masks, not totals")
-        self.count += int(n)
+    def __init__(self, rows: int):
+        self.count = np.zeros(rows, dtype=np.int64)
 
     def add_mask(self, clamped: np.ndarray):
-        """Count the True entries of ``clamped``, per row when keeping rows."""
-        if np.ndim(self.count):
-            self.count += clamped.reshape(len(self.count), -1).sum(axis=1)
-        else:
-            self.count += int(np.count_nonzero(clamped))
+        """Count the True entries of ``clamped``, per row."""
+        self.count += clamped.reshape(len(self.count), -1).sum(axis=1)
 
     def __repr__(self):
         return f"SaturationCounter(count={self.count})"
 
 
-def to_fixed(value, counter: SaturationCounter | None = None):
+def to_fixed(value):
     """Round a real value (or array) to raw fixed-point representation.
 
-    Out-of-range values are clamped, and counted, before the integer cast,
-    so no value reaches numpy's undefined float-to-int conversion.
+    Out-of-range values are clamped before the integer cast, so no value
+    past the register reaches numpy's undefined float-to-int conversion.
     """
     with np.errstate(over="ignore"):  # a product past float range is inf, clamped below
         scaled = np.rint(np.asarray(value, dtype=np.float64) * SCALE)
-    clamped = (scaled > RAW_MAX) | (scaled < RAW_MIN)
-    if counter is not None and clamped.any():
-        counter.add_mask(clamped)
     raw = np.clip(scaled, RAW_MIN, RAW_MAX).astype(np.int64)
     if np.ndim(value) == 0:
         return int(raw)
@@ -75,43 +63,26 @@ def to_fixed(value, counter: SaturationCounter | None = None):
 
 
 def fixed_constant(name: str, value: float, where: str = "") -> int:
-    """A constant of the datapath in raw fixed point; one past the format is an error, not a clamp."""
-    clamped = SaturationCounter()
-    raw = to_fixed(value, clamped)
-    if clamped.count:
+    """A constant of the datapath in raw fixed point; one past the format, or NaN, is an error, not a clamp."""
+    scaled = np.rint(float(value) * SCALE)  # a Python float product past float range is inf, silently
+    if not RAW_MIN <= scaled <= RAW_MAX:
         raise ValueError(f"{name} {value:g}{where} does not fit the {TOTAL_BITS}-bit fixed-point format")
-    return raw
+    return int(scaled)
 
 
-def saturate(raw, counter: SaturationCounter | None = None, fits: bool = False):
-    """Clamp raw values into the register's range, counting every clamp.
+def saturate(raw: np.ndarray, counter: SaturationCounter | None = None, fits: bool = False) -> np.ndarray:
+    """Clamp an array of raw values into the register's range, counting every clamp.
 
     ``fits`` says the caller has proven every value inside the range: the
     values come back unchecked, and there is nothing to count.
     """
-    if fits:
+    if fits or raw.size == 0:
         return raw
-    if not isinstance(raw, int):
-        if np.ndim(raw):
-            if raw.size == 0:
-                return raw
-            hi = int(raw.max())
-            lo = int(raw.min())
-            if hi <= RAW_MAX and lo >= RAW_MIN:
-                return raw
-            if counter is not None:
-                counter.add_mask((raw > RAW_MAX) | (raw < RAW_MIN))
-            return np.clip(raw, RAW_MIN, RAW_MAX)
-        raw = int(raw)
-    if raw > RAW_MAX:
-        if counter is not None:
-            counter.add(1)
-        return RAW_MAX
-    if raw < RAW_MIN:
-        if counter is not None:
-            counter.add(1)
-        return RAW_MIN
-    return raw
+    if int(raw.max()) <= RAW_MAX and int(raw.min()) >= RAW_MIN:
+        return raw
+    if counter is not None:
+        counter.add_mask((raw > RAW_MAX) | (raw < RAW_MIN))
+    return np.clip(raw, RAW_MIN, RAW_MAX)
 
 
 def fixed_mul(a, b, counter: SaturationCounter | None = None):

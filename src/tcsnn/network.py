@@ -47,8 +47,8 @@ fixed +/- 2**(e + FRAC_BITS) weights: a float64 matmul while every partial
 sum provably stays below 2**53, an integer one otherwise (bursting). The
 plastic readout multiplies the integer spike weights instead: a frozen one
 for all steps in one product per example, a learning one in one product per
-step. When amplitudes carry fractional bits (bursting), it floors each
-product on its own, step by step (:func:`_stepwise_drives`).
+step. Bursting amplitudes carry fractional bits: the readout takes those its
+pass recorded and floors each product on its own (:func:`_burst_drives`).
 
 Spikes emitted at step t are delivered at step t+1; external input spikes
 are delivered at their own step. All arithmetic is integer fixed point, so
@@ -297,7 +297,8 @@ class ReservoirPass:
     pass serves every readout run of the example: each training epoch, the
     evaluation and the energy count. ``inputs`` holds each channel's
     compressed spike weight per step and ``spikes`` each neuron's output
-    weight, which also fixes its burst gain at every step. The counters are
+    weight, and a bursting pass ``amplitudes``: each spike's weight times its
+    neuron's burst gain, in ``np.nonzero(spikes)`` order. The counters are
     the pass's own share of the run's :attr:`SimulationTrace.counters`.
     """
 
@@ -308,6 +309,7 @@ class ReservoirPass:
     reservoir_ops: int
     saturations: int
     potentials: np.ndarray | None = None  # (steps, neurons) raw membrane potentials
+    amplitudes: np.ndarray | None = None  # (spikes,) raw fixed-point amplitudes, bursting only
 
 
 def _drive_bound(w: np.ndarray, amp_max: float) -> float:
@@ -413,6 +415,8 @@ def run_reservoir(
         in_gain = np.full((batch, cfg.num_inputs), SCALE, dtype=np.int64)
         in_prev = np.zeros_like(in_gain)
     amp_res = None  # reservoir spikes of the previous step, delivered at this one
+    # the example and amplitude of each bursting spike, step by step, after an empty start
+    fired = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))]
 
     for t in range(steps):
         w = delivered[:, t].astype(np.int64)
@@ -429,9 +433,15 @@ def run_reservoir(
         out = step_fn(state, i_res, comp, k_m[t], sat, fits)
         spikes[:, t] = out
         amp_res = state.g * out if bursting else out << FRAC_BITS
+        if bursting:
+            fired.append((np.nonzero(out)[0], amp_res[out > 0]))
         if record_potentials:
             potentials[:, t] = state.u
 
+    if bursting:  # each example's amplitudes, in the order of np.nonzero(its spikes)
+        who, amps = (np.concatenate(column) for column in zip(*fired))
+        del fired  # free the per-step records before sorting
+        amplitudes = np.split(amps[np.argsort(who, kind="stable")], np.cumsum(np.bincount(who, minlength=batch))[:-1])
     fan_in, fan_res = network.fan_in, network.fan_res
     # the last step's spikes are never delivered, so they cost no reservoir op
     return [
@@ -443,6 +453,7 @@ def run_reservoir(
             reservoir_ops=int(np.count_nonzero(spikes[b, :-1], axis=0) @ fan_res),
             saturations=int(sat.count[b]),
             potentials=None if potentials is None else potentials[b],
+            amplitudes=amplitudes[b] if bursting else None,
         )
         for b in range(batch)
     ]
@@ -494,8 +505,7 @@ def run_readout(
     deliver = _Projection(w_out, comp.n_max, 0)
     fits = prove_ranges(comp, deliver.bound)
     if comp.spec.bursting:  # fractional amplitudes: the drive step by step
-        spikes = np.stack([p.spikes for p in passes])
-        drives = (saturate(drive, sat) for _, drive in _stepwise_drives(w_out, spikes, comp))
+        drives = (saturate(np.stack(step), sat) for step in zip(*(_burst_drives(w_out, p) for p in passes)))
     else:  # every step's drive from one product per example, clamped elementwise
         drives = np.zeros((batch, steps, n_read), dtype=np.int64)
         for b, p in enumerate(passes):
@@ -519,24 +529,18 @@ def run_readout(
     ]
 
 
-def _stepwise_drives(w_out: np.ndarray, spikes: np.ndarray, comp: CompiledNeuron):
-    """Yield each step's delivered spike weights and unclamped bursting readout drive.
+def _burst_drives(w_out: np.ndarray, res: ReservoirPass):
+    """Yield each step's unclamped bursting readout drive on one pass, from its recorded amplitudes.
 
-    Bursting amplitudes carry fractional bits, so each product is floored
-    on its own, one step at a time; the reservoir's burst gains are replayed
-    from its spikes (the passes counted their clamps). ``spikes`` is a
-    ``(..., steps, reservoir)`` array of reservoir passes, widened to int64
-    here one step at a time unless it already is; the spikes of step t
-    reach the readout at step t+1. Each drive is computed from ``w_out`` as
-    it stands when the step is drawn, so a learner may change it in between.
+    Amplitudes carry fractional bits, so each product is floored on its
+    own. The spikes of step t reach the readout at step t+1. Each drive is
+    computed from ``w_out`` as it stands when the step is drawn, so a
+    learner may change it in between.
     """
-    delivered = np.zeros(spikes.shape[:-2] + spikes.shape[-1:], dtype=np.int64)
-    gain = np.full_like(delivered, SCALE)
-    for t in range(spikes.shape[-2]):
-        if t:
-            delivered = spikes[..., t - 1, :].astype(np.int64, copy=False)
-        yield delivered, ((w_out * (gain * delivered)[..., None, :]) >> FRAC_BITS).sum(axis=-1)
-        gain = burst_gain_update(gain, delivered, comp)
+    ts, cols = np.nonzero(res.spikes)
+    bounds = np.searchsorted(ts, np.arange(-1, res.spikes.shape[0])).tolist()  # step t takes step t-1's spikes
+    for start, end in zip(bounds, bounds[1:]):
+        yield ((w_out[:, cols[start:end]] * res.amplitudes[start:end]) >> FRAC_BITS).sum(axis=1)
 
 
 def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron, fits: Fits, on_step,
@@ -545,14 +549,13 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
 
     ``comp`` is the neuron compiled at the pass's ratio, and ``fits`` names
     the sites proven never to clamp at any weight the learner can reach.
-    Only the work that depends on ``w_out`` stays in the loop. Without
-    bursting, the pass's spikes are widened to int64 once, one step later
-    (the spikes of step t reach the readout at step t+1), and a second copy
-    is shifted up by ``FRAC_BITS`` for the learner's trace; each step's
+    Only the work that depends on ``w_out`` stays in the loop. The pass's
+    spikes are widened to int64 once, one step later (the spikes of step t
+    reach the readout at step t+1), and a second copy is shifted up by
+    ``FRAC_BITS`` for the learner's trace. Without bursting, each step's
     drive is then one product over the readout, taken on the unshifted copy
     so that it keeps the 16 bits of int64 headroom a shifted product would
-    spend. When bursting, :func:`_stepwise_drives` gives each step's spike
-    weights and drive, and the weights are shifted step by step.
+    spend. When bursting, :func:`_burst_drives` gives each step's drive.
     ``on_step(t, row, outs)`` gets the shifted spike weights as a row and
     the outputs as a list. The readout starts at rest, or from a given
     ``(1, readout)`` ``state``, which it leaves holding the state after the
@@ -588,13 +591,10 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
     outs = []
     potentials = [] if record_potentials else None
 
-    if bursting:  # fractional amplitudes: each product floored on its own
-        drives = ((row << FRAC_BITS, drive) for row, drive in _stepwise_drives(w_out, res.spikes, comp))
-    else:  # the spikes of step t reach the readout at step t+1
-        delivered = np.zeros(res.spikes.shape, dtype=np.int64)
-        delivered[1:] = res.spikes[:-1]
-        drives = zip(delivered << FRAC_BITS, map(w_out.dot, delivered))  # each product taken as its step begins
-    for t, (row_fp, drive) in enumerate(drives):
+    delivered = np.zeros(res.spikes.shape, dtype=np.int64)  # the spikes of step t reach the readout at step t+1
+    delivered[1:] = res.spikes[:-1]
+    drives = _burst_drives(w_out, res) if bursting else map(w_out.dot, delivered)  # each taken as its step begins
+    for t, (row_fp, drive) in enumerate(zip(delivered << FRAC_BITS, drives)):
         km, ks1, ks2 = k_m[t], k_s1[t], k_s2[t]
         prev, out = out, [0] * n
         for j, d in enumerate(drive.tolist()):

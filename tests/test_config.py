@@ -10,7 +10,6 @@ CASES = {
     "out_dir": ("elsewhere", lambda c: c.out_dir, "elsewhere"),
     "gammas": ("1 8", lambda c: c.gammas, (1, 8)),
     "workers": ("2", lambda c: c.workers, 2),
-    "max_gamma": ("32", lambda c: c.max_gamma, 32),
     "model": ("lif", lambda c: c.lsm.model, "lif"),
     "epochs": ("2", lambda c: c.learning.epochs, 2),
     "dataset.kind": ("event_file\ndataset.path = x.events", lambda c: c.dataset_kind, "event_file"),

@@ -4,21 +4,26 @@ A batched reservoir pass must equal one pass per example, a batched readout
 run one run per pass, and a trace assembled from given passes must equal a
 run that simulates its own, in events, potentials and every counter. A
 learner's readout, a Python-int kernel of its own, must equal the frozen
-array readout when its weights do not move. Every model runs with every
+array readout when its weights do not move. A bursting pass records each
+spike's amplitude, which must equal the burst gains replayed from its
+spikes, and no readout replays them. Every model runs with every
 synapse order it allows at every ratio; hypothesis draws the batches (sizes,
 rates and lengths) and the mode: a baseline run is a run at gamma 1.
 """
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_golden import CHANNELS, GOLDEN, ORDERS, STEPS, _example, _network
-from traces import poisson_encode, same_trace
+from traces import poisson_encode, replayed_amplitudes, same_trace
 
+import tcsnn.network as network
+import tcsnn.neuron as neuron
 from tcsnn.fixedpoint import RAW_MAX
 from tcsnn.learning import LearningParams, _ReadoutLearner
 from tcsnn.network import ReservoirPass, _compile, _Projection, run_readout, run_reservoir, simulate
@@ -66,9 +71,15 @@ def test_batched_reservoir_equals_serial_and_readout_equals_full_run(case, specs
     examples = [encode(peak, seed, length) for peak, seed in specs]
     batch = run_reservoir(net, examples, gamma, record_potentials=True)
     assert len(batch) == len(examples)
+    comp = _compile(net.config, gamma)
     for example, together in zip(examples, batch):
         (alone,) = run_reservoir(net, [example], gamma, record_potentials=True)
         assert_same_pass(together, alone)
+        for p in (together, alone):  # the amplitudes delivered are the burst gains replayed from the spikes
+            if comp.spec.bursting:
+                assert np.array_equal(p.amplitudes, replayed_amplitudes(p.spikes, comp))
+            else:
+                assert p.amplitudes is None
     example, first = examples[0], batch[0]
     replayed = simulate(net, example, gamma, record_potentials=True, reservoir=first)
     assert_same_trace(replayed, simulate(net, example, gamma, record_potentials=True))
@@ -122,14 +133,20 @@ CONSTANTS = st.tuples(st.sampled_from((32.0, math.inf)), st.sampled_from((1.0, 2
 
 
 def synthetic_pass(net, gamma, length, density, seed):
-    """A reservoir pass of ``length`` raw steps whose spike weights reach the compiled n_max."""
-    n_max = _compile(net.config, gamma).n_max
+    """A reservoir pass of ``length`` raw steps whose spike weights reach the compiled n_max.
+
+    A bursting pass takes its amplitudes from the reference replay of its spikes.
+    """
+    comp = _compile(net.config, gamma)
+    n_max = comp.n_max
     steps, n_res = -(-length // gamma), net.config.reservoir_size
     rng = np.random.default_rng(seed)
     spikes = np.where(rng.random((steps, n_res)) < density, rng.integers(1, n_max + 1, (steps, n_res)), 0)
     spikes[0, rng.integers(n_res)] = n_max  # delivered at step 1
-    return ReservoirPass(gamma=gamma, inputs=np.zeros((steps, CHANNELS), dtype=np.uint8),
-                         spikes=spikes.astype(np.min_scalar_type(n_max)), input_ops=0, reservoir_ops=0, saturations=0)
+    spikes = spikes.astype(np.min_scalar_type(n_max))
+    return ReservoirPass(gamma=gamma, inputs=np.zeros((steps, CHANNELS), dtype=np.uint8), spikes=spikes,
+                         input_ops=0, reservoir_ops=0, saturations=0,
+                         amplitudes=replayed_amplitudes(spikes, comp) if comp.spec.bursting else None)
 
 
 def with_constants(net, tau_m_nom, R, u_th, q, beta):
@@ -177,6 +194,29 @@ def test_learn_mode_at_rate_zero_equals_frozen_run(case, loud, drawn, length, pr
     assert np.array_equal(net.w_out, weights)
 
 
+@pytest.mark.parametrize("model", [m for m in ORDERS if "burst" in m])
+def test_bursting_readouts_step_only_their_own_burst_gains(model):
+    # a readout takes the amplitudes its pass recorded: a learner steps no
+    # burst gain through the array function, and a frozen batch steps its
+    # own units' gains once a step, and no reservoir neuron's
+    net = _network(model, "zeroth")
+    passes = run_reservoir(net, [_example(), encode(0.4, 1, STEPS)], 4)
+    steps = passes[0].spikes.shape[0]
+    real, calls = neuron.burst_gain_update, []
+
+    def spy(g, prev_out, comp, sat=None):
+        calls.append(g.shape)
+        return real(g, prev_out, comp, sat)
+
+    with mock.patch.object(neuron, "burst_gain_update", spy), mock.patch.object(network, "burst_gain_update", spy):
+        learner = _ReadoutLearner(net, LearningParams(), 4, steps)
+        for p in passes:
+            learner.run(p, label=0)
+        assert calls == []
+        run_readout(net, passes, 4)
+    assert calls == [(len(passes), net.config.num_readout)] * steps
+
+
 def test_saturation_counts_stay_with_their_example():
     # the golden case whose input burst gains clamp: 98 saturations alone
     case = ("iow-burst-lif", "zeroth", 16)
@@ -198,6 +238,18 @@ def test_batch_of_unequal_lengths_is_rejected():
     with pytest.raises(ValueError, match="equally long: 10 and 9 steps"):
         run_reservoir(net, [encode(0.1, 1, 40), encode(0.1, 2, 36)], 4)
     assert len(run_reservoir(net, [encode(0.1, 1, 40), encode(0.1, 2, 37)], 4)) == 2
+
+
+@pytest.mark.parametrize("model", ["iow-lif", "iow-burst-lif"])
+def test_examples_of_no_steps_give_empty_runs(model):
+    net = _network(model, ORDERS[model][0])
+    passes = run_reservoir(net, [np.zeros((CHANNELS, 0), dtype=bool)] * 2, 4)
+    for p in passes:
+        assert p.spikes.shape == (0, net.config.reservoir_size)
+        assert p.amplitudes is None if model == "iow-lif" else p.amplitudes.shape == (0,)
+    learned = _ReadoutLearner(net, LearningParams(), 4, steps=0).run(passes[0], label=0)
+    for run in (*run_readout(net, passes, 4), learned):
+        assert run.outs.shape == (0, net.config.num_readout) and run.saturations == 0
 
 
 def test_pass_from_another_ratio_or_mode_is_rejected():

@@ -9,6 +9,7 @@ from tcsnn.fixedpoint import (
     SCALE,
     TOTAL_BITS,
     SaturationCounter,
+    fixed_constant,
     fixed_mul,
     saturate,
     to_fixed,
@@ -35,17 +36,11 @@ def test_round_trip_array():
     assert np.array_equal(from_fixed(raw), vals)
 
 
-def test_fixed_mul_scalar():
-    a = to_fixed(1.5)
-    b = to_fixed(2.0)
-    assert from_fixed(fixed_mul(a, b)) == 3.0
-
-
 def test_fixed_mul_floor_semantics():
     # (a*b) >> frac truncates toward negative infinity
-    a = to_fixed(-0.5)
-    b = 1  # one LSB
-    assert fixed_mul(a, b) == -1
+    a = np.array([to_fixed(-0.5), to_fixed(1.5)])
+    assert fixed_mul(a, 1).tolist() == [-1, 1]  # times one LSB
+    assert from_fixed(fixed_mul(a, to_fixed(2.0))).tolist() == [-1.0, 3.0]
 
 
 def test_fixed_mul_array_matches_scalar():
@@ -54,50 +49,45 @@ def test_fixed_mul_array_matches_scalar():
     b = rng.integers(-(2**20), 2**20, size=50)
     arr = fixed_mul(a, b)
     for i in range(50):
-        assert arr[i] == fixed_mul(int(a[i]), int(b[i]))
+        assert arr[i] == (int(a[i]) * int(b[i])) >> FRAC_BITS
 
 
 def test_fixed_mul_int_by_array_matches_scalar():
     # the burst threshold fixed_mul(u_th_fp, g) multiplies an int by an int64 array
     a = to_fixed(-1.25)
     b = np.array([SCALE, 3, -7, RAW_MAX, RAW_MIN], dtype=np.int64)
-    ctr = SaturationCounter()
+    ctr = SaturationCounter(rows=1)
     arr = fixed_mul(a, b, ctr)
     assert arr.dtype == np.int64
-    assert arr.tolist() == [fixed_mul(a, int(v)) for v in b] == [a, -4, 8, RAW_MIN, RAW_MAX]  # floors
-    assert ctr.count == 2
+    assert arr.tolist() == [a, -4, 8, RAW_MIN, RAW_MAX]  # floors, and clamps the last two
+    assert ctr.count.tolist() == [2]
 
 
 def test_saturation_counts_and_clamps():
-    ctr = SaturationCounter()
+    ctr = SaturationCounter(rows=1)
     out = saturate(np.array([RAW_MAX + 10, 0, RAW_MIN - 1]), ctr)
-    assert ctr.count == 2
+    assert ctr.count.tolist() == [2]
     assert out[0] == RAW_MAX and out[2] == RAW_MIN and out[1] == 0
-    assert saturate(RAW_MAX, ctr) == RAW_MAX
-    assert saturate(RAW_MIN, ctr) == RAW_MIN
-    assert ctr.count == 2  # in-range scalar does not count
-
-
-def test_scalar_saturation():
-    ctr = SaturationCounter()
-    assert saturate(1 << 40, ctr) == RAW_MAX
-    assert saturate(-(1 << 40), ctr) == RAW_MIN
-    assert saturate(np.int64(RAW_MAX + 1), ctr) == RAW_MAX  # a numpy scalar clamps as an int
-    assert ctr.count == 3
+    inside = np.array([RAW_MAX, RAW_MIN])
+    assert saturate(inside, ctr) is inside
+    assert ctr.count.tolist() == [2]  # in-range values do not count
 
 
 def test_to_fixed_clamps_before_the_integer_cast():
-    ctr = SaturationCounter()
-    assert to_fixed(1e300, ctr) == RAW_MAX
-    assert ctr.count == 1
-    assert to_fixed(-1e308, ctr) == RAW_MIN  # past float range once scaled
-    assert ctr.count == 2
-    assert to_fixed(32768.0, ctr) == RAW_MAX  # one LSB past the register before rounding down
-    assert to_fixed(-32768.0, ctr) == RAW_MIN  # exactly the lowest raw value: no clamp
-    assert ctr.count == 3
-    raw = to_fixed(np.array([np.inf, 0.5, -1e300]), ctr)
+    assert to_fixed(1e300) == RAW_MAX
+    assert to_fixed(-1e308) == RAW_MIN  # past float range once scaled
+    assert to_fixed(32768.0) == RAW_MAX  # one LSB past the register before rounding down
+    assert to_fixed(-32768.0) == RAW_MIN  # exactly the lowest raw value
+    raw = to_fixed(np.array([np.inf, 0.5, -1e300]))
     assert raw.tolist() == [RAW_MAX, SCALE // 2, RAW_MIN]
-    assert ctr.count == 5
+
+
+def test_fixed_constant_raises_for_a_value_the_register_cannot_hold():
+    assert fixed_constant("x", -32768.0) == RAW_MIN
+    assert fixed_constant("x", 32767.99999) == RAW_MAX  # rounds down onto the largest raw value
+    for value in (32768.0, -32768.00001, 1e300, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="does not fit the 32-bit fixed-point format"):
+            fixed_constant("x", value)
 
 
 def test_per_row_counter_keeps_one_tally_per_row():
@@ -106,5 +96,3 @@ def test_per_row_counter_keeps_one_tally_per_row():
     out = saturate(raw, ctr)
     assert ctr.count.tolist() == [1, 0, 2]
     assert out.tolist() == [[RAW_MAX, 0], [0, 0], [RAW_MIN, RAW_MAX]]
-    with pytest.raises(TypeError):
-        saturate(RAW_MAX + 1, ctr)  # a scalar has no row

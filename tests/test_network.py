@@ -23,14 +23,14 @@ def test_unknown_model_rejected():
 def test_input_burst_gain_clamp_is_counted():
     lif = LIFParams(synapse=SynapseParams(order="zeroth"))
     comp = compile_neuron("iow-burst-lif", lif, 16, burst=BurstParams(beta=1.5))
-    sat = SaturationCounter()
+    sat = SaturationCounter(rows=1)
     gain = np.full(2, SCALE, dtype=np.int64)
     prev = np.array([16, 0])  # channel 0 fires weight 16 every step, channel 1 is silent
     for _ in range(3):
         gain = burst_gain_update(gain, prev, comp, sat)
     assert gain[0] == RAW_MAX  # 1.5**48 is far past the register
     assert gain[1] == SCALE
-    assert sat.count == 2  # clamped on the second and third update
+    assert sat.count.tolist() == [2]  # clamped on the second and third update
 
 
 def test_beta_table_covers_every_input_weight():

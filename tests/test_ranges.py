@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import ORDERS, _example, _network
+from traces import replayed_amplitudes
 
 import tcsnn.learning as learning
 import tcsnn.network as network
@@ -95,17 +96,17 @@ def test_one_step_keeps_every_site_inside_its_interval(data, model, order, gamma
         if name in ranges:
             setattr(state, name, _values(data, _held(ranges[name]), n))
     state.u = _values(data, _held(ranges["u"]), n)
-    drive = saturate(_values(data, (-drive_bound, drive_bound), n), SaturationCounter(), fits.drive)
+    drive = saturate(_values(data, (-drive_bound, drive_bound), n), SaturationCounter(rows=1), fits.drive)
 
     seen = []  # (site values, clamps a full check counts, whether the site skipped its check)
 
     def spy(raw, counter=None, fits=False):
-        full = SaturationCounter()
+        full = SaturationCounter(rows=1)
         saturate(raw.copy(), full)
-        seen.append((raw.copy(), full.count, fits))
+        seen.append((raw.copy(), full.count[0], fits))
         return saturate(raw, counter, fits)
 
-    sat = SaturationCounter()
+    sat = SaturationCounter(rows=1)
     with mock.patch.object(neuron, "saturate", spy):
         current = neuron.synapse_step(state, drive, comp, _shift(data, comp.tau_s1_plan),
                                       _shift(data, comp.tau_s2_plan), sat, fits)
@@ -207,7 +208,8 @@ def test_a_unit_on_ints_steps_as_its_array_column(model, order, gamma, data, pro
     spikes = np.zeros((steps, 1), dtype=np.uint8)
     spikes[-2] = 1
     res = ReservoirPass(gamma=gamma, inputs=np.zeros((steps, 1), dtype=np.uint8), spikes=spikes,
-                        input_ops=0, reservoir_ops=0, saturations=0)
+                        input_ops=0, reservoir_ops=0, saturations=0,
+                        amplitudes=replayed_amplitudes(spikes, comp) if bursting else None)
     on_ints = _learning_readout(net, res, comp, fits, lambda *_: None, record_potentials=True, state=units)
 
     # on arrays: the same steps through the step functions

@@ -1,9 +1,11 @@
 """Helpers shared by the tests: Poisson example rows, trace comparison,
-fixed-point values read back as floats and the reference shifter decay."""
+fixed-point values read back as floats, the reference shifter decay and the
+reference bursting amplitudes."""
 
 import numpy as np
 
 from tcsnn.fixedpoint import SCALE
+from tcsnn.neuron import burst_gain_update
 
 
 def poisson_encode(rates, length_steps: int, seed: int) -> np.ndarray:
@@ -58,3 +60,21 @@ def decay_step(x, k: int):
     if k < 0:
         raise ValueError("shift amount must be >= 0")
     return x - (x >> k)
+
+
+def replayed_amplitudes(spikes, comp):
+    """The reference amplitudes of a bursting pass, replayed from its ``(steps, neurons)`` spikes.
+
+    Each spike's amplitude is its weight times its neuron's burst gain,
+    which scales by beta**w after a weight-w spike and resets to 1 after a
+    silent step, as the reservoir steps it. They come in
+    ``np.nonzero(spikes)`` order, as a pass records them.
+    """
+    gain = np.full(spikes.shape[1], SCALE, dtype=np.int64)
+    prev = np.zeros_like(gain)
+    amplitudes = [np.zeros(0, dtype=np.int64)]  # a start, so that a pass of no steps has none
+    for out in spikes.astype(np.int64):
+        gain = burst_gain_update(gain, prev, comp)
+        amplitudes.append((gain * out)[out > 0])
+        prev = out
+    return np.concatenate(amplitudes)
