@@ -2,11 +2,17 @@
 
 Each reservoir neuron keeps an exponential spike trace whose time constant
 scales with the compression ratio exactly like the membrane and synapse
-constants. Per timestep, the teacher readout neuron (the example's label) is
-potentiated through the traces whenever it failed to fire, and any other
-readout neuron that did fire is depressed. A weight-w spike contributes w to
-the trace, so training behaves identically on compressed and raw runs of the
-same activity.
+constants. Per timestep, unless the teacher readout neuron (the example's
+label) leads every rival by the teacher margin, it is potentiated through
+the traces if it failed to fire, and each competitive rival that did fire
+is depressed. A weight-w spike contributes w to the trace, so training
+behaves identically on compressed and raw runs of the same activity.
+
+The readout's loop keeps the teacher's tallies and calls the learner only
+on the steps where the rule acts. The trace does not depend on the weights,
+so it is computed before epoch 1, once for all training passes, and every
+``TRACE_STRIDE``-th step of it is kept; an acting step rebuilds the trace
+from there.
 """
 
 from __future__ import annotations
@@ -103,82 +109,142 @@ def trace_plan(params: LearningParams, gamma: int, n_max: int):
     return plan
 
 
+TRACE_STRIDE = 32  # steps between two stored traces of a training pass
+# ufunc operands as 0-d int64 arrays, which a ufunc takes faster than a Python int, and
+# which widen a uint8 row they multiply to int64
+SCALE64, FRAC64 = np.array(1 << FRAC_BITS), np.array(FRAC_BITS)
+
+
+def _step_trace(trace: np.ndarray, row: np.ndarray, k, scratch: np.ndarray) -> None:
+    """One step of the eligibility trace, in place: a shifter decay by ``k``,
+    then the spike weights ``row`` reaching it, widened to int64 in
+    ``scratch``, times ``2**FRAC_BITS``. ``trace`` may carry leading batch
+    axes that ``row`` shares."""
+    trace -= np.right_shift(trace, k, out=scratch)
+    trace += np.multiply(row, SCALE64, out=scratch)
+
+
 class _ReadoutLearner:
     """Online trace-based teacher rule, applied while an example runs.
 
     One learner serves every example of a training run at one ratio: its
-    rate, clip bounds, trace schedule, compiled neuron and proven sites are
-    fixed at construction, and :meth:`run` runs the readout on one example's
-    pass, after :meth:`start` resets the trace and the output tallies.
+    rate, clip bounds, trace schedule, compiled neuron, proven sites and the
+    dtype of the readout's block products are fixed at construction, and
+    :meth:`run` runs the readout on one example's pass. The readout kernel
+    keeps the teacher's tallies and calls :meth:`on_step` only on the steps
+    where the rule acts, so the weights change only there.
+
+    The eligibility trace depends on the pass alone, not on the weights, so
+    it is not stepped along with the readout. :meth:`register` steps it once
+    over all the training passes, as one batch, and stores every
+    ``TRACE_STRIDE``-th step of it. On an acting step, :meth:`on_step`
+    rebuilds the trace there from the later of the step it last rebuilt and
+    the nearest stored one, so it re-steps fewer than ``TRACE_STRIDE`` steps
+    per call. A pass that was never registered starts from the empty trace
+    at step 0.
     """
 
     def __init__(self, network: Network, params: LearningParams, gamma: int, steps: int):
         cfg = network.config
         self.network = network
         self.w = network.w_out  # mutated in place
-        self.eta_fp = to_fixed(params.eta)
-        self.w_min_fp = to_fixed(params.w_min)
-        self.w_max_fp = to_fixed(params.w_max)
+        rate_and_bounds = (params.eta, params.w_min, params.w_max)
+        self.eta_fp, self.w_min_fp, self.w_max_fp = (np.array(to_fixed(v)) for v in rate_and_bounds)  # 0-d arrays
         self.margin = params.teacher_margin
         self.comp = comp = _compile(cfg, gamma)
         # a weight is its start value until the learner clips the whole matrix
         reach = np.maximum(np.abs(self.w), max(abs(self.w_min_fp), abs(self.w_max_fp)))
-        self.fits = prove_ranges(comp, _drive_bound(reach, comp.n_max))
-        # each step's trace shift as a 0-d array, which a ufunc takes faster than a Python int
+        bound = _drive_bound(reach, comp.n_max)
+        self.fits = prove_ranges(comp, bound)
+        # the readout's block products in float64 while they are exact there (see _Projection)
+        self.dtype = np.float64 if bound < 2.0**52 else np.int64
         self.k_seq = [np.array(k) for k in trace_plan(params, gamma, comp.n_max).shifts(steps)]
+        self.checkpoints = {}  # registered pass -> its trace before steps 0, TRACE_STRIDE, 2 * TRACE_STRIDE, ...
+        self._empty = np.zeros((1, cfg.reservoir_size), dtype=np.int64)
         self.trace = np.zeros(cfg.reservoir_size, dtype=np.int64)
-        self._scratch = np.empty_like(self.trace)
-        self.label = 0
-        self.teacher_cum = 0  # the teacher's output weight so far
-        self.cum = [0] * cfg.num_readout  # each rival's output weight so far; the teacher's entry stays 0
+        self._scratch, self._step = np.empty_like(self.trace), np.empty_like(self.trace)
+        self._rows = list(self.w)  # a view of each row
+        self._inside = bool(((self.w >= self.w_min_fp) & (self.w <= self.w_max_fp)).all())
+        self.start(None, 0)
 
-    def start(self, label: int):
-        """Begin an example of class ``label``: an empty trace and no outputs yet."""
+    def register(self, passes) -> None:
+        """Step the trace over ``passes`` side by side and keep every ``TRACE_STRIDE``-th step of it.
+
+        The passes' spikes are read one stride at a time, so the loop holds
+        no more than a stride of them at once.
+        """
+        passes = list(passes)
+        steps = passes[0].spikes.shape[0]  # a batch's passes run equally long
+        stored = np.zeros((len(passes), steps // TRACE_STRIDE + 1, self.trace.size), dtype=np.int64)
+        trace = np.zeros((len(passes), self.trace.size), dtype=np.int64)
+        scratch = np.empty_like(trace)
+        for c in range(1, stored.shape[1]):
+            # steps (c-1)*STRIDE .. c*STRIDE - 1 take the spikes of the step before; step 0 takes none
+            lo, hi = max((c - 1) * TRACE_STRIDE, 1), c * TRACE_STRIDE
+            stride = np.stack([p.spikes[lo - 1:hi - 1] for p in passes], axis=1)  # (steps, passes, neurons)
+            for row, k in zip(stride, self.k_seq[lo:hi]):
+                _step_trace(trace, row, k, scratch)
+            stored[:, c] = trace
+        self.checkpoints.update(zip(passes, stored))
+
+    def start(self, res: ReservoirPass | None, label: int):
+        """Begin the pass ``res`` of an example of class ``label``: no trace rebuilt yet."""
+        self.res = res
         self.label = label
-        self.trace.fill(0)
-        self.teacher_cum = 0
-        self.cum = [0] * len(self.cum)
+        self._stored = self.checkpoints.get(res, self._empty)
+        self._last = len(self._stored) - 1
+        self._at = -1  # self.trace holds the trace before this step; -1 while it holds none
 
     def run(self, res: ReservoirPass, label: int, record_potentials: bool = False) -> ReadoutPass:
         """The readout's run on ``res``, an example of class ``label``, learning as it goes."""
         if res.gamma != self.comp.gamma:
             raise ValueError(f"reservoir pass ran at gamma {res.gamma}, not {self.comp.gamma}")
-        self.start(label)
-        return _learning_readout(self.network, res, self.comp, self.fits, self.on_step, record_potentials)
+        self.start(res, label)
+        return _learning_readout(self.network, res, self.comp, self.fits, label, self.margin, self.on_step,
+                                 self.dtype, record_potentials)
 
-    def on_step(self, t: int, delivered_fp: np.ndarray, readout_out):
-        """``delivered_fp`` holds each reservoir neuron's spike weight reaching
-        the readout at step t, shifted up by ``FRAC_BITS``; ``readout_out``
-        holds each readout neuron's output weight."""
-        trace = self.trace
-        trace -= np.right_shift(trace, self.k_seq[t], self._scratch)  # one shifter decay, in place
-        trace += delivered_fp
+    def trace_at(self, t: int) -> np.ndarray:
+        """The trace after step ``t`` of the current pass, rebuilt in ``self.trace``."""
+        stop, trace = t + 1, self.trace
+        c = min(stop // TRACE_STRIDE, self._last)
+        lo = c * TRACE_STRIDE
+        if lo > self._at:  # the stored step is closer than the last rebuilt one
+            trace[:] = self._stored[c]
+        else:
+            lo = self._at
+        spikes, k_seq, scratch = self.res.spikes, self.k_seq, self._scratch
+        for s in range(lo or 1, stop):  # step 0 delivers nothing
+            _step_trace(trace, spikes[s - 1], k_seq[s], scratch)
+        self._at = stop
+        return trace
 
-        label, cum = self.label, self.cum
-        for j, out in enumerate(readout_out):
-            if out and j != label:
-                cum[j] += out
-        teacher_cum = self.teacher_cum = self.teacher_cum + readout_out[label]
-        if teacher_cum - max(cum) >= self.margin:  # outputs are never negative, so the 0 stands for no rival
-            return  # teacher winning by the target margin: weights are fine
+    def on_step(self, t: int, potentiate: bool, depressed):
+        """Apply the teacher rule at step ``t``: grow the teacher's row by
+        eta times the trace if ``potentiate``, shrink each row in
+        ``depressed`` by as much, then clip the whole matrix to the bounds.
 
-        # depress only competitive rivals; rows already far behind are
-        # left alone so winners do not cycle
-        depressed = [j for j, out in enumerate(readout_out)
-                     if out and j != label and cum[j] >= teacher_cum - self.margin]
-        potentiate = readout_out[label] == 0
-        if not (potentiate or depressed):
-            return
-        w = self.w
-        step = np.multiply(trace, self.eta_fp, out=self._scratch)
-        step >>= FRAC_BITS
+        A step is never negative, so once every weight lies inside the
+        bounds, a grown row can pass only the upper bound and a shrunk one
+        only the lower, and no other weight moves: the clip then takes only
+        the rows just changed, on the side they moved toward.
+        """
+        step = np.multiply(self.trace_at(t), self.eta_fp, out=self._step)
+        step >>= FRAC64
+        rows, inside = self._rows, self._inside
         if potentiate:
-            w[label] += step
+            row = rows[self.label]
+            row += step
+            if inside:
+                np.minimum(row, self.w_max_fp, out=row)
         for j in depressed:
-            w[j] -= step
-        # the clip bounds hold for the whole matrix, not only the rows just changed
-        np.maximum(w, self.w_min_fp, out=w)
-        np.minimum(w, self.w_max_fp, out=w)
+            row = rows[j]
+            row -= step
+            if inside:
+                np.maximum(row, self.w_min_fp, out=row)
+        if not inside:  # the clip bounds hold for the whole matrix, not only the rows just changed
+            np.maximum(self.w, self.w_min_fp, out=self.w)
+            np.minimum(self.w, self.w_max_fp, out=self.w)
+            self._inside = True
 
 
 def split_dataset(dataset: SpikeDataset, train_fraction: float, seed: int):
@@ -205,6 +271,8 @@ def train_readout(
     reservoir runs once, as one batch over the training examples (when there
     are epochs) and then the test examples; each training pass serves every
     epoch, and the test passes serve the evaluation and come back in the report.
+    Before epoch 1, the learner steps the eligibility trace over all training
+    passes at once and keeps every ``TRACE_STRIDE``-th step of it for them.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -219,7 +287,10 @@ def train_readout(
     passes = run_reservoir(network, map(dataset.row, [*train_idx, *test_idx] if params.epochs else test_idx), gamma)
     n_train = len(passes) - len(test_idx)
     epoch_acc = []
-    learner = _ReadoutLearner(network, params, gamma, -(-dataset.length_steps // gamma)) if params.epochs else None
+    learner = None
+    if params.epochs:
+        learner = _ReadoutLearner(network, params, gamma, -(-dataset.length_steps // gamma))
+        learner.register(passes[:n_train])
     for _ in range(params.epochs):
         correct = 0
         for i, res in zip(train_idx, passes[:n_train]):

@@ -28,13 +28,14 @@ engine runs reservoir pass -> readout pass -> trace:
   :class:`ReadoutPass` per pass. Frozen weights serve a whole test split in
   one call.
 - A learner, whose weights change between steps, runs the readout on one
-  pass at a time through :func:`_learning_readout`, whose loop keeps only
-  the work that depends on the weights: the drive and the readout's step.
-  That loop is a kernel of its own on Python ints, since at five neurons a
-  numpy call, or any call, costs more than the arithmetic it does. It
-  writes out the datapath of :func:`~tcsnn.neuron.synapse_step` and
-  :func:`~tcsnn.neuron.integrate_fire` per unit, and the tests hold its
-  runs equal to a frozen batch's when the weights do not move.
+  pass at a time through :func:`_learning_readout`. Its loop is a kernel
+  of its own on Python ints, since at five neurons a numpy call, or any
+  call, costs more than the arithmetic it does. It writes out the datapath
+  of :func:`~tcsnn.neuron.synapse_step` and
+  :func:`~tcsnn.neuron.integrate_fire` per unit and keeps the teacher's
+  tallies, and it calls the learner only on the steps where the teacher
+  rule acts; the weights hold still on all others. The tests hold its runs
+  equal to a frozen batch's when the weights do not move.
 - :func:`simulate` returns one example's :class:`SimulationTrace`, a view
   of its two passes, running whichever it was not given. Training replays
   a reservoir pass in every epoch; evaluation and the energy count replay
@@ -47,8 +48,10 @@ fixed +/- 2**(e + FRAC_BITS) weights: a float64 matmul while every partial
 sum provably stays below 2**53, an integer one otherwise (bursting). The
 plastic readout multiplies the integer spike weights instead: a frozen one
 for all steps in one product per example, a learning one in one product per
-step. Bursting amplitudes carry fractional bits: the readout takes those its
-pass recorded and floors each product on its own (:func:`_burst_drives`).
+block of steps between two weight changes, in float64 while the learner's
+bound on its weights keeps every partial sum below 2**52. Bursting
+amplitudes carry fractional bits: the readout takes those its pass recorded
+and floors each product on its own (:func:`_burst_drives`).
 
 Spikes emitted at step t are delivered at step t+1; external input spikes
 are delivered at their own step. All arithmetic is integer fixed point, so
@@ -415,8 +418,8 @@ def run_reservoir(
         in_gain = np.full((batch, cfg.num_inputs), SCALE, dtype=np.int64)
         in_prev = np.zeros_like(in_gain)
     amp_res = None  # reservoir spikes of the previous step, delivered at this one
-    # the example and amplitude of each bursting spike, step by step, after an empty start
-    fired = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))]
+    if bursting:  # each step's amplitudes, in the order of np.nonzero(out), and each example's count of them
+        fired, counts = [], np.zeros((batch, steps), dtype=np.intp)
 
     for t in range(steps):
         w = delivered[:, t].astype(np.int64)
@@ -434,14 +437,21 @@ def run_reservoir(
         spikes[:, t] = out
         amp_res = state.g * out if bursting else out << FRAC_BITS
         if bursting:
-            fired.append((np.nonzero(out)[0], amp_res[out > 0]))
+            fires = out > 0
+            fired.append(amp_res[fires])
+            counts[:, t] = np.count_nonzero(fires, axis=1)
         if record_potentials:
             potentials[:, t] = state.u
 
     if bursting:  # each example's amplitudes, in the order of np.nonzero(its spikes)
-        who, amps = (np.concatenate(column) for column in zip(*fired))
-        del fired  # free the per-step records before sorting
-        amplitudes = np.split(amps[np.argsort(who, kind="stable")], np.cumsum(np.bincount(who, minlength=batch))[:-1])
+        # where each example's spikes of each step start in one flat record of all of them
+        starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+        flat = np.empty(counts.sum(), dtype=np.int64)
+        for t, amps in enumerate(fired):  # a step's amplitudes come example by example
+            n = counts[:, t]
+            flat[np.repeat(starts[:, t] - (np.cumsum(n) - n), n) + np.arange(amps.size)] = amps
+            fired[t] = None  # free each step's record once it is in place
+        amplitudes = np.split(flat, np.cumsum(counts.sum(axis=1))[:-1])
     fan_in, fan_res = network.fan_in, network.fan_res
     # the last step's spikes are never delivered, so they cost no reservoir op
     return [
@@ -540,26 +550,38 @@ def _burst_drives(w_out: np.ndarray, res: ReservoirPass):
     ts, cols = np.nonzero(res.spikes)
     bounds = np.searchsorted(ts, np.arange(-1, res.spikes.shape[0])).tolist()  # step t takes step t-1's spikes
     for start, end in zip(bounds, bounds[1:]):
-        yield ((w_out[:, cols[start:end]] * res.amplitudes[start:end]) >> FRAC_BITS).sum(axis=1)
+        terms = w_out[:, cols[start:end]] * res.amplitudes[start:end]
+        terms >>= FRAC_BITS
+        yield np.add.reduce(terms, axis=1)
 
 
-def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron, fits: Fits, on_step,
-                      record_potentials: bool = False, state: NeuronState | None = None) -> ReadoutPass:
-    """The readout's run on one pass while ``on_step`` updates ``network.w_out`` between steps.
+def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron, fits: Fits, label: int,
+                      margin: int, on_step, dtype=np.int64, record_potentials: bool = False,
+                      state: NeuronState | None = None) -> ReadoutPass:
+    """The readout's run on one pass of class ``label`` while ``on_step`` updates ``network.w_out``.
 
     ``comp`` is the neuron compiled at the pass's ratio, and ``fits`` names
     the sites proven never to clamp at any weight the learner can reach.
-    Only the work that depends on ``w_out`` stays in the loop. The pass's
-    spikes are widened to int64 once, one step later (the spikes of step t
-    reach the readout at step t+1), and a second copy is shifted up by
-    ``FRAC_BITS`` for the learner's trace. Without bursting, each step's
-    drive is then one product over the readout, taken on the unshifted copy
-    so that it keeps the 16 bits of int64 headroom a shifted product would
-    spend. When bursting, :func:`_burst_drives` gives each step's drive.
-    ``on_step(t, row, outs)`` gets the shifted spike weights as a row and
-    the outputs as a list. The readout starts at rest, or from a given
-    ``(1, readout)`` ``state``, which it leaves holding the state after the
-    last step, as the array step functions advance theirs.
+    The loop keeps the teacher's tallies: the output weight of the
+    ``label`` unit so far and of each rival. The teacher rule acts on a step
+    unless the teacher leads every rival by ``margin``, and then only if the
+    teacher stayed silent (``potentiate``) or some competitive rival fired
+    (``depressed``, those within ``margin`` of the teacher, in index order).
+    Only on such a step does it call ``on_step(t, potentiate, depressed)``;
+    the weights hold still on every other step.
+
+    Without bursting, the drives of the steps between two calls come in
+    blocks, each one product of the pass's spike weights (widened once to
+    ``dtype``, one step later: the spikes of step t reach the readout at
+    step t+1) with the weights as they stand. A block takes 1, 2, 4, ...
+    steps while the weights stay put and starts over at 1 after a call, so
+    its product serves only steps the call left alone. A float64 product is
+    exact when the caller has proven that every partial sum stays below
+    2**52, as in :class:`_Projection`; the int64 default always is. When
+    bursting, :func:`_burst_drives` gives each step's drive as it begins.
+    The readout starts at rest, or from a given ``(1, readout)`` ``state``,
+    which it leaves holding the state after the last step, as the array step
+    functions advance theirs.
 
     The readout's few units step in this one loop on Python ints, since at
     that size a numpy call, or any call, costs more than the arithmetic it
@@ -571,7 +593,6 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
     products are always checked, as in :func:`~tcsnn.fixedpoint.fixed_mul`.
     """
     steps, n = res.spikes.shape[0], network.config.num_readout
-    w_out = network.w_out
     order, leaky, bursting = comp.lif.synapse.order, comp.tau_m_plan is not None, comp.spec.bursting
     first, second = order == "first", order == "second"
     q, syn_gain, gain, u_th, n_max = comp.q_fp, comp.syn_gain_fp, comp.gain_fp, comp.u_th_fp, comp.n_max
@@ -582,6 +603,10 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
     if bursting:  # a spike weight past the end of the beta**w table takes its last entry
         lut = comp.beta_pow_fp.tolist()
         last = len(lut) - 1
+        bursts = map(np.ndarray.tolist, _burst_drives(network.w_out, res))  # each taken as its step begins
+    else:
+        delivered = np.zeros(res.spikes.shape, dtype=dtype)  # the spikes of step t reach the readout at step t+1
+        delivered[1:] = res.spikes[:-1]
     if state is None:
         state = new_neuron_state((1, n), bursting)
     s1, s2, u = (x[0].tolist() for x in (state.s1, state.s2, state.u))
@@ -590,78 +615,100 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
     clamps = 0
     outs = []
     potentials = [] if record_potentials else None
+    teacher = rival_max = 0  # the teacher's output weight so far, and the largest rival's
+    cum = [0] * n  # each rival's output weight so far; the teacher's entry stays 0
 
-    delivered = np.zeros(res.spikes.shape, dtype=np.int64)  # the spikes of step t reach the readout at step t+1
-    delivered[1:] = res.spikes[:-1]
-    drives = _burst_drives(w_out, res) if bursting else map(w_out.dot, delivered)  # each taken as its step begins
-    for t, (row_fp, drive) in enumerate(zip(delivered << FRAC_BITS, drives)):
-        km, ks1, ks2 = k_m[t], k_s1[t], k_s2[t]
-        prev, out = out, [0] * n
-        for j, d in enumerate(drive.tolist()):
-            if check_drive and not lo <= d <= hi:
-                d = min(max(d, lo), hi)
-                clamps += 1
-            if second:  # a slow decay stage minus a fast rise stage, normalized
-                x = s1[j]
-                x = x - (x >> ks1) + d
-                if check_s1 and not lo <= x <= hi:
-                    x = min(max(x, lo), hi)
-                    clamps += 1
-                s1[j] = x
-                y = s2[j]
-                y = y - (y >> ks2) + d
-                if check_s2 and not lo <= y <= hi:
-                    y = min(max(y, lo), hi)
-                    clamps += 1
-                s2[j] = y
-                d = (syn_gain * (y - x)) >> FRAC_BITS
-                if check_syn and not lo <= d <= hi:
+    t, size = 0, 1
+    while t < steps:
+        if bursting:  # each drawn as its step begins, so a call leaves the rest to come at the new weights
+            block = bursts
+        else:
+            if size == 1:  # the first block, or the first since the weights changed: take them as they stand
+                w_t = network.w_out.astype(dtype, copy=False).T
+            block = delivered[t:t + size].dot(w_t).astype(np.int64, copy=False).tolist()
+        size *= 2
+        for drive in block:
+            km, ks1, ks2 = k_m[t], k_s1[t], k_s2[t]
+            prev, out = out, [0] * n
+            for j, d in enumerate(drive):
+                if check_drive and not lo <= d <= hi:
                     d = min(max(d, lo), hi)
                     clamps += 1
-            elif first:  # a decaying accumulator of q times the drive
-                d = (q * d) >> FRAC_BITS
-                if check_syn and not lo <= d <= hi:
+                if second:  # a slow decay stage minus a fast rise stage, normalized
+                    x = s1[j]
+                    x = x - (x >> ks1) + d
+                    if check_s1 and not lo <= x <= hi:
+                        x = min(max(x, lo), hi)
+                        clamps += 1
+                    s1[j] = x
+                    y = s2[j]
+                    y = y - (y >> ks2) + d
+                    if check_s2 and not lo <= y <= hi:
+                        y = min(max(y, lo), hi)
+                        clamps += 1
+                    s2[j] = y
+                    d = (syn_gain * (y - x)) >> FRAC_BITS
+                    if check_syn and not lo <= d <= hi:
+                        d = min(max(d, lo), hi)
+                        clamps += 1
+                elif first:  # a decaying accumulator of q times the drive
+                    d = (q * d) >> FRAC_BITS
+                    if check_syn and not lo <= d <= hi:
+                        d = min(max(d, lo), hi)
+                        clamps += 1
+                    x = s1[j]
+                    x = x - (x >> ks1) + d
+                    if check_s1 and not lo <= x <= hi:
+                        x = min(max(x, lo), hi)
+                        clamps += 1
+                    s1[j] = d = x
+                thr = u_th
+                if bursting:  # scale the gain by beta**w after a weight-w spike, reset it after a silent step
+                    w = prev[j]
+                    x = (g[j] * lut[min(w, last)]) >> FRAC_BITS if w else SCALE
+                    if not lo <= x <= hi:
+                        x = min(max(x, lo), hi)
+                        clamps += 1
+                    g[j] = x
+                    thr = (u_th * x) >> FRAC_BITS
+                    if not lo <= thr <= hi:
+                        thr = min(max(thr, lo), hi)
+                        clamps += 1
+                    if thr < 1:
+                        thr = 1
+                v = u[j]
+                if leaky:
+                    v -= v >> km
+                d = (gain * d) >> FRAC_BITS
+                if check_gain and not lo <= d <= hi:
                     d = min(max(d, lo), hi)
                     clamps += 1
-                x = s1[j]
-                x = x - (x >> ks1) + d
-                if check_s1 and not lo <= x <= hi:
-                    x = min(max(x, lo), hi)
+                v += d
+                if check_u and not lo <= v <= hi:
+                    v = min(max(v, lo), hi)
                     clamps += 1
-                s1[j] = d = x
-            thr = u_th
-            if bursting:  # scale the gain by beta**w after a weight-w spike, reset it after a silent step
-                w = prev[j]
-                x = (g[j] * lut[min(w, last)]) >> FRAC_BITS if w else SCALE
-                if not lo <= x <= hi:
-                    x = min(max(x, lo), hi)
-                    clamps += 1
-                g[j] = x
-                thr = (u_th * x) >> FRAC_BITS
-                if not lo <= thr <= hi:
-                    thr = min(max(thr, lo), hi)
-                    clamps += 1
-                if thr < 1:
-                    thr = 1
-            v = u[j]
-            if leaky:
-                v -= v >> km
-            d = (gain * d) >> FRAC_BITS
-            if check_gain and not lo <= d <= hi:
-                d = min(max(d, lo), hi)
-                clamps += 1
-            v += d
-            if check_u and not lo <= v <= hi:
-                v = min(max(v, lo), hi)
-                clamps += 1
-            if v >= thr:  # fire the number of thresholds crossed, up to n_max, and subtract them
-                out[j] = w = min(v // thr, n_max)
-                v -= w * thr
-            u[j] = v
-        on_step(t, row_fp, out)
-        outs.append(out)
-        if record_potentials:
-            potentials.append(u.copy())
+                if v >= thr:  # fire the number of thresholds crossed, up to n_max, and subtract them
+                    out[j] = w = min(v // thr, n_max)
+                    v -= w * thr
+                    if j == label:
+                        teacher += w
+                    else:
+                        cum[j] = x = cum[j] + w
+                        if x > rival_max:
+                            rival_max = x
+                u[j] = v
+            outs.append(out)
+            if record_potentials:
+                potentials.append(u.copy())
+            t += 1
+            if teacher - rival_max < margin:  # outputs are never negative, so rival_max 0 stands for no rival
+                # depress only competitive rivals; rows already far behind are left alone so winners do not cycle
+                depressed = [j for j, o in enumerate(out) if o and j != label and cum[j] >= teacher - margin]
+                potentiate = out[label] == 0
+                if potentiate or depressed:
+                    on_step(t - 1, potentiate, depressed)
+                    size = 1  # the block's later drives were taken at the old weights
+                    break
 
     state.s1[0], state.s2[0], state.u[0] = s1, s2, u
     if bursting:
