@@ -128,11 +128,11 @@ class _ReadoutLearner:
     """Online trace-based teacher rule, applied while an example runs.
 
     One learner serves every example of a training run at one ratio: its
-    rate, clip bounds, trace schedule, compiled neuron, proven sites and the
-    dtype of the readout's block products are fixed at construction, and
-    :meth:`run` runs the readout on one example's pass. The readout kernel
-    keeps the teacher's tallies and calls :meth:`on_step` only on the steps
-    where the rule acts, so the weights change only there.
+    rate, clip bounds, trace schedule, compiled neuron and proven sites are
+    fixed at construction, and :meth:`run` runs the readout on one example's
+    pass. The readout kernel keeps the teacher's tallies and calls
+    :meth:`on_step` only on the steps where the rule acts, so the weights
+    change only there.
 
     The eligibility trace depends on the pass alone, not on the weights, so
     it is not stepped along with the readout. :meth:`register` steps it once
@@ -154,10 +154,7 @@ class _ReadoutLearner:
         self.comp = comp = _compile(cfg, gamma)
         # a weight is its start value until the learner clips the whole matrix
         reach = np.maximum(np.abs(self.w), max(abs(self.w_min_fp), abs(self.w_max_fp)))
-        bound = _drive_bound(reach, comp.n_max)
-        self.fits = prove_ranges(comp, bound)
-        # the readout's block products in float64 while they are exact there (see _Projection)
-        self.dtype = np.float64 if bound < 2.0**52 else np.int64
+        self.fits = prove_ranges(comp, _drive_bound(reach, comp.n_max))
         self.k_seq = [np.array(k) for k in trace_plan(params, gamma, comp.n_max).shifts(steps)]
         self.checkpoints = {}  # registered pass -> its trace before steps 0, TRACE_STRIDE, 2 * TRACE_STRIDE, ...
         self._empty = np.zeros((1, cfg.reservoir_size), dtype=np.int64)
@@ -201,7 +198,7 @@ class _ReadoutLearner:
             raise ValueError(f"reservoir pass ran at gamma {res.gamma}, not {self.comp.gamma}")
         self.start(res, label)
         return _learning_readout(self.network, res, self.comp, self.fits, label, self.margin, self.on_step,
-                                 self.dtype, record_potentials)
+                                 record_potentials)
 
     def trace_at(self, t: int) -> np.ndarray:
         """The trace after step ``t`` of the current pass, rebuilt in ``self.trace``."""

@@ -47,9 +47,8 @@ A fixed layer's drive is ``(amplitudes @ w.T) >> FRAC_BITS``, exact for the
 fixed +/- 2**(e + FRAC_BITS) weights: a float64 matmul while every partial
 sum provably stays below 2**53, an integer one otherwise (bursting). The
 plastic readout multiplies the integer spike weights instead: a frozen one
-for all steps in one product per example, a learning one in one product per
-block of steps between two weight changes, in float64 while the learner's
-bound on its weights keeps every partial sum below 2**52. Bursting
+for all steps in one product per example, a learning one in one int64
+product per block of steps between two weight changes. Bursting
 amplitudes carry fractional bits: the readout takes those its pass recorded
 and floors each product on its own (:func:`_burst_drives`).
 
@@ -556,9 +555,9 @@ def _burst_drives(w_out: np.ndarray, res: ReservoirPass):
 
 
 def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron, fits: Fits, label: int,
-                      margin: int, on_step, dtype=np.int64, record_potentials: bool = False,
+                      margin: int, on_step, record_potentials: bool = False,
                       state: NeuronState | None = None) -> ReadoutPass:
-    """The readout's run on one pass of class ``label`` while ``on_step`` updates ``network.w_out``.
+    """The readout's run on one pass of class ``label`` while ``on_step`` updates ``network.w_out`` in place.
 
     ``comp`` is the neuron compiled at the pass's ratio, and ``fits`` names
     the sites proven never to clamp at any weight the learner can reach.
@@ -571,17 +570,15 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
     the weights hold still on every other step.
 
     Without bursting, the drives of the steps between two calls come in
-    blocks, each one product of the pass's spike weights (widened once to
-    ``dtype``, one step later: the spikes of step t reach the readout at
-    step t+1) with the weights as they stand. A block takes 1, 2, 4, ...
-    steps while the weights stay put and starts over at 1 after a call, so
-    its product serves only steps the call left alone. A float64 product is
-    exact when the caller has proven that every partial sum stays below
-    2**52, as in :class:`_Projection`; the int64 default always is. When
-    bursting, :func:`_burst_drives` gives each step's drive as it begins.
-    The readout starts at rest, or from a given ``(1, readout)`` ``state``,
-    which it leaves holding the state after the last step, as the array step
-    functions advance theirs.
+    blocks, each one int64 product of the pass's spike weights (widened
+    once, one step later: the spikes of step t reach the readout at step
+    t+1) with the weights as they stand, exact as integer arithmetic is. A
+    block takes 1, 2, 4, ... steps while the weights stay put and starts
+    over at 1 after a call, so its product serves only steps the call left
+    alone. When bursting, :func:`_burst_drives` gives each step's drive as
+    it begins. The readout starts at rest, or from a given ``(1, readout)``
+    ``state``, which it leaves holding the state after the last step, as the
+    array step functions advance theirs.
 
     The readout's few units step in this one loop on Python ints, since at
     that size a numpy call, or any call, costs more than the arithmetic it
@@ -605,8 +602,9 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
         last = len(lut) - 1
         bursts = map(np.ndarray.tolist, _burst_drives(network.w_out, res))  # each taken as its step begins
     else:
-        delivered = np.zeros(res.spikes.shape, dtype=dtype)  # the spikes of step t reach the readout at step t+1
+        delivered = np.zeros(res.spikes.shape, dtype=np.int64)  # the spikes of step t reach the readout at step t+1
         delivered[1:] = res.spikes[:-1]
+        w_t = network.w_out.T  # a view, so each block takes the weights as they stand
     if state is None:
         state = new_neuron_state((1, n), bursting)
     s1, s2, u = (x[0].tolist() for x in (state.s1, state.s2, state.u))
@@ -623,9 +621,7 @@ def _learning_readout(network: Network, res: ReservoirPass, comp: CompiledNeuron
         if bursting:  # each drawn as its step begins, so a call leaves the rest to come at the new weights
             block = bursts
         else:
-            if size == 1:  # the first block, or the first since the weights changed: take them as they stand
-                w_t = network.w_out.astype(dtype, copy=False).T
-            block = delivered[t:t + size].dot(w_t).astype(np.int64, copy=False).tolist()
+            block = delivered[t:t + size].dot(w_t).tolist()
         size *= 2
         for drive in block:
             km, ks1, ks2 = k_m[t], k_s1[t], k_s2[t]
