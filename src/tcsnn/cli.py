@@ -54,7 +54,7 @@ def _run_single(config: ExperimentConfig, gamma: int, dataset: SpikeDataset) -> 
 
     energy = 0.0
     counters: dict = {}
-    timesteps = -(-dataset.length_steps // gamma)
+    timesteps = report.test_passes[0].spikes.shape[0]  # the compressed length, as compress_train made it
     for i, res, run in zip(test_idx, report.test_passes, report.test_readouts):
         trace = simulate(net, dataset.row(i), gamma=gamma, reservoir=res, readout=run)
         energy += energy_estimate(trace, config.energy)
@@ -63,7 +63,7 @@ def _run_single(config: ExperimentConfig, gamma: int, dataset: SpikeDataset) -> 
 
     return RunReport(
         gamma=gamma,
-        model=config.lsm.model,
+        model=config.lsm.lif.model,
         seed=config.seed,
         accuracy=report.test_accuracy,
         timestep_count=timesteps,

@@ -31,8 +31,8 @@ from .fixedpoint import fixed_constant
 from .learning import LearningParams, trace_plan
 from .metrics import EnergyModel
 from .network import LsmConfig
-from .neuron import MODELS, BurstParams, compile_neuron
-from .spike import SpikeDataset, load_event_file, synthetic_task
+from .neuron import compile_neuron
+from .spike import SpikeDataset, load_event_file, read_text, synthetic_task
 
 __all__ = ["ConfigError", "ExperimentConfig", "KEYS", "load_experiment_config", "parse_kv_text"]
 
@@ -47,14 +47,13 @@ class ConfigError(ValueError):
 
 
 def parse_kv_text(path) -> dict:
-    """Read a key = value file into an ordered dict of key -> (value, line)."""
+    """Read a key = value file of UTF-8 text into an ordered dict of key -> (value, line)."""
     out = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        text = read_text(path, ConfigError)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -114,7 +113,7 @@ class ExperimentConfig:
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     num_readout: int | None = None
     train_fraction: float = 0.8
-    lsm: LsmConfig = field(default_factory=lambda: LsmConfig(burst=BurstParams()))
+    lsm: LsmConfig = field(default_factory=LsmConfig)
     learning: LearningParams = field(default_factory=LearningParams)
     energy: EnergyModel = field(default_factory=EnergyModel)
     resources: dict = field(default_factory=dict)  # gamma -> (lut, ff)
@@ -143,8 +142,7 @@ class ExperimentConfig:
             for name in ("eta", "w_min", "w_max"):
                 fixed_constant(name, getattr(self.learning, name))
             for gamma in self.gammas:
-                comp = compile_neuron(self.lsm.model, self.lsm.lif, gamma, self.lsm.burst)
-                trace_plan(self.learning, gamma, comp.n_max)
+                trace_plan(self.learning, gamma, compile_neuron(self.lsm.lif, gamma).n_max)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -159,7 +157,6 @@ class ExperimentConfig:
             num_inputs=dataset.num_channels,
             num_readout=dataset.num_classes if self.num_readout is None else self.num_readout,
             seed=self.seed,
-            burst=self.lsm.burst if MODELS[self.lsm.model].bursting else None,
         )
 
 
@@ -170,7 +167,7 @@ def _same(prefix: str, target: str, names: str) -> dict:
 # config key -> dotted path of the ExperimentConfig field it sets
 KEYS = {
     **_same("", "", "seed out_dir gammas workers"),
-    "model": "lsm.model",
+    "model": "lsm.lif.model",
     "epochs": "learning.epochs",
     "dataset.kind": "dataset_kind",
     "dataset.path": "dataset_path",
@@ -190,7 +187,7 @@ KEYS = {
     "neuron.tau_s1": "lsm.lif.synapse.tau_s1_nom",
     "neuron.tau_s2": "lsm.lif.synapse.tau_s2_nom",
     "neuron.q": "lsm.lif.synapse.q",
-    "neuron.beta": "lsm.burst.beta",
+    "neuron.beta": "lsm.lif.beta",
     **_same("learning.", "learning.", "eta w_min w_max"),
     "learning.tau_trace": "learning.tau_trace_nom",
     "learning.margin": "learning.teacher_margin",

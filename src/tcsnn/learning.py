@@ -25,9 +25,9 @@ import numpy as np
 
 from .compress import plan_time_constant
 from .fixedpoint import FRAC_BITS, to_fixed
-from .network import (Network, ReadoutPass, ReservoirPass, _compile, _drive_bound, _learning_readout, run_readout,
-                      run_reservoir, simulate)
-from .neuron import prove_ranges
+from .network import (Network, ReadoutPass, ReservoirPass, _drive_bound, _learning_readout, run_readout, run_reservoir,
+                      simulate)
+from .neuron import compile_neuron, prove_ranges
 from .spike import SpikeDataset
 
 __all__ = [
@@ -151,7 +151,7 @@ class _ReadoutLearner:
         rate_and_bounds = (params.eta, params.w_min, params.w_max)
         self.eta_fp, self.w_min_fp, self.w_max_fp = (np.array(to_fixed(v)) for v in rate_and_bounds)  # 0-d arrays
         self.margin = params.teacher_margin
-        self.comp = comp = _compile(cfg, gamma)
+        self.comp = comp = compile_neuron(cfg.lif, gamma)
         # a weight is its start value until the learner clips the whole matrix
         reach = np.maximum(np.abs(self.w), max(abs(self.w_min_fp), abs(self.w_max_fp)))
         self.fits = prove_ranges(comp, _drive_bound(reach, comp.n_max))
@@ -286,7 +286,7 @@ def train_readout(
     epoch_acc = []
     learner = None
     if params.epochs:
-        learner = _ReadoutLearner(network, params, gamma, -(-dataset.length_steps // gamma))
+        learner = _ReadoutLearner(network, params, gamma, passes[0].spikes.shape[0])
         learner.register(passes[:n_train])
     for _ in range(params.epochs):
         correct = 0

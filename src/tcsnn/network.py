@@ -5,9 +5,9 @@ signed power-of-two synapses everywhere except the plastic reservoir->readout
 layer. A built network is the pre-designed SNN and holds no ratio: every
 run takes its own compression ratio gamma. The run merges each input
 channel's windows of gamma steps into weighted spikes and compiles the
-neuron (one row of :data:`~tcsnn.neuron.MODELS`) at gamma, with every time
-constant scaled exactly and realized through shifter schedules; reservoir
-and readout share that compiled neuron. gamma = 1 is the baseline: the raw
+config's neuron ``lif`` at gamma, with every time constant scaled exactly
+and realized through shifter schedules; the compiler's cache gives reservoir,
+readout and learner one compiled neuron. gamma = 1 is the baseline: the raw
 binary spikes and the nominal time constants.
 
 An example is a row of a :class:`~tcsnn.spike.SpikeDataset`, a boolean
@@ -67,7 +67,6 @@ saturation counts are the same either way. Bursting runs check every site.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +74,7 @@ import numpy as np
 from .compress import compress_train
 from .fixedpoint import FRAC_BITS, RAW_MAX, RAW_MIN, SCALE, SaturationCounter, saturate
 from .neuron import (
-    MODELS,
     STEP_FUNCTIONS,
-    BurstParams,
     CompiledNeuron,
     Fits,
     LIFParams,
@@ -121,10 +118,8 @@ class LsmConfig:
     in_exp_range: tuple = (0, 3)  # input weight exponents: |w| in 2**lo .. 2**hi
     in_positive_prob: float = 0.8  # input channels mostly excite
     res_exp_range: tuple = (0, 1)  # recurrent exponents; not contractive: activity outlasts the input
-    model: str = "iow-lif"
     seed: int = 0
-    lif: LIFParams = field(default_factory=LIFParams)
-    burst: BurstParams | None = None
+    lif: LIFParams = field(default_factory=LIFParams)  # the neuron of every layer
 
     def __post_init__(self):
         if len(self.reservoir_grid) != 3 or min(self.reservoir_grid) < 1:
@@ -144,10 +139,6 @@ class LsmConfig:
             raise ValueError("excitatory_fraction must be in (0, 1)")
         if not 0 <= self.input_fanout <= self.reservoir_size:
             raise ValueError(f"input_fanout must be in [0, {self.reservoir_size}], got {self.input_fanout}")
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r} (choose from {', '.join(MODELS)})")
-        if MODELS[self.model].bursting and self.lif.synapse.order != "zeroth":
-            raise ValueError("bursting models require a zeroth-order synapse")
 
 
 @dataclass
@@ -174,12 +165,6 @@ class Network:
     def fan_res(self) -> np.ndarray:
         """Structural fan-out per reservoir neuron (recurrent + full readout)."""
         return np.count_nonzero(self.w_res, axis=0) + self.config.num_readout
-
-
-@functools.lru_cache(maxsize=64)
-def _compile(config: LsmConfig, gamma: int) -> CompiledNeuron:
-    """The neuron of a run at ``gamma``, shared by reservoir and readout."""
-    return compile_neuron(config.model, config.lif, gamma, burst=config.burst)
 
 
 def build_lsm(config: LsmConfig) -> Network:
@@ -378,7 +363,7 @@ def run_reservoir(
     once, in order, so a generator of rows never holds them all at once.
     """
     cfg = network.config
-    comp = _compile(cfg, gamma)
+    comp = compile_neuron(cfg.lif, gamma)
     steps = None
     rows = []  # compressed input weights per example
     for row in examples:
@@ -401,7 +386,7 @@ def run_reservoir(
     batch, n_res = len(rows), cfg.reservoir_size
 
     bursting = comp.spec.bursting
-    step_fn = STEP_FUNCTIONS[cfg.model]
+    step_fn = STEP_FUNCTIONS[cfg.lif.model]
 
     amp_unit = RAW_MAX if bursting else SCALE  # largest amplitude of a weight-1 spike
     deliver_in = _Projection(network.w_in, w_max * amp_unit, FRAC_BITS)
@@ -500,10 +485,10 @@ def run_readout(
     if not passes:
         return []
     cfg = network.config
-    comp = _compile(cfg, gamma)
+    comp = compile_neuron(cfg.lif, gamma)
     batch, steps = len(passes), lengths[0]
     n_read = cfg.num_readout
-    step_fn = STEP_FUNCTIONS[cfg.model]
+    step_fn = STEP_FUNCTIONS[cfg.lif.model]
     w_out = network.w_out
 
     sat = SaturationCounter(rows=batch)

@@ -1,5 +1,6 @@
 """Fixed-point spiking neuron models: one integrate-fire-reset core.
 
+A :class:`LIFParams` is one whole neuron, its model and all its constants.
 Every model is a row of :data:`MODELS`, three switches on one datapath:
 
 - weighted in: the synaptic drive scales with input spike weights
@@ -43,6 +44,7 @@ register's.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -58,7 +60,6 @@ __all__ = [
     "ModelSpec",
     "SynapseParams",
     "LIFParams",
-    "BurstParams",
     "NeuronState",
     "CompiledNeuron",
     "new_neuron_state",
@@ -113,13 +114,15 @@ class SynapseParams:
 
 @dataclass(frozen=True)
 class LIFParams:
-    """Membrane parameters. tau_m_nom=inf selects a leakless integrator
-    (no decay, drive gain R) used for exact spike-mass accounting."""
+    """One whole neuron: its model (a row of :data:`MODELS`), membrane, synapse and burst constant beta.
+    tau_m_nom=inf selects a leakless integrator (no decay, drive gain R) used for exact spike-mass accounting."""
 
+    model: str = "iow-lif"
     tau_m_nom: float = 32.0
     u_th: float = 1.0
     R: float = 1.0
     n_max: int = 7
+    beta: float = 1.5
     synapse: SynapseParams = field(default_factory=SynapseParams)
 
     def __post_init__(self):
@@ -131,22 +134,16 @@ class LIFParams:
             raise ValueError("R must be finite")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
+        if self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r} (choose from {', '.join(MODELS)})")
+        if MODELS[self.model].bursting and self.synapse.order != "zeroth":
+            raise ValueError("bursting models require a zeroth-order synapse")
 
     @property
     def leakless(self) -> bool:
         return math.isinf(self.tau_m_nom)
-
-
-@dataclass(frozen=True)
-class BurstParams:
-    """Burst function constant; the threshold set it scales is the
-    membrane's own (``LIFParams.u_th`` and ``n_max``)."""
-
-    beta: float = 1.5
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError("beta must be positive and finite")
 
 
 @dataclass
@@ -216,14 +213,11 @@ def _second_order_peak(tau_rise_c: float, tau_decay_c: float) -> float:
     return best
 
 
-def compile_neuron(
-    model: str,
-    lif: LIFParams,
-    gamma: int,
-    burst: BurstParams | None = None,
-) -> CompiledNeuron:
+@functools.lru_cache(maxsize=64)
+def compile_neuron(lif: LIFParams, gamma: int) -> CompiledNeuron:
     """Precompute fixed-point gains and decay schedules for one ratio.
 
+    Equal parameters at one ratio share one cached result, whose arrays are read-only.
     The beta**k table covers every spike weight a bursting source can emit
     at ``gamma``: up to n_max from a neuron, up to gamma from an input channel.
     It ends at its first entry that reaches its limit, as every later entry
@@ -232,15 +226,7 @@ def compile_neuron(
     past the register, a threshold that rounds to zero, or a time constant
     whose shifts would pass the register's width.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    spec = MODELS[model]
-    if spec.bursting:
-        if burst is None:
-            raise ValueError(f"{model} requires BurstParams")
-        if lif.synapse.order != "zeroth":
-            raise ValueError("bursting models require a zeroth-order synapse")
-
+    spec = MODELS[lif.model]
     syn = lif.synapse
     if lif.leakless:
         tau_m_plan = None
@@ -268,7 +254,7 @@ def compile_neuron(
         # past the register is held one LSB above it, the limit when beta > 1: the
         # gain it scales is at least 1.0, so burst_gain_update's product clamps and
         # counts. When beta < 1 the limit is 0; when beta = 1 every entry is 1.0.
-        beta = np.float64(burst.beta)
+        beta = np.float64(lif.beta)
         limit = RAW_MAX + 1 if beta > 1 else 0 if beta < 1 else SCALE
         powers = [SCALE]  # beta**0
         with np.errstate(over="ignore"):

@@ -146,6 +146,19 @@ class EventFileError(ValueError):
     """Raised on malformed event files, with the offending line number."""
 
 
+def read_text(path, error: type[ValueError]) -> str:
+    """The text at ``path``, each line ending in ``\\n``; a byte that is not UTF-8 raises ``error`` at its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:  # a bad byte reads as a lone surrogate
+        text = fh.read()
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as err:  # at the first lone surrogate
+            lineno = text.count("\n", 0, err.start) + 1
+            raise error(f"{path}:{lineno}: not UTF-8 text") from None
+    return text
+
+
 def load_event_file(path) -> SpikeDataset:
     """Load a dataset from an event file; the only reader of the format.
 
@@ -159,9 +172,8 @@ def load_event_file(path) -> SpikeDataset:
     zero takes no ``-``. A malformed file raises :class:`EventFileError`
     naming its first offending line as ``path:line``.
     """
-    try:  # reading ends every line in \n, and turns each byte that is not UTF-8 into a lone surrogate
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            text = fh.read()
+    try:
+        text = read_text(path, EventFileError)
     except FileNotFoundError:
         raise FileNotFoundError(f"event file not found: {path}") from None
 
@@ -171,11 +183,6 @@ def load_event_file(path) -> SpikeDataset:
     def line(pos: int) -> int:
         return text.count("\n", 0, pos) + 1
 
-    if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as err:  # at the first lone surrogate
-            fail(line(err.start), "not UTF-8 text")
     if "#" in text:
         text = _COMMENT.sub("", text)
     start = len(text) - len(text.lstrip(_BLANK))

@@ -16,8 +16,8 @@ import numpy as np
 
 from tcsnn.fixedpoint import FRAC_BITS, SaturationCounter, saturate, to_fixed
 from tcsnn.learning import classify, trace_plan
-from tcsnn.network import ReadoutPass, _burst_drives, _compile, _plan_shifts, run_reservoir
-from tcsnn.neuron import NO_PROOF, STEP_FUNCTIONS, new_neuron_state, synapse_step
+from tcsnn.network import ReadoutPass, _burst_drives, _plan_shifts, run_reservoir
+from tcsnn.neuron import NO_PROOF, STEP_FUNCTIONS, compile_neuron, new_neuron_state, synapse_step
 
 
 class ReferenceLearner:
@@ -30,7 +30,7 @@ class ReferenceLearner:
         self.w_min_fp = to_fixed(params.w_min)
         self.w_max_fp = to_fixed(params.w_max)
         self.margin = params.teacher_margin
-        self.comp = _compile(network.config, gamma)
+        self.comp = compile_neuron(network.config.lif, gamma)
         self.k_seq = trace_plan(params, gamma, self.comp.n_max).shifts(steps).tolist()
         self.trace = np.zeros(network.config.reservoir_size, dtype=np.int64)
         self.label = 0
@@ -53,7 +53,7 @@ class ReferenceLearner:
         sat = SaturationCounter(rows=1)
         state = new_neuron_state((1, n), comp.spec.bursting)
         k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
-        step_fn = STEP_FUNCTIONS[self.network.config.model]
+        step_fn = STEP_FUNCTIONS[self.network.config.lif.model]
         bursts = _burst_drives(self.w, res) if comp.spec.bursting else None
         outs = []
         for t in range(steps):

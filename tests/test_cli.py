@@ -81,7 +81,7 @@ RESOURCES = "resources.baseline.lut = 100\nresources.baseline.ff = 50\nresources
 @pytest.mark.parametrize("baseline_accuracy, atel_cells", [(100.0, ["", ""]), (90.0, ["100", "10"])])
 def test_perfect_baseline_leaves_the_atel_cells_empty(tmp_path, monkeypatch, baseline_accuracy, atel_cells):
     def scored(config, gamma, dataset):
-        return RunReport(gamma=gamma, model=config.lsm.model, seed=config.seed,
+        return RunReport(gamma=gamma, model=config.lsm.lif.model, seed=config.seed,
                          accuracy=baseline_accuracy if gamma == 1 else 80.0, timestep_count=40 // gamma,
                          input_length=40, speedup=float(gamma), counters={}, energy=100.0 / gamma)
 
@@ -234,6 +234,8 @@ REJECTIONS = [
     pytest.param(None, RUN, 1, "config error: config file not found: exp.cfg", id="missing-config"),
     pytest.param(CONFIG + "lsm.grid 3 3 3\n", RUN, 1, "config error: exp.cfg:13: expected 'key = value'",
                  id="no-equals"),
+    pytest.param(CONFIG.encode().replace(b"seed = 3", b"seed = 3  # \xff"), RUN, 1,
+                 "config error: exp.cfg:2: not UTF-8 text", id="not-utf-8"),
     pytest.param(CONFIG + "seed = 4\n", RUN, 1, "config error: exp.cfg:13: duplicate key 'seed'", id="duplicate-key"),
     pytest.param(CONFIG.replace("schema_version = 1\n", ""), RUN, 1, "config error: exp.cfg: missing schema_version",
                  id="no-schema-version"),
@@ -282,7 +284,7 @@ def test_rejection_exits_with_its_code_and_message(tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.events").write_text("channels=20 classes=3 steps=40\n")
     if text is not None:
-        (tmp_path / "exp.cfg").write_text(text)
+        (tmp_path / "exp.cfg").write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main([*command, "--config", "exp.cfg", "--out", "out"]) == code
     assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "out").exists()

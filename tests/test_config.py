@@ -10,7 +10,7 @@ CASES = {
     "out_dir": ("elsewhere", lambda c: c.out_dir, "elsewhere"),
     "gammas": ("1 8", lambda c: c.gammas, (1, 8)),
     "workers": ("2", lambda c: c.workers, 2),
-    "model": ("lif", lambda c: c.lsm.model, "lif"),
+    "model": ("lif", lambda c: c.lsm.lif.model, "lif"),
     "epochs": ("2", lambda c: c.learning.epochs, 2),
     "dataset.kind": ("event_file\ndataset.path = x.events", lambda c: c.dataset_kind, "event_file"),
     "dataset.path": ("x.events", lambda c: c.dataset_path, "x.events"),
@@ -40,7 +40,7 @@ CASES = {
     "neuron.tau_s1": ("3", lambda c: c.lsm.lif.synapse.tau_s1_nom, 3.0),
     "neuron.tau_s2": ("6", lambda c: c.lsm.lif.synapse.tau_s2_nom, 6.0),
     "neuron.q": ("0.5", lambda c: c.lsm.lif.synapse.q, 0.5),
-    "neuron.beta": ("2", lambda c: c.lsm.burst.beta, 2.0),
+    "neuron.beta": ("2", lambda c: c.lsm.lif.beta, 2.0),
     "learning.eta": ("0.01", lambda c: c.learning.eta, 0.01),
     "learning.tau_trace": ("8", lambda c: c.learning.tau_trace_nom, 8.0),
     "learning.margin": ("2", lambda c: c.learning.teacher_margin, 2),
@@ -94,8 +94,8 @@ def test_lsm_config_fills_the_per_run_fields(tmp_path):
     dataset = cfg.make_dataset()
     lsm = cfg.make_lsm_config(dataset)
     assert (lsm.num_inputs, lsm.num_readout, lsm.seed) == (dataset.num_channels, dataset.num_classes, 4)
-    assert lsm.burst.beta == 1.5
-    assert load(tmp_path, "").make_lsm_config(dataset).burst is None
+    assert (lsm.lif.model, lsm.lif.beta) == ("iow-burst-lif", 1.5)
+    assert lsm.lif is cfg.lsm.lif
 
 
 # (file lines after schema_version, the line to report, a fragment of the message)
@@ -109,6 +109,9 @@ INVALID = {
     "epochs": ("epochs = -1\n", 2, "epochs must be >= 0"),
     "model/synapse pairing": ("model = burst-lif\n", 2, "zeroth-order synapse"),
     "unknown model": ("model = izhikevich\n", 2, "unknown model"),
+    "zero burst constant": ("neuron.beta = 0\n", 2, "neuron.beta: beta must be positive and finite"),
+    # beta is checked for every model, bursting or not
+    "infinite burst constant": ("neuron.beta = inf\nmodel = lif\n", 2, "neuron.beta: beta must be positive and finite"),
     "unknown key": ("seed = 3\nlsm.reservoir = 27\n", 3, "unknown key 'lsm.reservoir'"),
     "nan": ("learning.eta = nan\n", 2, "expected a number"),
     "infinite rate": ("learning.eta = inf\n", 2, "eta must be >= 0 and finite"),

@@ -26,8 +26,8 @@ import tcsnn.network as network
 import tcsnn.neuron as neuron
 from tcsnn.fixedpoint import RAW_MAX
 from tcsnn.learning import LearningParams, _ReadoutLearner
-from tcsnn.network import ReservoirPass, _compile, _Projection, run_readout, run_reservoir, simulate
-from tcsnn.neuron import NO_PROOF, BurstParams
+from tcsnn.network import ReservoirPass, _Projection, run_readout, run_reservoir, simulate
+from tcsnn.neuron import NO_PROOF, compile_neuron
 
 GAMMAS = (1, 2, 4, 8, 16)
 CASES = [(model, order, gamma) for model, orders in ORDERS.items() for order in orders for gamma in GAMMAS]
@@ -71,7 +71,7 @@ def test_batched_reservoir_equals_serial_and_readout_equals_full_run(case, specs
     examples = [encode(peak, seed, length) for peak, seed in specs]
     batch = run_reservoir(net, examples, gamma, record_potentials=True)
     assert len(batch) == len(examples)
-    comp = _compile(net.config, gamma)
+    comp = compile_neuron(net.config.lif, gamma)
     for example, together in zip(examples, batch):
         (alone,) = run_reservoir(net, [example], gamma, record_potentials=True)
         assert_same_pass(together, alone)
@@ -137,7 +137,7 @@ def synthetic_pass(net, gamma, length, density, seed):
 
     A bursting pass takes its amplitudes from the reference replay of its spikes.
     """
-    comp = _compile(net.config, gamma)
+    comp = compile_neuron(net.config.lif, gamma)
     n_max = comp.n_max
     steps, n_res = -(-length // gamma), net.config.reservoir_size
     rng = np.random.default_rng(seed)
@@ -153,8 +153,8 @@ def with_constants(net, tau_m_nom, R, u_th, q, beta):
     """``net``, sharing its weights, with other neuron constants."""
     cfg = net.config
     synapse = dataclasses.replace(cfg.lif.synapse, q=q)
-    lif = dataclasses.replace(cfg.lif, tau_m_nom=tau_m_nom, R=R, u_th=u_th, synapse=synapse)
-    return dataclasses.replace(net, config=dataclasses.replace(cfg, lif=lif, burst=cfg.burst and BurstParams(beta)))
+    lif = dataclasses.replace(cfg.lif, tau_m_nom=tau_m_nom, R=R, u_th=u_th, beta=beta, synapse=synapse)
+    return dataclasses.replace(net, config=dataclasses.replace(cfg, lif=lif))
 
 
 @pytest.mark.parametrize("case, loud", READOUT_CASES)

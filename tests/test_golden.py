@@ -21,7 +21,7 @@ import pytest
 from traces import poisson_encode
 
 from tcsnn.network import LsmConfig, build_lsm, simulate
-from tcsnn.neuron import BurstParams, LIFParams, SynapseParams
+from tcsnn.neuron import LIFParams, SynapseParams
 
 CHANNELS, STEPS, READOUT = 20, 120, 3
 GAMMAS = (1, 4, 16)
@@ -129,10 +129,8 @@ def _network(model, order):
         reservoir_size=27,
         num_readout=READOUT,
         reservoir_grid=(3, 3, 3),
-        model=model,
         seed=3,
-        lif=LIFParams(synapse=SynapseParams(order=order)),
-        burst=BurstParams(beta=1.5) if model in ("burst-lif", "iow-burst-lif") else None,
+        lif=LIFParams(model=model, synapse=SynapseParams(order=order)),
     )
     net = build_lsm(cfg)
     rng = np.random.default_rng(4)

@@ -9,10 +9,11 @@ from test_golden import CHANNELS, ORDERS, _network
 
 from tcsnn.fixedpoint import to_fixed
 import tcsnn.learning
+import tcsnn.neuron
 from tcsnn.learning import (TRACE_STRIDE, LearningParams, _ReadoutLearner, evaluate, split_dataset, trace_plan,
                             train_readout)
-from tcsnn.network import LsmConfig, ReservoirPass, _compile, _learning_readout, build_lsm, run_reservoir
-from tcsnn.neuron import new_neuron_state
+from tcsnn.network import LsmConfig, ReservoirPass, _learning_readout, build_lsm, run_reservoir
+from tcsnn.neuron import compile_neuron, integrate_fire, new_neuron_state
 from tcsnn.spike import synthetic_task
 
 
@@ -78,6 +79,31 @@ def test_training_runs_the_reservoir_once_and_returns_the_test_passes(monkeypatc
     accuracy, no_spike, runs = evaluate(net, dataset, test_idx, 2, report.test_passes)
     assert (accuracy, no_spike) == (report.test_accuracy, report.no_spike_examples)
     assert all(np.array_equal(a.outs, b.outs) for a, b in zip(runs, report.test_readouts))
+
+
+def test_a_run_shares_one_compiled_neuron(monkeypatch):
+    # the reservoir, the learner and the frozen readout of one training run
+    # take the neuron compiled once at its ratio, from the compiler's cache
+    net, dataset = small_task()
+    seen = []  # (layer width, or "learner", and the compiled neuron it ran on)
+
+    def step(state, i_fp, comp, *args, **kwargs):
+        seen.append((i_fp.shape[-1], comp))
+        return integrate_fire(state, i_fp, comp, *args, **kwargs)
+
+    def learning(network, res, comp, *args):
+        seen.append(("learner", comp))
+        return _learning_readout(network, res, comp, *args)
+
+    monkeypatch.setitem(tcsnn.neuron.STEP_FUNCTIONS, net.config.lif.model, step)
+    monkeypatch.setattr(tcsnn.learning, "_learning_readout", learning)
+    compile_neuron.cache_clear()
+    train_readout(net, dataset, split_dataset(dataset, 0.5, seed=0), LearningParams(epochs=1), gamma=2)
+    assert {source for source, _ in seen} == {27, 2, "learner"}  # reservoir, frozen readout, learner
+    assert len({id(comp) for _, comp in seen}) == 1
+    assert seen[0][1] is compile_neuron(net.config.lif, 2)
+    info = compile_neuron.cache_info()
+    assert info.misses == 1 and info.hits >= 3
 
 
 def _pass(spikes, gamma=2):
@@ -157,7 +183,7 @@ def test_the_checkpointed_trace_is_the_stepwise_recurrence(gamma, steps, seed):
     # strides or, for a pass never registered, from the empty trace
     net, _ = small_task()
     params = LearningParams(eta=0.0)
-    shifts = trace_plan(params, gamma, _compile(net.config, gamma).n_max).shifts(steps)
+    shifts = trace_plan(params, gamma, compile_neuron(net.config.lif, gamma).n_max).shifts(steps)
     if gamma == 4 and steps > 1:
         assert set(shifts.tolist()) == {2, 3}
     learner = _ReadoutLearner(net, params, gamma=gamma, steps=steps)

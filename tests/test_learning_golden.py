@@ -27,7 +27,7 @@ import pytest
 from tcsnn import learning
 from tcsnn.learning import LearningParams, split_dataset, train_readout
 from tcsnn.network import LsmConfig, build_lsm
-from tcsnn.neuron import BurstParams, LIFParams, SynapseParams
+from tcsnn.neuron import LIFParams, SynapseParams
 from tcsnn.spike import synthetic_task
 
 CLASSES, CHANNELS, STEPS = 3, 20, 40
@@ -81,10 +81,8 @@ def _train(model, order, gamma, variant=None):
         reservoir_size=27,
         num_readout=CLASSES,
         reservoir_grid=(3, 3, 3),
-        model=model,
         seed=3,
-        lif=LIFParams(tau_m_nom=tau_m, synapse=SynapseParams(order=order)),
-        burst=BurstParams() if "burst" in model else None,
+        lif=LIFParams(model=model, tau_m_nom=tau_m, synapse=SynapseParams(order=order)),
     )
     net = build_lsm(cfg)
     params = LOUD if variant == "clamping" else PARAMS

@@ -9,6 +9,7 @@ from traces import poisson_encode
 from tcsnn.compress import compress_train
 from tcsnn.metrics import AtelInputs, atel, binned_raster_distance, spike_statistics
 from tcsnn.network import LsmConfig, build_lsm, run_reservoir, simulate
+from tcsnn.neuron import LIFParams
 
 
 def inputs(accuracy, lut=100, ff=50, runtime=10.0, energy=20.0):
@@ -46,7 +47,7 @@ EXAMPLE = poisson_encode(np.full(6, 0.3), 64, seed=4)
 @functools.cache
 def network(reservoir_size=27, grid=(3, 3, 3), channels=6, model="iow-lif"):
     return build_lsm(LsmConfig(num_inputs=channels, reservoir_size=reservoir_size, num_readout=3, reservoir_grid=grid,
-                               model=model, seed=2))
+                               lif=LIFParams(model=model), seed=2))
 
 
 def traces(gamma):

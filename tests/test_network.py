@@ -6,7 +6,7 @@ import pytest
 from tcsnn.config import ExperimentConfig
 from tcsnn.fixedpoint import RAW_MAX, SCALE, SaturationCounter, to_fixed
 from tcsnn.network import LsmConfig, build_lsm, simulate
-from tcsnn.neuron import BurstParams, LIFParams, SynapseParams, burst_gain_update, compile_neuron
+from tcsnn.neuron import LIFParams, SynapseParams, burst_gain_update, compile_neuron
 
 
 def small_config(**overrides):
@@ -17,12 +17,11 @@ def small_config(**overrides):
 
 def test_unknown_model_rejected():
     with pytest.raises(ValueError, match="unknown model"):
-        small_config(model="izhikevich")
+        small_config(lif=LIFParams(model="izhikevich"))
 
 
 def test_input_burst_gain_clamp_is_counted():
-    lif = LIFParams(synapse=SynapseParams(order="zeroth"))
-    comp = compile_neuron("iow-burst-lif", lif, 16, burst=BurstParams(beta=1.5))
+    comp = compile_neuron(LIFParams(model="iow-burst-lif", synapse=SynapseParams(order="zeroth")), 16)
     sat = SaturationCounter(rows=1)
     gain = np.full(2, SCALE, dtype=np.int64)
     prev = np.array([16, 0])  # channel 0 fires weight 16 every step, channel 1 is silent
@@ -36,8 +35,7 @@ def test_input_burst_gain_clamp_is_counted():
 def test_beta_table_covers_every_input_weight():
     # at gamma 32 an input channel emits weights up to 32, so a weight-20
     # spike scales its gain by beta**20, not by the table's last power
-    lif = LIFParams(synapse=SynapseParams(order="zeroth"))
-    comp = compile_neuron("iow-burst-lif", lif, 32, burst=BurstParams(beta=1.5))
+    comp = compile_neuron(LIFParams(model="iow-burst-lif", synapse=SynapseParams(order="zeroth")), 32)
     gain = burst_gain_update(np.full(1, SCALE, dtype=np.int64), np.array([20]), comp)
     assert gain[0] == to_fixed(1.5**20) == 217_924_025
 
@@ -46,7 +44,7 @@ def test_documented_input_gain_saturation():
     # The default task's example 99 drives one input channel's burst gain to
     # about 37,877, past the 32-bit register's 32,768. Clamping it changes no
     # spike and no potential, and adds one to the saturation count (49 -> 50).
-    lsm = LsmConfig(model="iow-burst-lif", lif=LIFParams(synapse=SynapseParams(order="zeroth")), burst=BurstParams())
+    lsm = LsmConfig(lif=LIFParams(model="iow-burst-lif", synapse=SynapseParams(order="zeroth")))
     cfg = ExperimentConfig(lsm=lsm)
     dataset = cfg.make_dataset()
     net = build_lsm(cfg.make_lsm_config(dataset))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from traces import from_fixed
 
 from tcsnn.fixedpoint import RAW_MAX, SCALE, SaturationCounter, to_fixed
 from tcsnn.neuron import (
-    BurstParams,
     LIFParams,
     SynapseParams,
     _second_order_peak,
@@ -38,8 +38,8 @@ def burst_g_update(g_prev, fired_prev, spike_weight, beta: float):
 ZEROTH = SynapseParams(order="zeroth")
 
 
-def leakless_params(n_max=7, R=1.0):
-    return LIFParams(tau_m_nom=math.inf, u_th=1.0, R=R, n_max=n_max, synapse=ZEROTH)
+def leakless_params(n_max=7, R=1.0, model="iow-lif", beta=1.5):
+    return LIFParams(model=model, tau_m_nom=math.inf, u_th=1.0, R=R, n_max=n_max, beta=beta, synapse=ZEROTH)
 
 
 def fp_vec(*values):
@@ -48,7 +48,7 @@ def fp_vec(*values):
 
 class TestSynapseStep:
     def test_zeroth_order_passthrough(self):
-        comp = compile_neuron("iow-lif", leakless_params(), 1)
+        comp = compile_neuron(leakless_params(), 1)
         state = new_neuron_state(3)
         drive = fp_vec(0.5, -1.0, 2.0)
         assert np.array_equal(synapse_step(state, drive, comp), drive)
@@ -56,7 +56,7 @@ class TestSynapseStep:
     def test_first_order_impulse_geometric(self):
         # unit impulse: I(t) = q * (3/4)^t for tau_s = 4
         params = LIFParams(synapse=SynapseParams(order="first", tau_s1_nom=4.0, q=1.0))
-        comp = compile_neuron("iow-lif", params, 1)
+        comp = compile_neuron(params, 1)
         state = new_neuron_state(1)
         ks = comp.tau_s1_plan.shifts(20)
         outs = []
@@ -70,7 +70,7 @@ class TestSynapseStep:
         # shifter decay has a truncation deadband: positive values stall
         # once x >> k is 0, i.e. below 2**k raw units (~1e-4 of threshold)
         params = LIFParams(synapse=SynapseParams(order="first", tau_s1_nom=4.0))
-        comp = compile_neuron("iow-lif", params, 1)
+        comp = compile_neuron(params, 1)
         state = new_neuron_state(1)
         prev = int(synapse_step(state, fp_vec(3.0), comp, k_s1=2)[0])
         for _ in range(200):
@@ -82,7 +82,7 @@ class TestSynapseStep:
 
     def test_second_order_unimodal_peak_near_q(self):
         params = LIFParams(synapse=SynapseParams(order="second", tau_s1_nom=4.0, tau_s2_nom=8.0, q=1.0))
-        comp = compile_neuron("iow-lif", params, 1)
+        comp = compile_neuron(params, 1)
         state = new_neuron_state(1)
         k1 = comp.tau_s1_plan.shifts(60)
         k2 = comp.tau_s2_plan.shifts(60)
@@ -111,7 +111,7 @@ class TestSynapseStep:
 
 class TestLifStep:
     def test_rest_stays_at_rest(self):
-        comp = compile_neuron("lif", LIFParams(tau_m_nom=8.0, synapse=ZEROTH), 1)
+        comp = compile_neuron(LIFParams(model="lif", tau_m_nom=8.0, synapse=ZEROTH), 1)
         state = new_neuron_state(1)
         for _ in range(10):
             out = integrate_fire(state, fp_vec(0.0), comp, k_m=3)
@@ -119,7 +119,7 @@ class TestLifStep:
 
     def test_subthreshold_equilibrium_never_fires(self):
         # constant drive with equilibrium u* = R*I = 0.8 < u_th
-        comp = compile_neuron("lif", LIFParams(tau_m_nom=8.0, u_th=1.0, R=1.0, synapse=ZEROTH), 1)
+        comp = compile_neuron(LIFParams(model="lif", tau_m_nom=8.0, u_th=1.0, R=1.0, synapse=ZEROTH), 1)
         state = new_neuron_state(1)
         for _ in range(500):
             out = integrate_fire(state, fp_vec(0.8), comp, k_m=3)
@@ -127,7 +127,7 @@ class TestLifStep:
         assert from_fixed(state.u[0]) == pytest.approx(0.8, abs=0.01)
 
     def test_threshold_crossing_soft_reset(self):
-        comp = compile_neuron("lif", leakless_params(), 1)
+        comp = compile_neuron(leakless_params(model="lif"), 1)
         state = new_neuron_state(1)
         state.u[0] = to_fixed(1.3)
         out = integrate_fire(state, fp_vec(0.0), comp)
@@ -137,7 +137,7 @@ class TestLifStep:
 
 class TestIowStep:
     def test_weight_two_reset(self):
-        comp = compile_neuron("iow-lif", leakless_params(), 1)
+        comp = compile_neuron(leakless_params(), 1)
         state = new_neuron_state(1)
         state.u[0] = to_fixed(2.5)
         out = integrate_fire(state, fp_vec(0.0), comp)
@@ -145,7 +145,7 @@ class TestIowStep:
         assert state.u[0] == to_fixed(0.5)
 
     def test_below_threshold_no_reset(self):
-        comp = compile_neuron("iow-lif", leakless_params(), 1)
+        comp = compile_neuron(leakless_params(), 1)
         state = new_neuron_state(1)
         state.u[0] = to_fixed(0.9)
         out = integrate_fire(state, fp_vec(0.0), comp)
@@ -153,7 +153,7 @@ class TestIowStep:
         assert state.u[0] == to_fixed(0.9)
 
     def test_saturated_output_keeps_residual(self):
-        comp = compile_neuron("iow-lif", leakless_params(n_max=7), 1)
+        comp = compile_neuron(leakless_params(n_max=7), 1)
         state = new_neuron_state(1)
         state.u[0] = to_fixed(9.0)
         out = integrate_fire(state, fp_vec(0.0), comp)
@@ -164,7 +164,7 @@ class TestIowStep:
 
     def test_residual_bounded_below_saturation(self):
         rng = np.random.default_rng(3)
-        comp = compile_neuron("iow-lif", leakless_params(n_max=7, R=0.3), 1)
+        comp = compile_neuron(leakless_params(n_max=7, R=0.3), 1)
         state = new_neuron_state(1)
         for _ in range(300):
             w = int(rng.integers(0, 8))
@@ -175,7 +175,7 @@ class TestIowStep:
                 assert state.u[0] >= 0
 
     def test_iw_clamps_output_and_single_reset(self):
-        comp = compile_neuron("iw-lif", leakless_params(), 1)
+        comp = compile_neuron(leakless_params(model="iw-lif"), 1)
         state = new_neuron_state(1)
         state.u[0] = to_fixed(2.5)
         out = integrate_fire(state, fp_vec(0.0), comp)
@@ -183,7 +183,7 @@ class TestIowStep:
         assert state.u[0] == to_fixed(1.5)
 
     def test_iw_below_threshold(self):
-        comp = compile_neuron("iw-lif", leakless_params(), 1)
+        comp = compile_neuron(leakless_params(model="iw-lif"), 1)
         state = new_neuron_state(1)
         state.u[0] = to_fixed(0.5)
         assert integrate_fire(state, fp_vec(0.0), comp)[0] == 0
@@ -212,7 +212,7 @@ class TestLeaklessConservation:
             bits = (rng.random(length) < rng.random()).astype(np.int64)
             expected = baseline_count_oracle(bits, r_fp, 1 << 16, 7)
             for gamma in (1, 2, 3, 5, 8, 16):
-                comp = compile_neuron("iow-lif", params, gamma)
+                comp = compile_neuron(params, gamma)
                 state = new_neuron_state(1)
                 out_len = -(-length // gamma)
                 padded = np.zeros(out_len * gamma, dtype=np.int64)
@@ -244,9 +244,8 @@ class TestBurst:
 
     def test_beta_one_burst_equals_plain_iow(self):
         params = LIFParams(tau_m_nom=8.0, u_th=1.0, R=0.5, n_max=7, synapse=ZEROTH)
-        burst = BurstParams(beta=1.0)
-        comp_b = compile_neuron("iow-burst-lif", params, 1, burst=burst)
-        comp_p = compile_neuron("iow-lif", params, 1)
+        comp_b = compile_neuron(replace(params, model="iow-burst-lif", beta=1.0), 1)
+        comp_p = compile_neuron(params, 1)
         st_b = new_neuron_state(1, bursting=True)
         st_p = new_neuron_state(1)
         rng = np.random.default_rng(8)
@@ -258,9 +257,7 @@ class TestBurst:
             assert st_b.u[0] == st_p.u[0]
 
     def test_threshold_set_scales_with_g(self):
-        params = leakless_params()
-        burst = BurstParams(beta=0.8)
-        comp = compile_neuron("iow-burst-lif", params, 1, burst=burst)
+        comp = compile_neuron(leakless_params(model="iow-burst-lif", beta=0.8), 1)
         state = new_neuron_state(1, bursting=True)
         state.prev_out[0] = 1  # fired last step: g becomes beta * 1 = 0.8
         thr = (to_fixed(0.8) * comp.u_th_fp) >> 16
@@ -270,9 +267,7 @@ class TestBurst:
         assert state.u[0] == to_fixed(1.2) - thr
 
     def test_binary_burst_step_resets_by_g_uth(self):
-        params = leakless_params()
-        burst = BurstParams(beta=2.0)
-        comp = compile_neuron("burst-lif", params, 1, burst=burst)
+        comp = compile_neuron(leakless_params(model="burst-lif", beta=2.0), 1)
         state = new_neuron_state(1, bursting=True)
         state.u[0] = to_fixed(1.5)
         out = integrate_fire(state, np.zeros(1, dtype=np.int64), comp)
@@ -286,7 +281,7 @@ class TestBurst:
         # powers of 1e30 soon pass float range; the table ends at the first
         # one past the register, and a lookup at or past it makes the gain it
         # scales saturate, counted
-        comp = compile_neuron("iow-burst-lif", leakless_params(), 1, burst=BurstParams(beta=1e30))
+        comp = compile_neuron(leakless_params(model="iow-burst-lif", beta=1e30), 1)
         assert comp.beta_pow_fp.tolist() == [SCALE, RAW_MAX + 1]
         sat = SaturationCounter(rows=1)
         g = burst_gain_update(np.full(3, SCALE), np.array([1, 7, 0]), comp, sat)
@@ -295,7 +290,7 @@ class TestBurst:
 
     def test_huge_n_max_compiles_a_short_table(self):
         # a table of every power up to n_max would hold 10**9 + 1 entries
-        comp = compile_neuron("iow-burst-lif", leakless_params(n_max=10**9), 1, burst=BurstParams(beta=1.5))
+        comp = compile_neuron(leakless_params(n_max=10**9, model="iow-burst-lif"), 1)
         lut = comp.beta_pow_fp
         assert len(lut) <= 27
         assert lut[-1] == RAW_MAX + 1 and lut[-2] <= RAW_MAX
@@ -310,7 +305,7 @@ class TestBurst:
         gamma=st.integers(1, 16),
     )
     def test_truncated_beta_table_looks_up_as_the_full_one(self, beta, n_max, gamma):
-        comp = compile_neuron("iow-burst-lif", leakless_params(n_max), gamma, burst=BurstParams(beta=beta))
+        comp = compile_neuron(leakless_params(n_max, model="iow-burst-lif", beta=beta), gamma)
         with np.errstate(over="ignore"):
             powers = np.array([np.float64(beta) ** k for k in range(max(n_max, gamma) + 1)])
             full = np.minimum(np.rint(powers * SCALE), RAW_MAX + 1).astype(np.int64)
@@ -318,12 +313,12 @@ class TestBurst:
         assert [lut[min(w, len(lut) - 1)] for w in range(len(full))] == full.tolist()
 
     def test_burst_requires_zeroth_order(self):
-        with pytest.raises(ValueError):
-            compile_neuron("iow-burst-lif", LIFParams(), 1, burst=BurstParams(beta=1.5))
+        with pytest.raises(ValueError, match="bursting models require a zeroth-order synapse"):
+            LIFParams(model="iow-burst-lif")
 
-    def test_burst_requires_params(self):
-        with pytest.raises(ValueError):
-            compile_neuron("burst-lif", leakless_params(), 1)
+    def test_burst_takes_the_default_beta(self):
+        comp = compile_neuron(leakless_params(model="burst-lif"), 1)
+        assert comp.beta_pow_fp[:2].tolist() == [SCALE, round(1.5 * SCALE)]
 
 
 class TestFixedVsRealReference:
@@ -332,7 +327,7 @@ class TestFixedVsRealReference:
         # 1% of full scale and spike counts within 2% over 1000 steps
         params = LIFParams(tau_m_nom=8.0, u_th=1.0, R=2.0,
                            synapse=SynapseParams(order="first", tau_s1_nom=4.0, q=1.0))
-        comp = compile_neuron("iow-lif", params, 1)
+        comp = compile_neuron(params, 1)
         state = new_neuron_state(1)
         k_m = comp.tau_m_plan.shifts(1000)
         k_s = comp.tau_s1_plan.shifts(1000)
@@ -365,13 +360,24 @@ class TestFixedVsRealReference:
 def test_saturation_is_counted_not_silent():
     # a full-scale drive every step outruns seven thresholds of 100.0 a step
     params = LIFParams(tau_m_nom=math.inf, u_th=100.0, R=1.0, synapse=ZEROTH)
-    comp = compile_neuron("iow-lif", params, 1)
+    comp = compile_neuron(params, 1)
     state = new_neuron_state(1)
     sat = SaturationCounter(rows=1)
     for _ in range(10):
         integrate_fire(state, np.array([RAW_MAX]), comp, sat=sat)
     assert sat.count[0] > 0
     assert state.u[0] <= RAW_MAX
+
+
+def test_equal_params_compile_to_one_read_only_neuron():
+    lif = LIFParams(model="iow-burst-lif", synapse=ZEROTH)
+    comp = compile_neuron(lif, 4)
+    assert compile_neuron(replace(lif), 4) is comp  # an equal, distinct object
+    assert compile_neuron(lif, 8) is not comp
+    assert not comp.beta_pow_fp.flags.writeable
+    second = compile_neuron(LIFParams(), 4)
+    for plan in (second.tau_m_plan, second.tau_s1_plan, second.tau_s2_plan):
+        assert not plan.shifts(10).flags.writeable
 
 
 def test_invalid_params_rejected():
@@ -384,4 +390,6 @@ def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         SynapseParams(order="third")
     with pytest.raises(ValueError):
-        BurstParams(beta=0.0)
+        LIFParams(beta=0.0)
+    with pytest.raises(ValueError):
+        LIFParams(model="izhikevich")

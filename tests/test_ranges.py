@@ -28,11 +28,10 @@ import tcsnn.network as network
 import tcsnn.neuron as neuron
 from tcsnn.fixedpoint import RAW_MAX, RAW_MIN, SaturationCounter, saturate
 from tcsnn.learning import LearningParams, _ReadoutLearner
-from tcsnn.network import ReservoirPass, _compile, _learning_readout, _plan_shifts, _Projection, run_readout, run_reservoir
+from tcsnn.network import ReservoirPass, _learning_readout, _plan_shifts, _Projection, run_readout, run_reservoir
 from tcsnn.neuron import (
     MODELS,
     NO_PROOF,
-    BurstParams,
     LIFParams,
     NeuronState,
     SynapseParams,
@@ -84,8 +83,8 @@ def _shift(data, plan):
     drive_bound=drive_bounds,
 )
 def test_one_step_keeps_every_site_inside_its_interval(data, model, order, gamma, leakless, r, q, drive_bound):
-    lif = LIFParams(tau_m_nom=math.inf if leakless else 32.0, R=r, synapse=SynapseParams(order=order, q=q))
-    comp = compile_neuron(model, lif, gamma)
+    lif = LIFParams(model=model, tau_m_nom=math.inf if leakless else 32.0, R=r, synapse=SynapseParams(order=order, q=q))
+    comp = compile_neuron(lif, gamma)
     ranges = site_ranges(comp, drive_bound)
     fits = prove_ranges(comp, drive_bound)
     assert set(ranges) == {"drive", *SITES[order]}
@@ -123,7 +122,7 @@ def test_one_step_keeps_every_site_inside_its_interval(data, model, order, gamma
 
 
 def test_bursting_proves_nothing():
-    comp = _compile(_network("iow-burst-lif", "zeroth").config, 4)
+    comp = compile_neuron(_network("iow-burst-lif", "zeroth").config.lif, 4)
     assert prove_ranges(comp, 0) == NO_PROOF
 
 
@@ -133,7 +132,7 @@ def test_a_small_network_proves_every_neuron_site():
     for order in SITES:
         net = _network("iow-lif", order)
         for gamma in (1, 4, 16):
-            comp = _compile(net.config, gamma)
+            comp = compile_neuron(net.config.lif, gamma)
             drive_in = _Projection(net.w_in, gamma << 16, 16).bound
             drive_res = _Projection(net.w_res, comp.n_max << 16, 16).bound
             for bound in (drive_in + drive_res, _Projection(net.w_out, comp.n_max, 0).bound):
@@ -182,9 +181,9 @@ INT_CASES = [(model, order, gamma) for model, orders in ORDERS.items() for order
 @given(data=st.data(), proven=st.booleans(), leakless=st.booleans(), drive_bound=drive_bounds,
        steps=st.integers(2, 9))
 def test_a_unit_on_ints_steps_as_its_array_column(model, order, gamma, data, proven, leakless, drive_bound, steps):
-    lif = LIFParams(tau_m_nom=math.inf if leakless else 32.0, synapse=SynapseParams(order=order))
+    lif = LIFParams(model=model, tau_m_nom=math.inf if leakless else 32.0, synapse=SynapseParams(order=order))
     bursting = MODELS[model].bursting
-    comp = compile_neuron(model, lif, gamma, burst=BurstParams() if bursting else None)
+    comp = compile_neuron(lif, gamma)
     fits = prove_ranges(comp, drive_bound) if proven else NO_PROOF
     ranges = site_ranges(comp, drive_bound) if proven else {}
 

@@ -62,6 +62,22 @@ def test_every_exported_name_is_defined(path):
     assert not sorted(_exported(tree) - defined)
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    # a parameter a change left behind, such as an argument no line of its function reads, fails here
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        names = {sub.id for stmt in body for sub in ast.walk(stmt) if isinstance(sub, ast.Name)}
+        unread += [f"{path.name}:{node.lineno}: {arg.arg}" for arg in params
+                   if arg.arg not in names and arg.arg not in ("self", "cls") and not arg.arg.startswith("_")]
+    assert not unread
+
+
 ROOT = SRC.parent.parent
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
