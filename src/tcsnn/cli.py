@@ -94,7 +94,8 @@ def run_experiment(config: ExperimentConfig):
     Returns the list of RunReports ordered by ratio. When resource counts
     for a ratio and the baseline (gamma=1) are configured, the normalized
     ATEL column is filled from this experiment's accuracy/runtime/energy,
-    unless the baseline scored 100%: that column then stays empty.
+    unless the baseline scored 100% or used no energy: that column then
+    stays empty.
     """
     gammas = list(config.gammas)
     dataset = config.make_dataset()  # the same for every ratio
@@ -115,7 +116,7 @@ def run_experiment(config: ExperimentConfig):
     for rep in reports:
         if baseline is not None and rep.energy > 0:
             rep.energy_reduction = baseline.energy / rep.energy
-        if (baseline is not None and baseline.accuracy < 100.0
+        if (baseline is not None and baseline.accuracy < 100.0 and baseline.energy > 0
                 and rep.gamma in config.resources and 1 in config.resources):
             lut_d, ff_d = config.resources[rep.gamma]
             lut_b, ff_b = config.resources[1]

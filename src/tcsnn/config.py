@@ -27,7 +27,6 @@ import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import get_args, get_origin, get_type_hints
 
-from .fixedpoint import fixed_constant
 from .learning import LearningParams, trace_plan
 from .metrics import EnergyModel
 from .network import LsmConfig
@@ -138,9 +137,9 @@ class ExperimentConfig:
             raise ConfigError("dataset.kind = event_file requires dataset.path")
         if any(count < 0 for pair in self.resources.values() for count in pair):
             raise ConfigError("resource counts must be >= 0")
-        try:  # every constant the datapath holds, at every ratio a run uses
-            for name in ("eta", "w_min", "w_max"):
-                fixed_constant(name, getattr(self.learning, name))
+        if 1 in self.resources and sum(self.resources[1]) == 0:  # no counts, so no area for ATEL to divide by
+            raise ConfigError("baseline resources must give a positive area (ff + 2 lut)")
+        try:  # the neuron and the learner's trace at every ratio a run uses
             for gamma in self.gammas:
                 trace_plan(self.learning, gamma, compile_neuron(self.lsm.lif, gamma).n_max)
         except ValueError as exc:

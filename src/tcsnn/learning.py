@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compress import plan_time_constant
-from .fixedpoint import FRAC_BITS, to_fixed
+from .fixedpoint import FRAC_BITS, fixed_constant
 from .network import (Network, ReadoutPass, ReservoirPass, _drive_bound, _learning_readout, run_readout, run_reservoir,
                       simulate)
 from .neuron import compile_neuron, prove_ranges
@@ -62,6 +62,8 @@ class LearningParams:
             raise ValueError("epochs must be >= 0")
         if not -math.inf < self.w_min <= self.w_max < math.inf:
             raise ValueError("w_min must not exceed w_max, and both must be finite")
+        for name in ("eta", "w_min", "w_max"):  # constants of the datapath
+            fixed_constant(name, getattr(self, name))
 
 
 @dataclass
@@ -101,7 +103,7 @@ def trace_plan(params: LearningParams, gamma: int, n_max: int):
     """
     plan = plan_time_constant(params.tau_trace_nom, gamma)
     peak = n_max << (FRAC_BITS + plan.k_high)
-    if to_fixed(params.eta) * peak > np.iinfo(np.int64).max:
+    if fixed_constant("eta", params.eta) * peak > np.iinfo(np.int64).max:
         raise ValueError(
             f"eta {params.eta:g} times a trace of up to {peak} raw (tau_trace {params.tau_trace_nom:g} at gamma "
             f"{gamma}) does not fit 64 bits"
@@ -148,8 +150,8 @@ class _ReadoutLearner:
         cfg = network.config
         self.network = network
         self.w = network.w_out  # mutated in place
-        rate_and_bounds = (params.eta, params.w_min, params.w_max)
-        self.eta_fp, self.w_min_fp, self.w_max_fp = (np.array(to_fixed(v)) for v in rate_and_bounds)  # 0-d arrays
+        self.eta_fp, self.w_min_fp, self.w_max_fp = (  # 0-d arrays
+            np.array(fixed_constant(name, getattr(params, name))) for name in ("eta", "w_min", "w_max"))
         self.margin = params.teacher_margin
         self.comp = comp = compile_neuron(cfg.lif, gamma)
         # a weight is its start value until the learner clips the whole matrix

@@ -187,9 +187,9 @@ def write_report_json(report: RunReport, path) -> None:
         fh.write(report.to_json())
 
 
-def write_raster_csv(trace: SimulationTrace, path, layer: str = "reservoir") -> None:
-    """Raster export for external plotting: one row per spike event."""
-    ev = trace.events_for(layer)
+def write_raster_csv(trace: SimulationTrace, path) -> None:
+    """Reservoir raster export for external plotting: one row per spike event."""
+    ev = trace.events_for("reservoir")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("neuron_id,timestep,weight\n")
         for unit, t, w in ev:

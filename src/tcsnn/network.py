@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compress import compress_train
-from .fixedpoint import FRAC_BITS, RAW_MAX, RAW_MIN, SCALE, SaturationCounter, saturate
+from .fixedpoint import FRAC_BITS, RAW_MAX, RAW_MIN, SCALE, saturate
 from .neuron import (
     STEP_FUNCTIONS,
     CompiledNeuron,
@@ -154,7 +154,6 @@ class Network:
     w_in: np.ndarray  # (reservoir, inputs)
     w_res: np.ndarray  # (reservoir, reservoir)
     w_out: np.ndarray  # (readout, reservoir), plastic
-    excitatory: np.ndarray  # bool per reservoir neuron
 
     @property
     def fan_in(self) -> np.ndarray:
@@ -213,7 +212,7 @@ def build_lsm(config: LsmConfig) -> Network:
 
     w_out = np.zeros((config.num_readout, n), dtype=np.int64)
 
-    return Network(config=config, w_in=w_in, w_res=w_res, w_out=w_out, excitatory=excitatory)
+    return Network(config=config, w_in=w_in, w_res=w_res, w_out=w_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,7 +392,7 @@ def run_reservoir(
     deliver_res = _Projection(network.w_res, comp.n_max * amp_unit, FRAC_BITS)
     fits = prove_ranges(comp, deliver_in.bound + deliver_res.bound)
 
-    sat = SaturationCounter(rows=batch)
+    sat = np.zeros(batch, dtype=np.int64)  # clamps per example
     state = new_neuron_state((batch, n_res), bursting)
     k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
     spikes = np.zeros((batch, steps, n_res), dtype=np.min_scalar_type(comp.n_max))
@@ -445,7 +444,7 @@ def run_reservoir(
             spikes=spikes[b],
             input_ops=int(np.count_nonzero(inputs[b], axis=0) @ fan_in),
             reservoir_ops=int(np.count_nonzero(spikes[b, :-1], axis=0) @ fan_res),
-            saturations=int(sat.count[b]),
+            saturations=int(sat[b]),
             potentials=None if potentials is None else potentials[b],
             amplitudes=amplitudes[b] if bursting else None,
         )
@@ -491,7 +490,7 @@ def run_readout(
     step_fn = STEP_FUNCTIONS[cfg.lif.model]
     w_out = network.w_out
 
-    sat = SaturationCounter(rows=batch)
+    sat = np.zeros(batch, dtype=np.int64)  # clamps per example
     state = new_neuron_state((batch, n_read), comp.spec.bursting)
     k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
     outs = np.empty((batch, steps, n_read), dtype=np.int64)
@@ -516,7 +515,7 @@ def run_readout(
         ReadoutPass(
             gamma=gamma,
             outs=outs[b],
-            saturations=int(sat.count[b]),
+            saturations=int(sat[b]),
             potentials=None if potentials is None else potentials[b],
         )
         for b in range(batch)

@@ -52,8 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compress import TimeConstantPlan, plan_time_constant
-from .fixedpoint import (FRAC_BITS, RAW_MAX, RAW_MIN, SCALE, TOTAL_BITS, SaturationCounter, fixed_constant, fixed_mul,
-                         saturate)
+from .fixedpoint import FRAC_BITS, RAW_MAX, RAW_MIN, SCALE, TOTAL_BITS, fixed_constant, fixed_mul, saturate
 
 __all__ = [
     "MODELS",
@@ -356,7 +355,7 @@ def synapse_step(
     comp: CompiledNeuron,
     k_s1: int = 0,
     k_s2: int = 0,
-    sat: SaturationCounter | None = None,
+    sat: np.ndarray | None = None,
     fits: Fits = NO_PROOF,
 ) -> np.ndarray:
     """Advance the synaptic filter one step and return the current I.
@@ -385,7 +384,7 @@ def synapse_step(
 
 
 def burst_gain_update(
-    g: np.ndarray, prev_out: np.ndarray, comp: CompiledNeuron, sat: SaturationCounter | None = None
+    g: np.ndarray, prev_out: np.ndarray, comp: CompiledNeuron, sat: np.ndarray | None = None
 ) -> np.ndarray:
     """One burst-gain step for a population of spike sources.
 
@@ -403,7 +402,7 @@ def integrate_fire(
     i_fp: np.ndarray,
     comp: CompiledNeuron,
     k_m: int = 0,
-    sat: SaturationCounter | None = None,
+    sat: np.ndarray | None = None,
     fits: Fits = NO_PROOF,
 ) -> np.ndarray:
     """One step of the shared core: decay, integrate, fire, soft reset.

@@ -13,8 +13,9 @@ fired. Whenever the rule touches a row, the whole matrix is clipped.
 """
 
 import numpy as np
+from traces import to_fixed
 
-from tcsnn.fixedpoint import FRAC_BITS, SaturationCounter, saturate, to_fixed
+from tcsnn.fixedpoint import FRAC_BITS, saturate
 from tcsnn.learning import classify, trace_plan
 from tcsnn.network import ReadoutPass, _burst_drives, _plan_shifts, run_reservoir
 from tcsnn.neuron import NO_PROOF, STEP_FUNCTIONS, compile_neuron, new_neuron_state, synapse_step
@@ -50,7 +51,7 @@ class ReferenceLearner:
         """The readout's run on ``res``, an example of class ``label``, learning after every step."""
         comp, steps, n = self.comp, res.spikes.shape[0], self.network.config.num_readout
         self.start(label)
-        sat = SaturationCounter(rows=1)
+        sat = np.zeros(1, dtype=np.int64)
         state = new_neuron_state((1, n), comp.spec.bursting)
         k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
         step_fn = STEP_FUNCTIONS[self.network.config.lif.model]
@@ -64,7 +65,7 @@ class ReferenceLearner:
             self.on_step(t, delivered << FRAC_BITS, out)
             outs.append(out)
         return ReadoutPass(gamma=comp.gamma, outs=np.array(outs, dtype=np.int64).reshape(steps, n),
-                           saturations=int(sat.count[0]))
+                           saturations=int(sat[0]))
 
     def on_step(self, t: int, delivered_fp: np.ndarray, readout_out):
         """``delivered_fp`` holds each reservoir neuron's spike weight reaching

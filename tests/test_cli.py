@@ -77,13 +77,14 @@ def test_empty_training_split_exits_2(tmp_path, capsys):
 RESOURCES = "resources.baseline.lut = 100\nresources.baseline.ff = 50\nresources.g4.lut = 80\nresources.g4.ff = 40\n"
 
 
-# a baseline without loss has no normalized ATEL; every report is still written
-@pytest.mark.parametrize("baseline_accuracy, atel_cells", [(100.0, ["", ""]), (90.0, ["100", "10"])])
-def test_perfect_baseline_leaves_the_atel_cells_empty(tmp_path, monkeypatch, baseline_accuracy, atel_cells):
+# a baseline without loss, or without energy, has no normalized ATEL; every report is still written
+@pytest.mark.parametrize("baseline_accuracy, energy, atel_cells",
+                         [(100.0, 100.0, ["", ""]), (90.0, 0.0, ["", ""]), (90.0, 100.0, ["100", "10"])])
+def test_perfect_baseline_leaves_the_atel_cells_empty(tmp_path, monkeypatch, baseline_accuracy, energy, atel_cells):
     def scored(config, gamma, dataset):
         return RunReport(gamma=gamma, model=config.lsm.lif.model, seed=config.seed,
                          accuracy=baseline_accuracy if gamma == 1 else 80.0, timestep_count=40 // gamma,
-                         input_length=40, speedup=float(gamma), counters={}, energy=100.0 / gamma)
+                         input_length=40, speedup=float(gamma), counters={}, energy=energy / gamma)
 
     monkeypatch.setattr(tcsnn.cli, "_run_single", scored)
     assert run(tmp_path, CONFIG + RESOURCES, "out") == 0
@@ -249,6 +250,9 @@ REJECTIONS = [
                  id="event-file-without-path"),
     pytest.param(CONFIG + "resources.baseline.lut = -1\nresources.baseline.ff = 5\n", RUN, 1,
                  "config error: exp.cfg:13: resources: resource counts must be >= 0", id="negative-lut"),
+    pytest.param(CONFIG + "resources.baseline.lut = 0\nresources.baseline.ff = 0\n", RUN, 1,
+                 "config error: exp.cfg:13: resources: baseline resources must give a positive area (ff + 2 lut)",
+                 id="baseline-without-area"),
     pytest.param(CONFIG + "lsm.lambda = 0\n", RUN, 1,
                  "config error: exp.cfg:13: lsm.lambda: lambda_dist must be positive", id="lambda-0"),
     pytest.param(CONFIG + "lsm.excitatory_fraction = 1\n", RUN, 1,

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from traces import decay_step, from_fixed
+from traces import decay_step, from_fixed, to_fixed
 
 from tcsnn.compress import compress_train, plan_time_constant
-from tcsnn.fixedpoint import to_fixed
 
 
 def constants(plan, n_steps: int) -> np.ndarray:

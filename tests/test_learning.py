@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from learner_reference import reference_training
 from test_golden import CHANNELS, ORDERS, _network
+from traces import to_fixed
 
-from tcsnn.fixedpoint import to_fixed
 import tcsnn.learning
 import tcsnn.neuron
 from tcsnn.learning import (TRACE_STRIDE, LearningParams, _ReadoutLearner, evaluate, split_dataset, trace_plan,
@@ -36,6 +37,14 @@ def test_empty_training_split_is_an_error_only_with_epochs():
         train_readout(net, dataset, ([], range(len(dataset))), LearningParams(epochs=1), gamma=2)
     report = train_readout(net, dataset, ([], range(len(dataset))), LearningParams(epochs=0), gamma=2)
     assert report.epoch_train_accuracy == []
+
+
+# a rate or bound past the register is refused where it is made, not clamped
+# to about +/-32768 by the learner that reads it
+@pytest.mark.parametrize("name, value", [("eta", 1e6), ("w_min", -1e6), ("w_max", 1e6)])
+def test_a_learning_constant_past_the_register_is_refused(name, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} {value:g} does not fit the 32-bit fixed-point format")):
+        LearningParams(**{name: value})
 
 
 def test_evaluate_without_examples_is_an_error():

@@ -131,3 +131,14 @@ def test_spike_statistics_total_matches_counter(gamma):
         stats = spike_statistics(trace)
         assert stats.total_events == trace.counters["spike_events"]
         assert stats.total_weight == sum(stats.per_layer_weight.values())
+
+
+@pytest.mark.parametrize("gamma", [2, 4])
+def test_spike_statistics_per_neuron_tallies_sum_to_the_totals(gamma):
+    for trace in traces(gamma):
+        stats = spike_statistics(trace)
+        assert stats.per_neuron_weight.keys() == stats.per_layer_weight.keys()
+        assert stats.per_layer_weight["reservoir"] > 0
+        for layer, weights in stats.per_neuron_weight.items():
+            assert weights.sum() == stats.per_layer_weight[layer], layer
+        assert sum(int(counts.sum()) for counts in stats.per_neuron_count.values()) == stats.total_events

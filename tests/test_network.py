@@ -2,9 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from traces import to_fixed
 
 from tcsnn.config import ExperimentConfig
-from tcsnn.fixedpoint import RAW_MAX, SCALE, SaturationCounter, to_fixed
+from tcsnn.fixedpoint import RAW_MAX, SCALE
 from tcsnn.network import LsmConfig, build_lsm, simulate
 from tcsnn.neuron import LIFParams, SynapseParams, burst_gain_update, compile_neuron
 
@@ -22,14 +23,14 @@ def test_unknown_model_rejected():
 
 def test_input_burst_gain_clamp_is_counted():
     comp = compile_neuron(LIFParams(model="iow-burst-lif", synapse=SynapseParams(order="zeroth")), 16)
-    sat = SaturationCounter(rows=1)
+    sat = np.zeros(1, dtype=np.int64)
     gain = np.full(2, SCALE, dtype=np.int64)
     prev = np.array([16, 0])  # channel 0 fires weight 16 every step, channel 1 is silent
     for _ in range(3):
         gain = burst_gain_update(gain, prev, comp, sat)
     assert gain[0] == RAW_MAX  # 1.5**48 is far past the register
     assert gain[1] == SCALE
-    assert sat.count.tolist() == [2]  # clamped on the second and third update
+    assert sat.tolist() == [2]  # clamped on the second and third update
 
 
 def test_beta_table_covers_every_input_weight():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from traces import from_fixed
+from traces import from_fixed, to_fixed
 
-from tcsnn.fixedpoint import RAW_MAX, SCALE, SaturationCounter, to_fixed
+from tcsnn.fixedpoint import RAW_MAX, SCALE
 from tcsnn.neuron import (
     LIFParams,
     SynapseParams,
@@ -283,10 +283,10 @@ class TestBurst:
         # scales saturate, counted
         comp = compile_neuron(leakless_params(model="iow-burst-lif", beta=1e30), 1)
         assert comp.beta_pow_fp.tolist() == [SCALE, RAW_MAX + 1]
-        sat = SaturationCounter(rows=1)
+        sat = np.zeros(1, dtype=np.int64)
         g = burst_gain_update(np.full(3, SCALE), np.array([1, 7, 0]), comp, sat)
         assert g.tolist() == [RAW_MAX, RAW_MAX, SCALE]
-        assert sat.count.tolist() == [2]
+        assert sat.tolist() == [2]
 
     def test_huge_n_max_compiles_a_short_table(self):
         # a table of every power up to n_max would hold 10**9 + 1 entries
@@ -294,9 +294,9 @@ class TestBurst:
         lut = comp.beta_pow_fp
         assert len(lut) <= 27
         assert lut[-1] == RAW_MAX + 1 and lut[-2] <= RAW_MAX
-        sat = SaturationCounter(rows=1)
+        sat = np.zeros(1, dtype=np.int64)
         assert burst_gain_update(np.full(1, SCALE), np.array([10**9]), comp, sat).tolist() == [RAW_MAX]
-        assert sat.count.tolist() == [1]
+        assert sat.tolist() == [1]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -362,10 +362,10 @@ def test_saturation_is_counted_not_silent():
     params = LIFParams(tau_m_nom=math.inf, u_th=100.0, R=1.0, synapse=ZEROTH)
     comp = compile_neuron(params, 1)
     state = new_neuron_state(1)
-    sat = SaturationCounter(rows=1)
+    sat = np.zeros(1, dtype=np.int64)
     for _ in range(10):
         integrate_fire(state, np.array([RAW_MAX]), comp, sat=sat)
-    assert sat.count[0] > 0
+    assert sat[0] > 0
     assert state.u[0] <= RAW_MAX
 
 

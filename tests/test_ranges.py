@@ -26,7 +26,7 @@ from traces import replayed_amplitudes
 import tcsnn.learning as learning
 import tcsnn.network as network
 import tcsnn.neuron as neuron
-from tcsnn.fixedpoint import RAW_MAX, RAW_MIN, SaturationCounter, saturate
+from tcsnn.fixedpoint import RAW_MAX, RAW_MIN, saturate
 from tcsnn.learning import LearningParams, _ReadoutLearner
 from tcsnn.network import ReservoirPass, _learning_readout, _plan_shifts, _Projection, run_readout, run_reservoir
 from tcsnn.neuron import (
@@ -95,17 +95,17 @@ def test_one_step_keeps_every_site_inside_its_interval(data, model, order, gamma
         if name in ranges:
             setattr(state, name, _values(data, _held(ranges[name]), n))
     state.u = _values(data, _held(ranges["u"]), n)
-    drive = saturate(_values(data, (-drive_bound, drive_bound), n), SaturationCounter(rows=1), fits.drive)
+    drive = saturate(_values(data, (-drive_bound, drive_bound), n), np.zeros(1, dtype=np.int64), fits.drive)
 
     seen = []  # (site values, clamps a full check counts, whether the site skipped its check)
 
     def spy(raw, counter=None, fits=False):
-        full = SaturationCounter(rows=1)
+        full = np.zeros(1, dtype=np.int64)
         saturate(raw.copy(), full)
-        seen.append((raw.copy(), full.count[0], fits))
+        seen.append((raw.copy(), full[0], fits))
         return saturate(raw, counter, fits)
 
-    sat = SaturationCounter(rows=1)
+    sat = np.zeros(1, dtype=np.int64)
     with mock.patch.object(neuron, "saturate", spy):
         current = neuron.synapse_step(state, drive, comp, _shift(data, comp.tau_s1_plan),
                                       _shift(data, comp.tau_s2_plan), sat, fits)
@@ -213,7 +213,7 @@ def test_a_unit_on_ints_steps_as_its_array_column(model, order, gamma, data, pro
     on_ints = _learning_readout(net, res, comp, fits, 0, 0, lambda *_: None, record_potentials=True, state=units)
 
     # on arrays: the same steps through the step functions
-    on_arrays = SaturationCounter(rows=1)
+    on_arrays = np.zeros(1, dtype=np.int64)
     k_m, k_s1, k_s2 = _plan_shifts(comp, steps)
     outs, potentials = [], []
     for t in range(steps):
@@ -227,4 +227,4 @@ def test_a_unit_on_ints_steps_as_its_array_column(model, order, gamma, data, pro
     for f in fields:
         column, unit = getattr(state, f), getattr(units, f)
         assert (unit is None) if column is None else np.array_equal(unit, column), f
-    assert on_ints.saturations == on_arrays.count[0]
+    assert on_ints.saturations == on_arrays[0]

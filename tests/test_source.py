@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import functools
 import pathlib
 import re
 
@@ -96,10 +97,16 @@ def _references(node) -> collections.Counter:
     return names
 
 
+@functools.cache
+def _trees() -> dict:
+    """Every module of the package, the tests and the benchmark, parsed."""
+    return {path: ast.parse(path.read_text()) for directory in (SRC, ROOT / "tests", ROOT / "perfbench")
+            for path in directory.rglob("*.py")}
+
+
 def test_every_definition_is_referenced():
     # a function, class or method nothing names is dead code; ``__all__`` is no use of a name
-    trees = {path: ast.parse(path.read_text()) for directory in (SRC, ROOT / "tests", ROOT / "perfbench")
-             for path in directory.rglob("*.py")}
+    trees = _trees()
     used = sum((_references(node) for tree in trees.values() for node in tree.body if not _is_all(node)),
                collections.Counter())
     unused = []
@@ -113,3 +120,58 @@ def test_every_definition_is_referenced():
                 if used[definition.name] <= _references(definition)[definition.name]:
                     unused.append(f"{path.name}:{definition.lineno}: {definition.name}")
     assert not unused
+
+
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    # a field that is written and never read, such as one a build fills for no caller, fails here;
+    # a read is an attribute load, or a string that names the field, as ``getattr`` and ``asdict`` keys do
+    read = collections.Counter()
+    for tree in _trees().values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                read[sub.attr] += 1
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and IDENTIFIER.fullmatch(sub.value):
+                read.update(sub.value.split("."))
+    unread = [f"{path.name}:{stmt.lineno}: {node.name}.{stmt.target.id}"
+              for path in MODULES for node in ast.walk(_trees()[path]) if _is_dataclass(node)
+              for stmt in node.body if isinstance(stmt, ast.AnnAssign) and not read[stmt.target.id]]
+    assert not unread
+
+
+def _passed(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` gives the parameter ``name``, the ``position``-th positional one
+    (None when keyword-only); an unpacked ``*args`` or ``**kwargs`` may give any."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+        return True
+    return any(kw.arg == name for kw in call.keywords) or (position is not None and len(call.args) > position)
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default no call overrides is a constant dressed as an option, such as a layer argument no caller sets
+    calls = collections.defaultdict(list)  # called name -> its calls
+    for tree in _trees().values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                calls[getattr(func, "id", None) or getattr(func, "attr", None)].append(sub)
+    never = []
+    for path in MODULES:
+        tree = _trees()[path]
+        for owner in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]:
+            for node in owner.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                in_class = owner is not tree
+                name = owner.name if in_class and node.name == "__init__" else node.name
+                args = node.args
+                positional = [*args.posonlyargs, *args.args][1 if in_class else 0:]
+                defaulted = [(arg, i) for i, arg in enumerate(positional)][len(positional) - len(args.defaults):]
+                defaulted += [(arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                never += [f"{path.name}:{node.lineno}: {name}({arg.arg})" for arg, i in defaulted
+                          if not any(_passed(call, arg.arg, i) for call in calls[name])]
+    assert not never

@@ -1,10 +1,10 @@
-"""Helpers shared by the tests: Poisson example rows, trace comparison,
-fixed-point values read back as floats, the reference shifter decay and the
-reference bursting amplitudes."""
+"""Helpers shared by the tests: Poisson example rows, trace comparison, real
+values to raw fixed point (clamped) and back, the reference shifter decay and
+the reference bursting amplitudes."""
 
 import numpy as np
 
-from tcsnn.fixedpoint import SCALE
+from tcsnn.fixedpoint import RAW_MAX, RAW_MIN, SCALE
 from tcsnn.neuron import burst_gain_update
 
 
@@ -39,6 +39,22 @@ def same_trace(a, b, check_potentials: bool = True) -> bool:
             if not np.array_equal(a.potentials[key], b.potentials[key]):
                 return False
     return True
+
+
+def to_fixed(value):
+    """Round a real value (or array) to raw fixed point, clamped into the register.
+
+    Out-of-range values are clamped before the integer cast, so no value
+    past the register reaches numpy's undefined float-to-int conversion.
+    The package itself takes a real value only through
+    :func:`tcsnn.fixedpoint.fixed_constant`, which refuses one out of range.
+    """
+    with np.errstate(over="ignore"):  # a product past float range is inf, clamped below
+        scaled = np.rint(np.asarray(value, dtype=np.float64) * SCALE)
+    raw = np.clip(scaled, RAW_MIN, RAW_MAX).astype(np.int64)
+    if np.ndim(value) == 0:
+        return int(raw)
+    return raw
 
 
 def from_fixed(raw):
