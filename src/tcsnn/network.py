@@ -41,24 +41,25 @@ engine runs reservoir pass -> readout pass -> trace:
   a reservoir pass in every epoch; evaluation and the energy count replay
   it again.
 
-Every spike is delivered as a fixed-point amplitude: its weight (1 for
-binary-input models) times its source's burst gain (1.0 unless bursting).
-A fixed layer's drive is ``(amplitudes @ w.T) >> FRAC_BITS``, exact for the
-fixed +/- 2**(e + FRAC_BITS) weights: a float64 matmul while every partial
-sum provably stays below 2**53, an integer one otherwise (bursting). The
-plastic readout multiplies the integer spike weights instead: a frozen one
-for all steps in one product per example, a learning one in one int64
-product per block of steps between two weight changes. Bursting
-amplitudes carry fractional bits: the readout takes those its pass recorded
-and floors each product on its own (:func:`_burst_drives`).
+Every spike is delivered as its amplitude: its weight (1 for binary-input
+models), times its source's burst gain when bursting, which carries
+fractional bits. A reservoir step's drive is one product of the step's input
+amplitudes and the last step's reservoir ones, side by side, with the
+stacked ``[w_in | w_res]``, in the narrowest type provably exact
+(:class:`_Projection`): float32 for the fixed +/- 2**(e + FRAC_BITS)
+weights, an int64 gather of the active sources when bursting. The plastic
+readout multiplies the integer spike weights: a frozen one for all steps in
+one product per example, a learning one in one int64 product per block of
+steps between two weight changes. Bursting readouts take the amplitudes
+their pass recorded and floor each product on its own (:func:`_burst_drives`).
 
 Spikes emitted at step t are delivered at step t+1; external input spikes
 are delivered at their own step. All arithmetic is integer fixed point, so
 traces are bit-reproducible across runs and machines.
 
-Each run starts by bounding its layer's drive: the largest row sum of |w|
-times the largest spike weight. For a learning readout every weight is
-taken at the larger of its starting value and the learner's clip bounds,
+Each run starts by bounding its layer's drive: the largest entry of |w| @
+amp_max, each source's largest amplitude. For a learning readout every weight
+is taken at the larger of its starting value and the learner's clip bounds,
 since the learner clips the whole matrix whenever it touches it. From that
 bound, :func:`~tcsnn.neuron.prove_ranges` proves which clamp sites of a
 non-bursting run can never clamp, and those skip their checks; outputs and
@@ -67,6 +68,7 @@ saturation counts are the same either way. Bursting runs check every site.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,12 +149,12 @@ class Network:
 
     Fixed synapses hold +/- 2**(exponent + FRAC_BITS) exactly (signed
     power-of-two weights realized by shifts); absent synapses are zero.
-    Readout weights are plastic fixed-point values.
+    Readout weights are plastic fixed-point values, each build's own.
     """
 
     config: LsmConfig
-    w_in: np.ndarray  # (reservoir, inputs)
-    w_res: np.ndarray  # (reservoir, reservoir)
+    w_in: np.ndarray  # (reservoir, inputs), read-only: every build of the config shares it
+    w_res: np.ndarray  # (reservoir, reservoir), read-only, shared the same way
     w_out: np.ndarray  # (readout, reservoir), plastic
 
     @property
@@ -167,7 +169,13 @@ class Network:
 
 
 def build_lsm(config: LsmConfig) -> Network:
-    """Deterministically wire an LSM from its config and seed.
+    """An LSM of ``config``: its fixed wiring and an untrained, all-zero readout of its own."""
+    return Network(config, *_wiring(config), np.zeros((config.num_readout, config.reservoir_size), dtype=np.int64))
+
+
+@functools.lru_cache(maxsize=16)
+def _wiring(config: LsmConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministically wire ``(w_in, w_res)``, read-only, from the config and its seed; once per config.
 
     Reservoir connection probability is C(pre,post) * exp(-(d/lambda)^2)
     over euclidean grid distance, with C chosen by the excitatory/inhibitory
@@ -210,9 +218,9 @@ def build_lsm(config: LsmConfig) -> Network:
         signs = np.where(rng.random(config.input_fanout) < config.in_positive_prob, 1, -1)
         w_in[targets, ch] = signs * (np.int64(1) << (exps + FRAC_BITS))
 
-    w_out = np.zeros((config.num_readout, n), dtype=np.int64)
-
-    return Network(config=config, w_in=w_in, w_res=w_res, w_out=w_out)
+    w_in.setflags(write=False)  # shared by every build of the config
+    w_res.setflags(write=False)
+    return w_in, w_res
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,31 +306,35 @@ class ReservoirPass:
     amplitudes: np.ndarray | None = None  # (spikes,) raw fixed-point amplitudes, bursting only
 
 
-def _drive_bound(w: np.ndarray, amp_max: float) -> float:
-    """Largest |w @ amp| over amplitudes up to ``amp_max``: the largest row sum of |w| times it."""
-    return float(np.abs(w).sum(axis=1, dtype=np.float64).max(initial=0.0)) * amp_max
+def _drive_bound(w: np.ndarray, amp_max) -> float:
+    """Largest |w @ amp| over amplitudes up to ``amp_max``, a scalar or one per source (column of ``w``)."""
+    return float((np.abs(w, dtype=np.float64) @ np.broadcast_to(amp_max, w.shape[1:])).max(initial=0.0))
 
 
 class _Projection:
     """Weights ``w`` (post, pre), fixed while it lives, delivering a batch of
-    presynaptic amplitudes: ``(amp @ w.T) >> frac``, exact in integers.
-    ``bound`` bounds the |value| of every delivery."""
+    amplitudes, each source's at most its ``amp_max``: ``(amp @ w.T) >> frac``,
+    exact in integers, in ``dtype``. ``bound`` bounds every |delivery|.
 
-    def __init__(self, w: np.ndarray, amp_max: int, frac: int):
-        self.w_t = np.ascontiguousarray(w.T)
-        self.frac = frac
-        # A float64 matmul is exact while every partial sum of integer
-        # products stays below 2**53, and each is at most (largest row sum
-        # of |w|) * amp_max; 2**52 leaves a bit for rounding the bound.
-        # Non-bursting amplitudes are at most n_max * 2**frac, far inside;
-        # burst gains reach raw_max (2**31), so bursting sums stay int64.
+    Every partial sum is at most the bound and a multiple of the unit, the
+    largest power of two dividing every weight (2**FRAC_BITS for the fixed
+    layers). float32 holds it exactly below 2**24 units, float64 below 2**52
+    (a bit to spare for rounding the bound); past that, where burst gains up
+    to raw_max (2**31) take it, an int64 gather of the active sources does.
+    """
+
+    def __init__(self, w: np.ndarray, amp_max, frac: int):
         bound = _drive_bound(w, amp_max)
-        self.w_float = self.w_t.astype(np.float64) if bound < 2.0**52 else None
+        bits = int(np.bitwise_or.reduce(w, axis=None))
+        unit = bits & -bits or 1  # the lowest bit set in any weight, the same in -w as in w
+        self.dtype = np.float32 if bound < 2.0**24 * unit else np.float64 if bound < 2.0**52 else np.int64
+        self.w_t = np.ascontiguousarray(w.T, dtype=self.dtype)
+        self.frac = frac
         self.bound = bound / (1 << frac)
 
     def __call__(self, amp: np.ndarray) -> np.ndarray:
-        if self.w_float is not None:
-            total = (amp @ self.w_float).astype(np.int64)
+        if self.dtype is not np.int64:
+            total = (amp.astype(self.dtype, copy=False) @ self.w_t).astype(np.int64)
         else:  # gather the active sources only: bursting activity is sparse
             rows, cols = np.nonzero(amp)
             total = np.zeros((amp.shape[0], self.w_t.shape[1]), dtype=np.int64)
@@ -330,7 +342,8 @@ class _Projection:
                 terms = self.w_t[cols] * amp[rows, cols][:, None]
                 starts = np.flatnonzero(np.diff(rows, prepend=-1))
                 total[rows[starts]] = np.add.reduceat(terms, starts, axis=0)
-        return total >> self.frac
+        total >>= self.frac
+        return total
 
 
 def trains_to_dense(row) -> np.ndarray:
@@ -382,15 +395,17 @@ def run_reservoir(
     inputs = np.stack(rows)
     delivered = inputs if comp.spec.weighted_in else np.minimum(inputs, 1)
     w_max = gamma if comp.spec.weighted_in else 1
-    batch, n_res = len(rows), cfg.reservoir_size
+    batch, n_in, n_res = len(rows), cfg.num_inputs, cfg.reservoir_size
 
     bursting = comp.spec.bursting
     step_fn = STEP_FUNCTIONS[cfg.lif.model]
 
-    amp_unit = RAW_MAX if bursting else SCALE  # largest amplitude of a weight-1 spike
-    deliver_in = _Projection(network.w_in, w_max * amp_unit, FRAC_BITS)
-    deliver_res = _Projection(network.w_res, comp.n_max * amp_unit, FRAC_BITS)
-    fits = prove_ranges(comp, deliver_in.bound + deliver_res.bound)
+    # each source's largest amplitude, inputs then neurons: a spike weight, times a raw burst gain when bursting
+    amp_max = np.repeat([w_max, comp.n_max], [n_in, n_res]) * (RAW_MAX if bursting else 1)
+    deliver = _Projection(np.hstack((network.w_in, network.w_res)), amp_max, FRAC_BITS if bursting else 0)
+    fits = prove_ranges(comp, deliver.bound)
+    amp = np.zeros((batch, n_in + n_res), dtype=deliver.dtype)  # this step's inputs, the last step's spikes
+    amp_in, amp_res = amp[:, :n_in], amp[:, n_in:]
 
     sat = np.zeros(batch, dtype=np.int64)  # clamps per example
     state = new_neuron_state((batch, n_res), bursting)
@@ -398,31 +413,30 @@ def run_reservoir(
     spikes = np.zeros((batch, steps, n_res), dtype=np.min_scalar_type(comp.n_max))
     potentials = np.empty((batch, steps, n_res), dtype=np.int64) if record_potentials else None
     if bursting:  # input channels carry a burst gain of their own
-        in_gain = np.full((batch, cfg.num_inputs), SCALE, dtype=np.int64)
+        in_gain = np.full((batch, n_in), SCALE, dtype=np.int64)
         in_prev = np.zeros_like(in_gain)
-    amp_res = None  # reservoir spikes of the previous step, delivered at this one
-    if bursting:  # each step's amplitudes, in the order of np.nonzero(out), and each example's count of them
+        # each step's amplitudes, in the order of np.nonzero(out), and each example's count of them
         fired, counts = [], np.zeros((batch, steps), dtype=np.intp)
 
     for t in range(steps):
-        w = delivered[:, t].astype(np.int64)
         if bursting:
+            w = delivered[:, t].astype(np.int64)
             in_gain = burst_gain_update(in_gain, in_prev, comp, sat)
             in_prev = w
-            drive = deliver_in(in_gain * w)
+            np.multiply(in_gain, w, out=amp_in)
         else:
-            drive = deliver_in(w << FRAC_BITS)
-        if amp_res is not None:
-            drive += deliver_res(amp_res)
-        drive = saturate(drive, sat, fits.drive)
+            amp_in[:] = delivered[:, t]
+        drive = saturate(deliver(amp), sat, fits.drive)
         i_res = synapse_step(state, drive, comp, k_s1[t], k_s2[t], sat, fits)
         out = step_fn(state, i_res, comp, k_m[t], sat, fits)
         spikes[:, t] = out
-        amp_res = state.g * out if bursting else out << FRAC_BITS
         if bursting:
+            np.multiply(state.g, out, out=amp_res)
             fires = out > 0
             fired.append(amp_res[fires])
             counts[:, t] = np.count_nonzero(fires, axis=1)
+        else:
+            amp_res[:] = out
         if record_potentials:
             potentials[:, t] = state.u
 

@@ -13,13 +13,14 @@ Every model is a row of :data:`MODELS`, three switches on one datapath:
   step (``burst-lif``, ``iow-burst-lif``).
 
 :func:`integrate_fire` is that core for a population of units held as int64
-arrays of raw fixed-point values, a pure transition: state in, state out,
-no globals. :func:`synapse_step` filters the drive ahead of it and
-:func:`burst_gain_update` steps the burst gains. These functions run every
-frozen batch: the reservoir, and the readout over a test split. A learning
-readout steps its few units on Python ints instead, in a loop of its own
-(:func:`tcsnn.network._learning_readout`) that writes this datapath out per
-unit, since at a handful of units any call costs more than the arithmetic.
+arrays of raw fixed-point values: it steps the state's arrays in place,
+writes into no array it is handed and reads no globals. :func:`synapse_step`
+filters the drive ahead of it and :func:`burst_gain_update` steps the burst
+gains. These functions run every frozen batch: the reservoir, and the
+readout over a test split. A learning readout steps its few units on Python
+ints instead, in a loop of its own (:func:`tcsnn.network._learning_readout`)
+that writes this datapath out per unit, since at a handful of units any
+call costs more than the arithmetic.
 The two forms share no code; the tests hold their runs equal.
 Membrane and synapse decays are shifter steps ``x - (x >> k)`` driven by
 per-step shift amounts taken from a :class:`~tcsnn.compress.TimeConstantPlan`.
@@ -361,23 +362,28 @@ def synapse_step(
     """Advance the synaptic filter one step and return the current I.
 
     ``drive_fp`` is the weight-multiplied input sum per neuron (raw fixed
-    point). Zeroth order passes it through; first order is a decaying
-    accumulator scaled by q; second order subtracts a fast rise stage from a
-    slow decay stage, normalized so a unit impulse peaks near q. ``fits``
-    names the sites proven never to clamp (:func:`prove_ranges`).
+    point). Zeroth order passes it through, the array itself; first order is
+    a decaying accumulator scaled by q, returned as the state's own ``s1``;
+    second order subtracts a fast rise stage from a slow decay stage,
+    normalized so a unit impulse peaks near q. ``fits`` names the sites
+    proven never to clamp (:func:`prove_ranges`).
     """
     order = comp.lif.synapse.order
     if order == "zeroth":
         return drive_fp
     s1 = state.s1
+    s1 -= s1 >> k_s1
     if order == "first":
         scaled = comp.q_fp * drive_fp
         scaled >>= FRAC_BITS
-        state.s1 = s1 = saturate(s1 - (s1 >> k_s1) + saturate(scaled, sat, fits.syn), sat, fits.s1)
+        s1 += saturate(scaled, sat, fits.syn)
+        state.s1 = s1 = saturate(s1, sat, fits.s1)
         return s1
+    s1 += drive_fp
     s2 = state.s2
-    state.s1 = s1 = saturate(s1 - (s1 >> k_s1) + drive_fp, sat, fits.s1)
-    state.s2 = s2 = saturate(s2 - (s2 >> k_s2) + drive_fp, sat, fits.s2)
+    s2 -= s2 >> k_s2
+    s2 += drive_fp
+    state.s1, state.s2 = s1, s2 = saturate(s1, sat, fits.s1), saturate(s2, sat, fits.s2)
     current = comp.syn_gain_fp * (s2 - s1)
     current >>= FRAC_BITS
     return saturate(current, sat, fits.syn)
@@ -421,12 +427,13 @@ def integrate_fire(
         thr = np.maximum(fixed_mul(comp.u_th_fp, state.g, sat), 1)
     u = state.u
     if comp.tau_m_plan is not None:
-        u = u - (u >> k_m)
+        u -= u >> k_m
     drive = comp.gain_fp * i_fp
     drive >>= FRAC_BITS
-    u = saturate(u + saturate(drive, sat, fits.gain), sat, fits.u)
+    u += saturate(drive, sat, fits.gain)
+    state.u = u = saturate(u, sat, fits.u)
     out = np.minimum(np.maximum(u // thr, 0), comp.n_max)
-    state.u = u - out * thr
+    u -= out * thr
     if bursting:
         state.prev_out = out
     return out

@@ -17,17 +17,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import CHANNELS, GOLDEN, ORDERS, STEPS, _example, _network
-from traces import poisson_encode, replayed_amplitudes, same_trace
+from traces import poisson_encode, replayed_amplitudes, reservoir_projections, same_trace
 
 import tcsnn.network as network
 import tcsnn.neuron as neuron
 from tcsnn.fixedpoint import RAW_MAX
 from tcsnn.learning import LearningParams, _ReadoutLearner
-from tcsnn.network import ReservoirPass, _Projection, run_readout, run_reservoir, simulate
-from tcsnn.neuron import NO_PROOF, compile_neuron
+from tcsnn.network import LsmConfig, ReservoirPass, _Projection, build_lsm, run_readout, run_reservoir, simulate
+from tcsnn.neuron import MODELS, NO_PROOF, LIFParams, SynapseParams, compile_neuron
 
 GAMMAS = (1, 2, 4, 8, 16)
 CASES = [(model, order, gamma) for model, orders in ORDERS.items() for order in orders for gamma in GAMMAS]
@@ -300,6 +300,71 @@ def test_delivery_stays_exact_past_float_precision():
     assert _Projection(w, amp_max=1 << 54, frac=0)(amp).tolist() == exact
     assert _Projection(w << 4, amp_max=1 << 54, frac=4)(amp).tolist() == exact
     assert _Projection(w, amp_max=7, frac=0)(np.array([[7, 1], [0, 0]])).tolist() == [[8, 7], [0, 0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shift=st.integers(0, 30), frac=st.sampled_from((0, 3, 16)), post=st.integers(1, 5),
+       pre=st.integers(1, 6), level=st.integers(18, 24))
+def test_product_is_exact_and_float32_exactly_when_its_bound_allows(data, shift, frac, post, pre, level):
+    # power-of-two weights with the common factor 2**shift, and amplitudes
+    # whose drive bound, in units of that factor, lands on either side of
+    # 2**24; the raw sums reach past float64's 2**52 but stay inside int64
+    exps = data.draw(st.lists(st.integers(-1, 4), min_size=post * pre, max_size=post * pre))  # -1: no synapse
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=post * pre, max_size=post * pre))
+    exps[data.draw(st.integers(0, post * pre - 1))] = 0  # one weight is the factor itself
+    weights = [[s * (1 << (e + shift)) if e >= 0 else 0 for e, s in zip(exps[i:i + pre], signs[i:i + pre])]
+               for i in range(0, post * pre, pre)]
+    amp_max = data.draw(st.lists(st.integers(0, 1 << level), min_size=pre, max_size=pre))
+    batch = data.draw(st.integers(1, 3))
+    amp = [[data.draw(st.one_of(st.just(m), st.just(0), st.integers(0, m))) for m in amp_max] for _ in range(batch)]
+
+    proj = _Projection(np.array(weights, dtype=np.int64), np.array(amp_max), frac)
+    bound = max(sum(abs(w) * m for w, m in zip(row, amp_max)) for row in weights)
+    assert proj.dtype is (np.float32 if bound >> shift < 1 << 24 else np.float64 if bound < 1 << 52 else np.int64)
+    exact = [[sum(a * w for a, w in zip(amps, row)) >> frac for row in weights] for amps in amp]
+    assert proj(np.array(amp, dtype=np.int64)).tolist() == exact
+    assert proj(np.array(amp, dtype=proj.dtype)).tolist() == exact  # amplitudes handed over in its own type
+
+
+def test_float32_takes_only_sums_it_holds_exactly():
+    # 2**24 + 1 is the first integer float32 rounds: a bound of 2**24 units or more takes float64
+    w = np.array([[1, 1]]) << 16
+    assert _Projection(w, np.array([(1 << 24) - 2, 1]), 0).dtype is np.float32
+    proj = _Projection(w, np.array([1 << 24, 1]), 0)
+    assert proj.dtype is np.float64
+    assert proj(np.array([[1 << 24, 1]])).tolist() == [[((1 << 24) + 1) << 16]]
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_default_reservoir_takes_the_narrowest_product(model, gamma):
+    # a silent fall back to a wider product would show only as a slower run
+    bursting = MODELS[model].bursting
+    lif = LIFParams(model=model, synapse=SynapseParams(order="zeroth" if bursting else "second"))
+    net = build_lsm(LsmConfig(lif=lif))
+    made = reservoir_projections(net, np.zeros((net.config.num_inputs, 3 * gamma), dtype=bool), gamma)
+    assert [p.dtype for p in made] == [np.int64 if bursting else np.float32]
+
+
+def test_recorded_potentials_are_copies_of_each_step(monkeypatch):
+    # the step functions advance the membrane in place, so a run must copy it
+    # as it records it: each step's row is the membrane right after that step
+    net = _network("iow-lif", "second")
+    seen = []
+
+    def step(state, *args):
+        out = neuron.integrate_fire(state, *args)
+        seen.append(state.u.copy())
+        return out
+
+    monkeypatch.setitem(neuron.STEP_FUNCTIONS, "iow-lif", step)
+    (res,) = run_reservoir(net, [_example()], 4, record_potentials=True)
+    assert np.array_equal(res.potentials, np.concatenate(seen))
+    assert len(np.unique(res.potentials, axis=0)) > res.potentials.shape[0] // 2  # the membrane moves
+    seen.clear()
+    (run,) = run_readout(net, [res], 4, record_potentials=True)
+    assert np.array_equal(run.potentials, np.concatenate(seen))
+    assert len(np.unique(run.potentials, axis=0)) > 1
 
 
 def test_passes_compare_and_hash_by_identity():

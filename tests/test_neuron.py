@@ -9,6 +9,7 @@ from traces import from_fixed, to_fixed
 
 from tcsnn.fixedpoint import RAW_MAX, SCALE
 from tcsnn.neuron import (
+    MODELS,
     LIFParams,
     SynapseParams,
     _second_order_peak,
@@ -367,6 +368,28 @@ def test_saturation_is_counted_not_silent():
         integrate_fire(state, np.array([RAW_MAX]), comp, sat=sat)
     assert sat[0] > 0
     assert state.u[0] <= RAW_MAX
+
+
+@pytest.mark.parametrize("model, order", [(m, o) for m, spec in MODELS.items()
+                                          for o in ("zeroth",) + (() if spec.bursting else ("first", "second"))])
+def test_steps_advance_their_state_in_place_and_leave_their_inputs_alone(model, order):
+    # a zeroth-order synapse hands back the caller's drive itself, so a write
+    # into the current would be a write into the caller's array
+    bursting = MODELS[model].bursting
+    comp = compile_neuron(LIFParams(model=model, synapse=SynapseParams(order=order)), 4)
+    state = new_neuron_state((2, 3), bursting)
+    arrays = {"u": state.u, "s1": state.s1, "s2": state.s2}
+    drive = np.array([[3 << 16, -(2 << 16), 0], [9 << 16, 1 << 16, 1 << 15]])
+    given = drive.copy()
+    for _ in range(3):
+        current = synapse_step(state, drive, comp, 1, 2)
+        assert (current is drive) == (order == "zeroth")
+        held = current.copy()
+        integrate_fire(state, current, comp, 2)
+        assert np.array_equal(drive, given) and np.array_equal(current, held)
+    assert state.u.any()
+    for name, array in arrays.items():  # nothing clamped, so every state array is the one it started with
+        assert getattr(state, name) is array, name
 
 
 def test_equal_params_compile_to_one_read_only_neuron():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import ORDERS, _example, _network
-from traces import replayed_amplitudes
+from traces import replayed_amplitudes, reservoir_projections
 
 import tcsnn.learning as learning
 import tcsnn.network as network
@@ -128,14 +128,18 @@ def test_bursting_proves_nothing():
 
 def test_a_small_network_proves_every_neuron_site():
     # the 27-neuron networks of the golden table: every site of the
-    # reservoir and the frozen readout fits at every ratio
+    # reservoir and the frozen readout fits at every ratio. The reservoir's
+    # bound is its run's, of one projection of the stacked [w_in | w_res];
+    # it is at most the sum of the two layers' own bounds
     for order in SITES:
         net = _network("iow-lif", order)
         for gamma in (1, 4, 16):
             comp = compile_neuron(net.config.lif, gamma)
+            (stacked,) = reservoir_projections(net, _example(), gamma)
             drive_in = _Projection(net.w_in, gamma << 16, 16).bound
             drive_res = _Projection(net.w_res, comp.n_max << 16, 16).bound
-            for bound in (drive_in + drive_res, _Projection(net.w_out, comp.n_max, 0).bound):
+            assert stacked.bound <= drive_in + drive_res
+            for bound in (stacked.bound, _Projection(net.w_out, comp.n_max, 0).bound):
                 fits = prove_ranges(comp, bound)
                 assert all(getattr(fits, site) for site in ("drive", *SITES[order])), (order, gamma, fits)
 

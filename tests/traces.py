@@ -1,10 +1,14 @@
 """Helpers shared by the tests: Poisson example rows, trace comparison, real
-values to raw fixed point (clamped) and back, the reference shifter decay and
-the reference bursting amplitudes."""
+values to raw fixed point (clamped) and back, the reference shifter decay,
+the reference bursting amplitudes and the projections a reservoir run makes."""
+
+from unittest import mock
 
 import numpy as np
 
+import tcsnn.network as network
 from tcsnn.fixedpoint import RAW_MAX, RAW_MIN, SCALE
+from tcsnn.network import _Projection, run_reservoir
 from tcsnn.neuron import burst_gain_update
 
 
@@ -94,3 +98,16 @@ def replayed_amplitudes(spikes, comp):
         amplitudes.append((gain * out)[out > 0])
         prev = out
     return np.concatenate(amplitudes)
+
+
+def reservoir_projections(net, example, gamma: int) -> list:
+    """The :class:`~tcsnn.network._Projection` objects one reservoir run of ``example`` builds, in order."""
+    made = []
+
+    def spy(*args):
+        made.append(_Projection(*args))
+        return made[-1]
+
+    with mock.patch.object(network, "_Projection", spy):
+        run_reservoir(net, [example], gamma)
+    return made
