@@ -47,7 +47,7 @@ fractional bits. A reservoir step's drive is one product of the step's input
 amplitudes and the last step's reservoir ones, side by side, with the
 stacked ``[w_in | w_res]``, in the narrowest type provably exact
 (:class:`_Projection`): float32 for the fixed +/- 2**(e + FRAC_BITS)
-weights, an int64 gather of the active sources when bursting. The plastic
+weights, float64 when burst gains scale the amplitudes. The plastic
 readout multiplies the integer spike weights: a frozen one for all steps in
 one product per example, a learning one in one int64 product per block of
 steps between two weight changes. Bursting readouts take the amplitudes
@@ -68,7 +68,6 @@ saturation counts are the same either way. Bursting runs check every site.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,12 +148,12 @@ class Network:
 
     Fixed synapses hold +/- 2**(exponent + FRAC_BITS) exactly (signed
     power-of-two weights realized by shifts); absent synapses are zero.
-    Readout weights are plastic fixed-point values, each build's own.
+    Readout weights are plastic fixed-point values.
     """
 
     config: LsmConfig
-    w_in: np.ndarray  # (reservoir, inputs), read-only: every build of the config shares it
-    w_res: np.ndarray  # (reservoir, reservoir), read-only, shared the same way
+    w_in: np.ndarray  # (reservoir, inputs)
+    w_res: np.ndarray  # (reservoir, reservoir)
     w_out: np.ndarray  # (readout, reservoir), plastic
 
     @property
@@ -169,13 +168,7 @@ class Network:
 
 
 def build_lsm(config: LsmConfig) -> Network:
-    """An LSM of ``config``: its fixed wiring and an untrained, all-zero readout of its own."""
-    return Network(config, *_wiring(config), np.zeros((config.num_readout, config.reservoir_size), dtype=np.int64))
-
-
-@functools.lru_cache(maxsize=16)
-def _wiring(config: LsmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministically wire ``(w_in, w_res)``, read-only, from the config and its seed; once per config.
+    """Deterministically wire an LSM from its config and seed.
 
     Reservoir connection probability is C(pre,post) * exp(-(d/lambda)^2)
     over euclidean grid distance, with C chosen by the excitatory/inhibitory
@@ -218,9 +211,9 @@ def _wiring(config: LsmConfig) -> tuple[np.ndarray, np.ndarray]:
         signs = np.where(rng.random(config.input_fanout) < config.in_positive_prob, 1, -1)
         w_in[targets, ch] = signs * (np.int64(1) << (exps + FRAC_BITS))
 
-    w_in.setflags(write=False)  # shared by every build of the config
-    w_res.setflags(write=False)
-    return w_in, w_res
+    w_out = np.zeros((config.num_readout, n), dtype=np.int64)
+
+    return Network(config=config, w_in=w_in, w_res=w_res, w_out=w_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,29 +312,20 @@ class _Projection:
     Every partial sum is at most the bound and a multiple of the unit, the
     largest power of two dividing every weight (2**FRAC_BITS for the fixed
     layers). float32 holds it exactly below 2**24 units, float64 below 2**52
-    (a bit to spare for rounding the bound); past that, where burst gains up
-    to raw_max (2**31) take it, an int64 gather of the active sources does.
+    units (a bit to spare for rounding the bound), int64 past that.
     """
 
     def __init__(self, w: np.ndarray, amp_max, frac: int):
         bound = _drive_bound(w, amp_max)
         bits = int(np.bitwise_or.reduce(w, axis=None))
-        unit = bits & -bits or 1  # the lowest bit set in any weight, the same in -w as in w
-        self.dtype = np.float32 if bound < 2.0**24 * unit else np.float64 if bound < 2.0**52 else np.int64
+        units = bound / (bits & -bits or 1)  # the lowest bit set in any weight, the same in -w as in w
+        self.dtype = np.float32 if units < 2.0**24 else np.float64 if units < 2.0**52 else np.int64
         self.w_t = np.ascontiguousarray(w.T, dtype=self.dtype)
         self.frac = frac
         self.bound = bound / (1 << frac)
 
     def __call__(self, amp: np.ndarray) -> np.ndarray:
-        if self.dtype is not np.int64:
-            total = (amp.astype(self.dtype, copy=False) @ self.w_t).astype(np.int64)
-        else:  # gather the active sources only: bursting activity is sparse
-            rows, cols = np.nonzero(amp)
-            total = np.zeros((amp.shape[0], self.w_t.shape[1]), dtype=np.int64)
-            if rows.size:
-                terms = self.w_t[cols] * amp[rows, cols][:, None]
-                starts = np.flatnonzero(np.diff(rows, prepend=-1))
-                total[rows[starts]] = np.add.reduceat(terms, starts, axis=0)
+        total = (amp.astype(self.dtype, copy=False) @ self.w_t).astype(np.int64, copy=False)
         total >>= self.frac
         return total
 

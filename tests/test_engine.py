@@ -303,24 +303,27 @@ def test_delivery_stays_exact_past_float_precision():
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), shift=st.integers(0, 30), frac=st.sampled_from((0, 3, 16)), post=st.integers(1, 5),
-       pre=st.integers(1, 6), level=st.integers(18, 24))
-def test_product_is_exact_and_float32_exactly_when_its_bound_allows(data, shift, frac, post, pre, level):
+@given(data=st.data(), frac=st.sampled_from((0, 3, 16)), post=st.integers(1, 5), pre=st.integers(1, 6),
+       level=st.integers(18, 56))
+def test_product_is_exact_and_float32_exactly_when_its_bound_allows(data, frac, post, pre, level):
     # power-of-two weights with the common factor 2**shift, and amplitudes
     # whose drive bound, in units of that factor, lands on either side of
-    # 2**24; the raw sums reach past float64's 2**52 but stay inside int64
+    # 2**24 and of 2**52; the raw sums stay below 6 * 2**60, inside int64
+    shift = data.draw(st.integers(0, 56 - level))
     exps = data.draw(st.lists(st.integers(-1, 4), min_size=post * pre, max_size=post * pre))  # -1: no synapse
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=post * pre, max_size=post * pre))
     exps[data.draw(st.integers(0, post * pre - 1))] = 0  # one weight is the factor itself
     weights = [[s * (1 << (e + shift)) if e >= 0 else 0 for e, s in zip(exps[i:i + pre], signs[i:i + pre])]
                for i in range(0, post * pre, pre)]
-    amp_max = data.draw(st.lists(st.integers(0, 1 << level), min_size=pre, max_size=pre))
+    amp_max = data.draw(st.lists(st.one_of(st.just(1 << level), st.integers(0, 1 << level)),
+                                 min_size=pre, max_size=pre))
     batch = data.draw(st.integers(1, 3))
     amp = [[data.draw(st.one_of(st.just(m), st.just(0), st.integers(0, m))) for m in amp_max] for _ in range(batch)]
 
     proj = _Projection(np.array(weights, dtype=np.int64), np.array(amp_max), frac)
     bound = max(sum(abs(w) * m for w, m in zip(row, amp_max)) for row in weights)
-    assert proj.dtype is (np.float32 if bound >> shift < 1 << 24 else np.float64 if bound < 1 << 52 else np.int64)
+    units = bound >> shift
+    assert proj.dtype is (np.float32 if units < 1 << 24 else np.float64 if units < 1 << 52 else np.int64)
     exact = [[sum(a * w for a, w in zip(amps, row)) >> frac for row in weights] for amps in amp]
     assert proj(np.array(amp, dtype=np.int64)).tolist() == exact
     assert proj(np.array(amp, dtype=proj.dtype)).tolist() == exact  # amplitudes handed over in its own type
@@ -343,7 +346,7 @@ def test_default_reservoir_takes_the_narrowest_product(model, gamma):
     lif = LIFParams(model=model, synapse=SynapseParams(order="zeroth" if bursting else "second"))
     net = build_lsm(LsmConfig(lif=lif))
     made = reservoir_projections(net, np.zeros((net.config.num_inputs, 3 * gamma), dtype=bool), gamma)
-    assert [p.dtype for p in made] == [np.int64 if bursting else np.float32]
+    assert [p.dtype for p in made] == [np.float64 if bursting else np.float32]
 
 
 def test_recorded_potentials_are_copies_of_each_step(monkeypatch):

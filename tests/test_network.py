@@ -6,10 +6,8 @@ from traces import to_fixed
 
 from tcsnn.config import ExperimentConfig
 from tcsnn.fixedpoint import RAW_MAX, SCALE
-from tcsnn.learning import LearningParams, train_readout
 from tcsnn.network import LsmConfig, build_lsm, simulate
 from tcsnn.neuron import LIFParams, SynapseParams, burst_gain_update, compile_neuron
-from tcsnn.spike import synthetic_task
 
 
 def small_config(**overrides):
@@ -21,25 +19,6 @@ def small_config(**overrides):
 def test_unknown_model_rejected():
     with pytest.raises(ValueError, match="unknown model"):
         small_config(lif=LIFParams(model="izhikevich"))
-
-
-def test_builds_of_one_config_share_its_wiring_and_own_their_readouts():
-    first, second = build_lsm(small_config()), build_lsm(small_config())  # equal, distinct configs
-    assert first.w_in is second.w_in and first.w_res is second.w_res
-    for w in (first.w_in, first.w_res):
-        with pytest.raises(ValueError, match="read-only"):
-            w[0, 0] = 1
-    assert first.w_out is not second.w_out
-    assert first.w_out.shape == (3, 27) and not first.w_out.any() and not second.w_out.any()
-
-    dataset = synthetic_task(num_classes=3, num_channels=6, length_steps=30, jitter_steps=2,
-                             examples_per_class=2, seed=1)
-    train_readout(first, dataset, ([0, 2, 4], [1, 3, 5]), LearningParams(epochs=2), gamma=2)
-    assert first.w_out.any() and not second.w_out.any()
-    assert not build_lsm(small_config()).w_out.any()
-
-    other = build_lsm(small_config(seed=6))
-    assert not np.array_equal(other.w_in, first.w_in) and not np.array_equal(other.w_res, first.w_res)
 
 
 def test_input_burst_gain_clamp_is_counted():
